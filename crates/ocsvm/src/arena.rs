@@ -1,19 +1,21 @@
-//! Process-wide, memory-budgeted kernel-row arena.
+//! The memory-budgeted kernel-row arena: the crate's one kernel-row cache.
 //!
-//! A [`GramMatrix`](crate::GramMatrix) shares kernel rows *within* one
-//! user's sweep, but holds every materialized row until the matrix is
-//! dropped: running many users' sweeps concurrently multiplies that
-//! footprint by the number of in-flight users, with no global bound. The
-//! [`KernelRowArena`] replaces per-matrix ownership with one shared,
-//! thread-safe cache of kernel rows keyed by `(owner, kernel, row)` plus a
-//! content fingerprint, governed by an explicit byte budget with exact
-//! least-recently-used eviction.
+//! Every kernel row the crate computes for reuse — solver rows of a plain
+//! `train` call, the rows of a [`GramMatrix`](crate::GramMatrix) or
+//! [`CrossGram`](crate::CrossGram) shared by a whole regularization sweep,
+//! and the streaming scorer's support-vector rows — lives in a
+//! [`KernelRowArena`]: a thread-safe cache of kernel rows keyed by
+//! `(owner, kernel, row)` plus a content fingerprint, governed by an
+//! explicit byte budget with exact least-recently-used eviction. One arena
+//! can be shared by `Arc` across every sweep worker and scoring engine of a
+//! process, bounding their total footprint; a matrix built without one gets
+//! a private arena of its own.
 //!
 //! Rows are handed out as `Arc<[f64]>`, so an evicted row stays valid for
-//! every holder; eviction only bounds what the *arena* retains. A consumer
-//! that pins rows for the duration of one solver run (see
-//! `PrecomputedQ`'s local memo) therefore adds at most one training set's
-//! rows on top of the budget per in-flight solve.
+//! every holder; eviction only bounds what the *arena* retains. A solver
+//! run over a shared arena pins the rows it fetches for its own duration
+//! (see `PrecomputedQ`), so it adds at most one training set's rows on top
+//! of the budget per in-flight solve.
 //!
 //! Hit/miss/fill/eviction and byte counters are exposed through
 //! [`KernelRowArena::stats`]; the grid-search scheduler and the `sweep`
@@ -120,8 +122,7 @@ struct Entry {
 struct Inner {
     rows: HashMap<RowKey, Entry>,
     /// Exact recency order: strictly monotone tick → key, so the first
-    /// entry is always the least recently used row (same scheme as the
-    /// solver's per-run `RowCache`, shared process-wide here).
+    /// entry is always the least recently used row.
     order: BTreeMap<u64, RowKey>,
     tick: u64,
     stats: ArenaStats,
@@ -249,6 +250,11 @@ impl KernelRowArena {
     /// Number of rows currently retained.
     pub fn len(&self) -> usize {
         self.inner.lock().expect("arena lock").rows.len()
+    }
+
+    /// Keys of the rows currently retained, in no particular order.
+    pub fn keys(&self) -> Vec<RowKey> {
+        self.inner.lock().expect("arena lock").rows.keys().copied().collect()
     }
 
     /// Whether the arena currently retains no rows.

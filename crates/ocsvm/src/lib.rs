@@ -14,15 +14,20 @@
 //!   controls how many training points may fall outside.
 //!
 //! Both are trained by a shared SMO solver (second-order
-//! working-set selection, LRU kernel-row cache) over [`SparseVector`]
-//! samples, and both expose their decision function through the
-//! [`OneClassModel`] trait. When one training set is swept over many
-//! regularization values (the paper's per-user grid search), a
-//! [`GramMatrix`] materializes each kernel row at most once and shares it —
-//! thread-safely — across every solver run of the sweep via
-//! [`NuOcSvm::train_with_gram`] and [`Svdd::train_with_gram`]; a
-//! [`CrossGram`] does the same for scoring all of the sweep's models
-//! against a fixed probe set.
+//! working-set selection) over [`SparseVector`] samples, and both expose
+//! their decision function through the [`OneClassModel`] trait.
+//!
+//! Every kernel row the crate keeps for reuse lives in one row store, the
+//! byte-budgeted, least-recently-used [`KernelRowArena`]. A plain `train`
+//! call solves over a private arena of [`SolverOptions::cache_bytes`].
+//! When one training set is swept over many regularization values (the
+//! paper's per-user grid search), a [`GramMatrix`] computes each kernel
+//! row once into its arena and shares it — thread-safely — across every
+//! solver run of the sweep via [`NuOcSvm::train_with_gram`] and
+//! [`Svdd::train_with_gram`]; a [`CrossGram`] does the same for scoring
+//! all of the sweep's models against a fixed probe set. Either view takes
+//! a private arena of its own or one arena shared across users, sweeps
+//! and the streaming scorer.
 //!
 //! # Quick start
 //!
@@ -48,7 +53,6 @@
 #![warn(missing_debug_implementations)]
 
 mod arena;
-mod cache;
 mod error;
 mod gram;
 mod kernel;
@@ -64,9 +68,7 @@ mod svdd;
 
 pub use arena::{ArenaStats, KernelRowArena, RowKey, RowSpace, DEFAULT_GLOBAL_BUDGET};
 pub use error::TrainError;
-pub use gram::{
-    content_fingerprint, ArenaCrossGram, ArenaGram, CrossGram, CrossRows, GramMatrix, KernelRows,
-};
+pub use gram::{content_fingerprint, CrossGram, GramMatrix};
 pub use kernel::{Kernel, KernelKind};
 pub use model::{LinearBatchScorer, LinearDecisionTerms, OneClassModel, TrainDiagnostics};
 pub use ocsvm::{NuOcSvm, OcSvmModel};

@@ -115,12 +115,10 @@ impl SupportVectorSet {
     /// non-linear kernels the results are bit-identical to on-the-fly
     /// evaluation (the linear kernel's collapsed fast path only agrees up to
     /// floating-point association).
-    pub(crate) fn weighted_row_sums(
-        &self,
-        rows: &[std::sync::Arc<[f64]>],
-        width: usize,
-    ) -> Vec<f64> {
-        (0..width).map(|j| rows.iter().zip(&self.alpha).map(|(row, &a)| a * row[j]).sum()).collect()
+    pub(crate) fn weighted_row_sums<R: AsRef<[f64]>>(&self, rows: &[R], width: usize) -> Vec<f64> {
+        (0..width)
+            .map(|j| rows.iter().zip(&self.alpha).map(|(row, &a)| a * row.as_ref()[j]).sum())
+            .collect()
     }
 
     pub(crate) fn weighted_kernel_sum(&self, x: &SparseVector) -> f64 {
@@ -133,14 +131,13 @@ impl SupportVectorSet {
     /// `Σᵢ αᵢ·k(svᵢ, pⱼ)` for every probe `pⱼ`, amortizing kernel work over
     /// the whole batch.
     ///
-    /// Non-linear kernels go through a [`CrossGram`] over the support
-    /// vectors themselves — one kernel-row materialization per support
-    /// vector per batch, summed in support-vector order, so every value is
-    /// bit-identical to [`Self::weighted_kernel_sum`]. The linear kernel
-    /// goes through a dense [`LinearBatchScorer`] built from the collapsed
-    /// weight vector, which adds exactly the same products in the same
-    /// (column-ascending) order as the sparse merge dot and is therefore
-    /// also bit-identical.
+    /// Non-linear kernels compute one kernel row per support vector against
+    /// the probes packed once into a [`ProbePanel`](crate::ProbePanel), summed in
+    /// support-vector order, so every value is bit-identical to
+    /// [`Self::weighted_kernel_sum`]. The linear kernel goes through a
+    /// dense [`LinearBatchScorer`] built from the collapsed weight vector,
+    /// which adds exactly the same products in the same (column-ascending)
+    /// order as the sparse merge dot and is therefore also bit-identical.
     ///
     /// Unlike the training-set row paths this needs no training indices, so
     /// it works for deserialized models too.
@@ -148,18 +145,21 @@ impl SupportVectorSet {
         if let Some(w) = &self.collapsed {
             return LinearBatchScorer::from_collapsed(w).weighted_sums(probes);
         }
-        let cross = CrossGram::new(self.kernel, &self.vectors, probes.to_vec());
-        let rows: Vec<_> =
-            (0..self.vectors.len()).map(|i| std::sync::Arc::clone(cross.row(i))).collect();
+        let panel = crate::panel::ProbePanel::pack(probes);
+        let rows: Vec<Vec<f64>> = self
+            .vectors
+            .iter()
+            .map(|sv| crate::panel::kernel_cross_row(self.kernel, sv, probes, &panel))
+            .collect();
         self.weighted_row_sums(&rows, probes.len())
     }
 
     /// [`Self::batch_weighted_kernel_sums`] with the non-linear kernel rows
-    /// charged to a shared [`KernelRowArena`](crate::KernelRowArena) under
-    /// `owner` instead of a private transient [`CrossGram`]. Linear models
-    /// keep their collapsed fast path (nothing to cache). Each row is
-    /// computed from the same kernel evaluations in the same order, so the
-    /// sums are bit-identical to the un-arena'd path.
+    /// cached in a shared [`KernelRowArena`](crate::KernelRowArena) under
+    /// `owner` (through a [`CrossGram`] over the support vectors). Linear
+    /// models keep their collapsed fast path (nothing to cache). Each row
+    /// is computed from the same kernel evaluations in the same order, so
+    /// the sums are bit-identical to the un-arena'd path.
     pub(crate) fn batch_weighted_kernel_sums_in(
         &self,
         probes: &[&SparseVector],
@@ -169,15 +169,8 @@ impl SupportVectorSet {
         if let Some(w) = &self.collapsed {
             return LinearBatchScorer::from_collapsed(w).weighted_sums(probes);
         }
-        let cross = crate::gram::ArenaCrossGram::new(
-            self.kernel,
-            &self.vectors,
-            probes.to_vec(),
-            arena,
-            owner,
-        );
-        let rows: Vec<_> =
-            (0..self.vectors.len()).map(|i| crate::gram::CrossRows::row_arc(&cross, i)).collect();
+        let cross = CrossGram::in_arena(self.kernel, &self.vectors, probes.to_vec(), arena, owner);
+        let rows: Vec<_> = (0..self.vectors.len()).map(|i| cross.row(i)).collect();
         self.weighted_row_sums(&rows, probes.len())
     }
 

@@ -15,13 +15,10 @@
 //!
 //! The solver is a faithful reimplementation of the LIBSVM strategy for the
 //! all-labels-positive case: second-order working-set selection (WSS 2 of
-//! Fan, Chen & Lin 2005), an incrementally maintained gradient, and an LRU
-//! kernel-row cache.
+//! Fan, Chen & Lin 2005), an incrementally maintained gradient, and kernel
+//! rows cached in a [`KernelRowArena`](crate::KernelRowArena).
 
-use crate::cache::RowCache;
-use crate::gram::KernelRows;
-use crate::kernel::Kernel;
-use crate::sparse::SparseVector;
+use crate::gram::GramMatrix;
 use std::sync::Arc;
 
 /// Denominator floor for pairs whose quadratic coefficient is non-positive
@@ -38,114 +35,58 @@ pub(crate) trait QMatrix {
     fn row(&mut self, i: usize) -> Arc<[f64]>;
 }
 
-/// What the trainers need from a `Q` matrix beyond [`QMatrix`] itself: raw
-/// kernel diagonals (for the SVDD linear term) and row-store counters (for
-/// [`TrainDiagnostics`](crate::TrainDiagnostics)).
-pub(crate) trait SolverQ: QMatrix {
-    /// Raw kernel diagonal `K(xᵢ, xᵢ)` (without the `Q` scale factor).
-    fn kernel_diag(&self, i: usize) -> f64;
-    /// (hits, misses) of the row store.
-    fn cache_stats(&self) -> (u64, u64);
-}
-
-/// `Q = scale · K` over a set of sparse training points, with an LRU row
-/// cache.
-pub(crate) struct KernelQ<'a> {
-    kernel: Kernel,
-    points: &'a [SparseVector],
-    scale: f64,
-    diag: Vec<f64>,
-    cache: RowCache,
-}
-
-impl<'a> KernelQ<'a> {
-    pub(crate) fn new(
-        kernel: Kernel,
-        points: &'a [SparseVector],
-        scale: f64,
-        cache_bytes: usize,
-    ) -> Self {
-        let diag = points.iter().map(|x| scale * kernel.compute_self(x)).collect::<Vec<_>>();
-        let cache = RowCache::with_byte_budget(cache_bytes, points.len());
-        Self { kernel, points, scale, diag, cache }
-    }
-}
-
-impl SolverQ for KernelQ<'_> {
-    fn kernel_diag(&self, i: usize) -> f64 {
-        self.diag[i] / self.scale
-    }
-
-    fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
-    }
-}
-
-impl QMatrix for KernelQ<'_> {
-    fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    fn diag(&self, i: usize) -> f64 {
-        self.diag[i]
-    }
-
-    fn row(&mut self, i: usize) -> Arc<[f64]> {
-        let (kernel, points, scale) = (self.kernel, self.points, self.scale);
-        self.cache.get_or_compute(i, || {
-            let xi = &points[i];
-            points.iter().map(|xj| scale * kernel.compute(xi, xj)).collect()
-        })
-    }
-}
-
-/// `Q = scale · K` served from shared, precomputed [`KernelRows`] — a
-/// per-sweep [`GramMatrix`](crate::GramMatrix) or an arena-backed
-/// [`ArenaGram`](crate::ArenaGram).
+/// `Q = scale · K` served from the rows of a [`GramMatrix`].
 ///
-/// At `scale = 1` (OC-SVM) rows are handed out zero-copy. At other scales
-/// (SVDD uses `Q = 2K`) each scaled row is materialized lazily, once, and
-/// memoized for the lifetime of the solver run; the products `scale · Kᵢⱼ`
-/// are exactly the ones [`KernelQ`] computes, so both paths feed the solver
-/// bit-identical values.
+/// At `scale = 1` (OC-SVM) the matrix's rows are handed out zero-copy. At
+/// other scales (SVDD uses `Q = 2K`) row `i` is formed as `scale · Kᵢⱼ`
+/// from the cached kernel row, the same product for every source.
 ///
-/// Every fetched row is also pinned locally for the duration of the solve,
-/// so an arena-backed source is consulted (and locked) at most once per
-/// row per solver run — the SMO inner loop never contends on the shared
-/// arena, and eviction between accesses cannot force a recompute mid-solve.
-pub(crate) struct PrecomputedQ<'g, G: KernelRows> {
-    gram: &'g G,
+/// A *pinned* solve keeps every row it fetches for its own duration, so a
+/// shared arena is consulted (and locked) at most once per row per solve —
+/// the SMO inner loop never contends on it, and eviction between accesses
+/// cannot force a recompute mid-solve. The pin adds at most one training
+/// set's rows on top of the arena's budget. An *unpinned* solve (plain
+/// `train` over a private, byte-budgeted arena) goes to the arena on every
+/// access, so that budget alone bounds its memory.
+pub(crate) struct PrecomputedQ<'g, 'p> {
+    gram: &'g GramMatrix<'p>,
     scale: f64,
-    base_rows: Vec<Option<Arc<[f64]>>>,
-    scaled_rows: Vec<Option<Arc<[f64]>>>,
+    pinned: Option<Vec<Option<Arc<[f64]>>>>,
     hits: u64,
     misses: u64,
 }
 
-impl<'g, G: KernelRows> PrecomputedQ<'g, G> {
-    pub(crate) fn new(gram: &'g G, scale: f64) -> Self {
-        Self {
-            gram,
-            scale,
-            base_rows: vec![None; gram.len()],
-            scaled_rows: vec![None; gram.len()],
-            hits: 0,
-            misses: 0,
-        }
+impl<'g, 'p> PrecomputedQ<'g, 'p> {
+    /// A solve that pins the rows it fetches.
+    pub(crate) fn pinned(gram: &'g GramMatrix<'p>, scale: f64) -> Self {
+        Self { gram, scale, pinned: Some(vec![None; gram.len()]), hits: 0, misses: 0 }
     }
-}
 
-impl<G: KernelRows> SolverQ for PrecomputedQ<'_, G> {
-    fn kernel_diag(&self, i: usize) -> f64 {
+    /// A solve that pins nothing; `gram`'s arena must be private to it.
+    pub(crate) fn unpinned(gram: &'g GramMatrix<'p>, scale: f64) -> Self {
+        Self { gram, scale, pinned: None, hits: 0, misses: 0 }
+    }
+
+    /// Raw kernel diagonal `K(xᵢ, xᵢ)` (without the `Q` scale factor).
+    pub(crate) fn kernel_diag(&self, i: usize) -> f64 {
         self.gram.diag_value(i)
     }
 
-    fn cache_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+    /// (hits, misses) of the row store, for
+    /// [`TrainDiagnostics`](crate::TrainDiagnostics): the private arena's
+    /// own counters for an unpinned solve; for a pinned one, rows served
+    /// from the pin plus precomputed scale-1 rows count as hits and rows
+    /// scaled for this solve as misses.
+    pub(crate) fn cache_stats(&self) -> (u64, u64) {
+        if self.pinned.is_some() {
+            return (self.hits, self.misses);
+        }
+        let stats = self.gram.arena().stats();
+        (stats.hits, stats.misses)
     }
 }
 
-impl<G: KernelRows> QMatrix for PrecomputedQ<'_, G> {
+impl QMatrix for PrecomputedQ<'_, '_> {
     fn len(&self) -> usize {
         self.gram.len()
     }
@@ -155,27 +96,22 @@ impl<G: KernelRows> QMatrix for PrecomputedQ<'_, G> {
     }
 
     fn row(&mut self, i: usize) -> Arc<[f64]> {
-        if self.scale == 1.0 {
-            // Precomputed rows count as hits regardless of whether this
-            // solve has touched them yet: the expensive kernel work
-            // happened (at most) once in the shared source, not here.
+        if let Some(row) = self.pinned.as_ref().and_then(|pinned| pinned[i].clone()) {
             self.hits += 1;
-            if let Some(row) = &self.base_rows[i] {
-                return Arc::clone(row);
-            }
-            let row = self.gram.row_arc(i);
-            self.base_rows[i] = Some(Arc::clone(&row));
             return row;
         }
-        if let Some(row) = &self.scaled_rows[i] {
+        let base = self.gram.row(i);
+        let row = if self.scale == 1.0 {
             self.hits += 1;
-            return Arc::clone(row);
+            base
+        } else {
+            self.misses += 1;
+            let scale = self.scale;
+            base.iter().map(|&v| scale * v).collect()
+        };
+        if let Some(pinned) = &mut self.pinned {
+            pinned[i] = Some(Arc::clone(&row));
         }
-        self.misses += 1;
-        let scale = self.scale;
-        let row: Arc<[f64]> =
-            self.gram.row_arc(i).iter().map(|&v| scale * v).collect::<Vec<f64>>().into();
-        self.scaled_rows[i] = Some(Arc::clone(&row));
         row
     }
 }
@@ -189,7 +125,10 @@ pub struct SolverOptions {
     /// Hard cap on SMO iterations; `None` derives a cap from the problem
     /// size (`max(10_000_000, 100·l)`).
     pub max_iterations: Option<usize>,
-    /// Byte budget of the kernel row cache.
+    /// Byte budget of the private kernel-row arena a plain `train` call
+    /// solves over (at least two rows are always kept, as SMO touches two
+    /// rows per iteration). Solves over a caller's [`GramMatrix`] use that
+    /// matrix's arena instead.
     pub cache_bytes: usize,
     /// Shrinking heuristic (LIBSVM's): periodically remove variables that
     /// are firmly stuck at a bound from the working set, reconstructing
@@ -546,7 +485,6 @@ pub(crate) fn seeded_alpha(previous: &[f64], upper: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gram::GramMatrix;
     use crate::kernel::Kernel;
     use crate::sparse::SparseVector;
 
@@ -561,7 +499,8 @@ mod tests {
         p: &[f64],
         upper: f64,
     ) -> Solution {
-        let mut q = KernelQ::new(kernel, pts, scale, 1 << 20);
+        let gram = GramMatrix::compute(kernel, pts);
+        let mut q = PrecomputedQ::pinned(&gram, scale);
         let alpha0 = initial_alpha(pts.len(), upper);
         solve(&mut q, p, upper, alpha0, &SolverOptions::default())
     }
@@ -627,7 +566,8 @@ mod tests {
         let pts = points(&[&[1.0, 0.0], &[0.9, 0.1], &[0.0, 1.0], &[0.5, 0.5]]);
         let upper = 0.5;
         let p = vec![0.0; 4];
-        let mut q = KernelQ::new(Kernel::Rbf { gamma: 1.0 }, &pts, 1.0, 1 << 20);
+        let gram = GramMatrix::compute(Kernel::Rbf { gamma: 1.0 }, &pts);
+        let mut q = PrecomputedQ::pinned(&gram, 1.0);
         let alpha0 = initial_alpha(4, upper);
         // Start objective.
         let start: f64 = {
@@ -687,7 +627,8 @@ mod tests {
     #[test]
     fn iteration_cap_reports_non_convergence() {
         let pts = points(&[&[1.0, 0.0], &[0.0, 1.0], &[0.5, 0.5], &[0.2, 0.8]]);
-        let mut q = KernelQ::new(Kernel::Rbf { gamma: 2.0 }, &pts, 1.0, 1 << 20);
+        let gram = GramMatrix::compute(Kernel::Rbf { gamma: 2.0 }, &pts);
+        let mut q = PrecomputedQ::pinned(&gram, 1.0);
         let options = SolverOptions { max_iterations: Some(0), ..Default::default() };
         let alpha0 = initial_alpha(4, 0.3);
         let sol = solve(&mut q, &[0.0; 4], 0.3, alpha0, &options);
@@ -709,7 +650,8 @@ mod tests {
         let upper = 1.0 / (0.2 * pts.len() as f64);
         let p = vec![0.0; pts.len()];
         let solve_with = |shrinking: bool| {
-            let mut q = KernelQ::new(Kernel::Rbf { gamma: 1.5 }, &pts, 1.0, 1 << 20);
+            let gram = GramMatrix::compute(Kernel::Rbf { gamma: 1.5 }, &pts);
+            let mut q = PrecomputedQ::pinned(&gram, 1.0);
             let options = SolverOptions { eps: 1e-6, shrinking, ..Default::default() };
             let alpha0 = initial_alpha(pts.len(), upper);
             solve(&mut q, &p, upper, alpha0, &options)
@@ -742,7 +684,8 @@ mod tests {
             .collect();
         let upper = 1.0 / (0.3 * pts.len() as f64);
         let p = vec![0.0; pts.len()];
-        let mut q = KernelQ::new(Kernel::Rbf { gamma: 0.7 }, &pts, 1.0, 1 << 20);
+        let gram = GramMatrix::compute(Kernel::Rbf { gamma: 0.7 }, &pts);
+        let mut q = PrecomputedQ::pinned(&gram, 1.0);
         let options = SolverOptions { eps: 1e-5, shrinking: true, ..Default::default() };
         let alpha0 = initial_alpha(pts.len(), upper);
         let sol = solve(&mut q, &p, upper, alpha0, &options);
@@ -759,10 +702,11 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_gram_matches_kernel_q_exactly() {
-        // The precomputed-Gram path must feed the solver the same Q entries
-        // as the on-the-fly path, so the whole trajectory — α, gradient,
-        // objective, iteration count — is bit-identical.
+    fn unpinned_budgeted_rows_match_pinned_rows_exactly() {
+        // Plain `train`'s unpinned, budget-evicting path must feed the
+        // solver the same Q entries as a pinned solve over a shared matrix,
+        // so the whole trajectory — α, gradient, objective, iteration
+        // count — is bit-identical.
         let pts: Vec<SparseVector> = (0..40)
             .map(|i| {
                 SparseVector::from_dense(&[
@@ -789,11 +733,17 @@ mod tests {
                     vec![0.0; l]
                 };
                 let options = SolverOptions::default();
-                let mut on_the_fly = KernelQ::new(kernel, &pts, scale, 1 << 20);
-                let direct = solve(&mut on_the_fly, &p, upper, initial_alpha(l, upper), &options);
+                // A two-row private arena (plain `train`'s floor) evicts on
+                // nearly every access; a pinned solve never recomputes.
+                let private = GramMatrix::private(kernel, &pts, 2 * l * 8);
+                let mut unpinned = PrecomputedQ::unpinned(&private, scale);
+                let direct = solve(&mut unpinned, &p, upper, initial_alpha(l, upper), &options);
+                let stats = private.arena().stats();
+                assert!(stats.evictions > 0, "{kernel:?} scale {scale}");
+                assert!(stats.bytes <= stats.budget, "{kernel:?} scale {scale}");
                 let gram = GramMatrix::compute(kernel, &pts);
-                let mut precomputed = PrecomputedQ::new(&gram, scale);
-                let shared = solve(&mut precomputed, &p, upper, initial_alpha(l, upper), &options);
+                let mut pinned = PrecomputedQ::pinned(&gram, scale);
+                let shared = solve(&mut pinned, &p, upper, initial_alpha(l, upper), &options);
                 assert_eq!(direct.converged, shared.converged, "{kernel:?} scale {scale}");
                 assert_eq!(
                     direct.iterations, shared.iterations,
@@ -807,17 +757,17 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_gram_counts_zero_copy_hits() {
+    fn pinned_solve_counts_zero_copy_hits() {
         let pts = points(&[&[1.0, 0.0], &[0.0, 1.0], &[0.5, 0.5], &[0.3, 0.7]]);
         let gram = GramMatrix::compute(Kernel::Rbf { gamma: 1.0 }, &pts);
         // Scale 1: every row access is a zero-copy hit.
-        let mut q1 = PrecomputedQ::new(&gram, 1.0);
+        let mut q1 = PrecomputedQ::pinned(&gram, 1.0);
         let _ = solve(&mut q1, &[0.0; 4], 0.3, initial_alpha(4, 0.3), &SolverOptions::default());
         let (hits, misses) = q1.cache_stats();
         assert!(hits > 0);
         assert_eq!(misses, 0, "scale-1 rows must be shared zero-copy");
         // Scale 2: each scaled row is materialized at most once.
-        let mut q2 = PrecomputedQ::new(&gram, 2.0);
+        let mut q2 = PrecomputedQ::pinned(&gram, 2.0);
         let p: Vec<f64> = (0..4).map(|i| -q2.kernel_diag(i)).collect();
         let _ = solve(&mut q2, &p, 0.5, initial_alpha(4, 0.5), &SolverOptions::default());
         let (_, misses2) = q2.cache_stats();
@@ -859,7 +809,8 @@ mod tests {
                     let p = vec![0.0; l];
                     let options =
                         SolverOptions { eps: 1e-5, shrinking: true, ..Default::default() };
-                    let mut q = KernelQ::new(kernel, pts, 1.0, 1 << 20);
+                    let gram = GramMatrix::compute(kernel, pts);
+                    let mut q = PrecomputedQ::pinned(&gram, 1.0);
                     let sol = solve(&mut q, &p, upper, initial_alpha(l, upper), &options);
                     if !sol.converged {
                         continue;
@@ -927,14 +878,16 @@ mod tests {
         let mut previous: Option<Vec<f64>> = None;
         for nu in [0.9, 0.7, 0.5, 0.3, 0.1] {
             let upper = 1.0 / (nu * l as f64);
-            let mut q_cold = KernelQ::new(kernel, &pts, 1.0, 1 << 20);
+            let gram_cold = GramMatrix::compute(kernel, &pts);
+            let mut q_cold = PrecomputedQ::pinned(&gram_cold, 1.0);
             let cold = solve(&mut q_cold, &p, upper, initial_alpha(l, upper), &options);
             let seed = match &previous {
                 Some(alpha) => seeded_alpha(alpha, upper),
                 None => initial_alpha(l, upper),
             };
             assert_feasible(&seed, upper);
-            let mut q_warm = KernelQ::new(kernel, &pts, 1.0, 1 << 20);
+            let gram_warm = GramMatrix::compute(kernel, &pts);
+            let mut q_warm = PrecomputedQ::pinned(&gram_warm, 1.0);
             let warm = solve(&mut q_warm, &p, upper, seed, &options);
             assert!(cold.converged && warm.converged, "nu = {nu}");
             assert!(
@@ -948,9 +901,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_repeat_rows() {
+    fn unpinned_solve_reports_its_private_arena() {
         let pts = points(&[&[1.0, 0.0], &[0.0, 1.0], &[0.5, 0.5], &[0.3, 0.7], &[0.9, 0.1]]);
-        let mut q = KernelQ::new(Kernel::Rbf { gamma: 1.0 }, &pts, 1.0, 1 << 20);
+        let gram = GramMatrix::private(Kernel::Rbf { gamma: 1.0 }, &pts, 1 << 20);
+        let mut q = PrecomputedQ::unpinned(&gram, 1.0);
         let alpha0 = initial_alpha(5, 0.25);
         let _ = solve(&mut q, &[0.0; 5], 0.25, alpha0, &SolverOptions::default());
         let (hits, misses) = q.cache_stats();

@@ -486,7 +486,7 @@ mod tests {
     use super::*;
     use crate::kernel::Kernel;
     use crate::model::OneClassModel;
-    use crate::smo::KernelQ;
+    use crate::smo::PrecomputedQ;
     use crate::sparse::SparseVector;
     use crate::{NuOcSvm, Svdd};
 
@@ -510,7 +510,8 @@ mod tests {
     #[test]
     fn solver_subset_q_gathers_the_parent_submatrix() {
         let points = cluster(12);
-        let mut parent = KernelQ::new(Kernel::Rbf { gamma: 0.7 }, &points, 1.0, 1 << 20);
+        let gram = crate::GramMatrix::compute(Kernel::Rbf { gamma: 0.7 }, &points);
+        let mut parent = PrecomputedQ::pinned(&gram, 1.0);
         let indices = [1usize, 4, 9];
         let mut expected = Vec::new();
         for &i in &indices {
@@ -577,9 +578,9 @@ mod tests {
         for backend in [SolverBackend::EnsembleOneData, SolverBackend::SampledFw] {
             let trainer =
                 NuOcSvm::new(0.25, Kernel::Rbf { gamma: 0.8 }).with_options(options(backend));
-            let (cold, cold_alpha) = trainer.train_with_rows_seeded(&points, &gram, None).unwrap();
+            let (cold, cold_alpha) = trainer.train_with_gram_seeded(&points, &gram, None).unwrap();
             let (seeded, seeded_alpha) =
-                trainer.train_with_rows_seeded(&points, &gram, Some(&skewed_seed)).unwrap();
+                trainer.train_with_gram_seeded(&points, &gram, Some(&skewed_seed)).unwrap();
             assert_eq!(cold_alpha, seeded_alpha, "{backend:?}");
             assert_eq!(cold.rho(), seeded.rho(), "{backend:?}");
         }

@@ -16,10 +16,10 @@
 //! distance to the center does not exceed `R²`.
 
 use crate::error::TrainError;
-use crate::gram::{self, CrossRows, GramMatrix, KernelRows};
+use crate::gram::{CrossGram, GramMatrix};
 use crate::kernel::Kernel;
 use crate::model::{OneClassModel, SupportVectorSet, TrainDiagnostics};
-use crate::smo::{KernelQ, PrecomputedQ, SolverOptions, SolverQ};
+use crate::smo::{PrecomputedQ, SolverOptions};
 use crate::solver::{self, SolverBackend};
 use crate::sparse::SparseVector;
 
@@ -79,16 +79,16 @@ impl Svdd {
     ///   constraint set empty.
     pub fn train(&self, points: &[SparseVector]) -> Result<SvddModel, TrainError> {
         self.validate(points)?;
-        let mut q = KernelQ::new(self.kernel, points, 2.0, self.options.cache_bytes);
-        Ok(self.train_on(points, &mut q, None).0)
+        let gram = GramMatrix::for_solver(self.kernel, points, self.options.cache_bytes);
+        Ok(self.train_on(points, &mut PrecomputedQ::unpinned(&gram, 2.0), None).0)
     }
 
     /// Trains on `points` reusing a precomputed [`GramMatrix`] over exactly
     /// those points (same kernel, same order).
     ///
     /// Numerically identical to [`train`](Self::train) — `Q = 2K` rows are
-    /// rescaled lazily from the shared matrix with the same products the
-    /// on-the-fly path computes — but skips the O(l²·d) kernel
+    /// formed from the shared matrix's rows with the same products `train`
+    /// forms from its private ones — but skips the O(l²·d) kernel
     /// evaluations, which dominate when one training set is swept over many
     /// `C` values (per-user grid search). The Gram matrix is read-only and
     /// `Sync`, so concurrent sweeps can share one instance.
@@ -106,28 +106,10 @@ impl Svdd {
         points: &[SparseVector],
         gram: &GramMatrix,
     ) -> Result<SvddModel, TrainError> {
-        self.train_with_rows(points, gram)
+        Ok(self.train_with_gram_seeded(points, gram, None)?.0)
     }
 
-    /// Trains on `points` reusing any shared [`KernelRows`] source — a
-    /// per-sweep [`GramMatrix`] or an arena-backed
-    /// [`ArenaGram`](crate::ArenaGram). Identical to
-    /// [`train_with_gram`](Self::train_with_gram) for a `GramMatrix`
-    /// argument; an arena-backed source produces bit-identical models
-    /// because it hands out rows from the same kernel evaluations.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`train_with_gram`](Self::train_with_gram).
-    pub fn train_with_rows<G: KernelRows>(
-        &self,
-        points: &[SparseVector],
-        rows: &G,
-    ) -> Result<SvddModel, TrainError> {
-        Ok(self.train_with_rows_seeded(points, rows, None)?.0)
-    }
-
-    /// Like [`train_with_rows`](Self::train_with_rows), but optionally
+    /// Like [`train_with_gram`](Self::train_with_gram), but optionally
     /// warm-starts the solver from the full multiplier vector of an
     /// adjacent sweep cell's solution (projected onto this problem's
     /// feasible box) and returns this solution's full multiplier vector for
@@ -140,16 +122,15 @@ impl Svdd {
     /// # Errors
     ///
     /// Same as [`train_with_gram`](Self::train_with_gram).
-    pub fn train_with_rows_seeded<G: KernelRows>(
+    pub fn train_with_gram_seeded(
         &self,
         points: &[SparseVector],
-        rows: &G,
+        gram: &GramMatrix,
         seed: Option<&[f64]>,
     ) -> Result<(SvddModel, Vec<f64>), TrainError> {
         self.validate(points)?;
-        gram::check_compatible(rows, points.len(), self.kernel)?;
-        let mut q = PrecomputedQ::new(rows, 2.0);
-        Ok(self.train_on(points, &mut q, seed))
+        gram.check_compatible(points.len(), self.kernel)?;
+        Ok(self.train_on(points, &mut PrecomputedQ::pinned(gram, 2.0), seed))
     }
 
     fn validate(&self, points: &[SparseVector]) -> Result<(), TrainError> {
@@ -166,10 +147,10 @@ impl Svdd {
         Ok(())
     }
 
-    fn train_on<Q: SolverQ>(
+    fn train_on(
         &self,
         points: &[SparseVector],
-        q: &mut Q,
+        q: &mut PrecomputedQ,
         seed: Option<&[f64]>,
     ) -> (SvddModel, Vec<f64>) {
         let l = points.len();
@@ -342,12 +323,12 @@ impl SvddModel {
     /// Returns `None` when the model was deserialized (its training indices
     /// are unknown) or `gram` does not match the model's kernel and
     /// training-set size.
-    pub fn training_decision_values<G: KernelRows>(&self, gram: &G) -> Option<Vec<f64>> {
+    pub fn training_decision_values(&self, gram: &GramMatrix) -> Option<Vec<f64>> {
         let indices = self.support.indices()?;
         if gram.kernel() != self.support.kernel || gram.len() != self.diagnostics.train_size {
             return None;
         }
-        let rows: Vec<_> = indices.iter().map(|&i| gram.row_arc(i)).collect();
+        let rows: Vec<_> = indices.iter().map(|&i| gram.row(i)).collect();
         let sums = self.support.weighted_row_sums(&rows, gram.len());
         Some(
             sums.into_iter()
@@ -361,19 +342,17 @@ impl SvddModel {
     }
 
     /// Decision values over a fixed probe set, read from a shared
-    /// [`CrossRows`] source — a [`CrossGram`](crate::CrossGram) or an
-    /// arena-backed [`ArenaCrossGram`](crate::ArenaCrossGram) — between the
-    /// model's training set and the probes.
+    /// [`CrossGram`] between the model's training set and the probes.
     ///
     /// Same exactness and availability rules as
     /// [`training_decision_values`](Self::training_decision_values).
-    pub fn cross_decision_values<C: CrossRows>(&self, cross: &C) -> Option<Vec<f64>> {
+    pub fn cross_decision_values(&self, cross: &CrossGram) -> Option<Vec<f64>> {
         let indices = self.support.indices()?;
         if cross.kernel() != self.support.kernel || cross.train_len() != self.diagnostics.train_size
         {
             return None;
         }
-        let rows: Vec<_> = indices.iter().map(|&i| cross.row_arc(i)).collect();
+        let rows: Vec<_> = indices.iter().map(|&i| cross.row(i)).collect();
         let sums = self.support.weighted_row_sums(&rows, cross.probe_count());
         Some(
             sums.into_iter()
@@ -387,10 +366,10 @@ impl SvddModel {
     }
 
     /// Decision values for a whole probe micro-batch, amortizing kernel
-    /// work over the batch: non-linear kernels materialize one kernel row
-    /// per support vector (via an internal [`crate::CrossGram`] over the support
-    /// vectors), the linear kernel collapses into one dense-weight GEMV
-    /// ([`crate::LinearBatchScorer`]).
+    /// work over the batch: non-linear kernels compute one kernel row per
+    /// support vector against the probes packed once into a
+    /// [`ProbePanel`](crate::ProbePanel), the linear kernel collapses into
+    /// one dense-weight GEMV ([`crate::LinearBatchScorer`]).
     ///
     /// Every value is bit-identical to calling
     /// [`decision_value`](OneClassModel::decision_value) on the same probe.
@@ -412,7 +391,7 @@ impl SvddModel {
     /// [`batch_decision_values`](Self::batch_decision_values), with the
     /// non-linear kernel rows charged to a shared
     /// [`KernelRowArena`](crate::KernelRowArena) under the `owner`
-    /// namespace instead of a private transient matrix — the process-wide
+    /// namespace instead of computing them afresh — the process-wide
     /// byte budget then also bounds scoring, and repeated scoring of the
     /// same (support vectors, probe batch) pair is served from the arena.
     /// Values are bit-identical to the un-arena'd path.

@@ -1,14 +1,16 @@
 //! Model-level equivalence of the precomputed-Gram training path.
 //!
-//! `train_with_gram` must produce *the same model* as `train` — the Gram
-//! matrix is built from exactly the kernel evaluations the on-the-fly path
-//! would perform, so the solver sees a bit-identical Q matrix and walks a
-//! bit-identical trajectory. These tests pin that contract through the
-//! public API for every kernel family and both classifiers, and cover the
-//! mismatch errors a stale Gram matrix must raise.
+//! `train_with_gram` must produce *the same model* as `train` — both read
+//! rows built from exactly the same kernel evaluations, so the solver sees
+//! a bit-identical Q matrix and walks a bit-identical trajectory, whatever
+//! arena holds the rows and however small its budget. These tests pin that
+//! contract through the public API for every kernel family and both
+//! classifiers, and cover the mismatch errors a stale Gram matrix must
+//! raise.
 
 use ocsvm::{
-    CrossGram, GramMatrix, Kernel, NuOcSvm, OneClassModel, SparseVector, Svdd, TrainError,
+    CrossGram, GramMatrix, Kernel, KernelRowArena, NuOcSvm, OneClassModel, SolverOptions,
+    SparseVector, Svdd, TrainError,
 };
 
 /// Two mildly overlapping clusters plus a few stragglers — enough structure
@@ -42,6 +44,36 @@ fn probes() -> Vec<SparseVector> {
     ]
 }
 
+/// Row-store budgets every path must be indifferent to: none at all, one
+/// byte short of a single row, and the solver's ample default.
+fn budgets(points: usize) -> [usize; 3] {
+    [0, points * std::mem::size_of::<f64>() - 1, SolverOptions::default().cache_bytes]
+}
+
+/// Models trained by plain `train` with `cache_bytes` set to each budget,
+/// and by `train_with_gram` over a shared arena of each budget, whose
+/// retained bytes must stay within it.
+fn budgeted_models<M>(
+    data: &[SparseVector],
+    kernel: Kernel,
+    train: impl Fn(SolverOptions) -> M,
+    train_with_gram: impl Fn(&GramMatrix) -> M,
+) -> Vec<(String, M)> {
+    let mut models = Vec::new();
+    for budget in budgets(data.len()) {
+        let options = SolverOptions { cache_bytes: budget, ..SolverOptions::default() };
+        models.push((format!("train, cache_bytes {budget}"), train(options)));
+        let arena = KernelRowArena::with_budget(budget);
+        models.push((
+            format!("shared arena of {budget} bytes"),
+            train_with_gram(&GramMatrix::in_arena(kernel, data, &arena, 1)),
+        ));
+        let stats = arena.stats();
+        assert!(stats.bytes <= stats.budget, "{kernel:?}: {stats:?}");
+    }
+    models
+}
+
 fn kernels() -> Vec<Kernel> {
     vec![
         Kernel::Linear,
@@ -52,64 +84,78 @@ fn kernels() -> Vec<Kernel> {
 }
 
 #[test]
-fn ocsvm_gram_path_reproduces_on_the_fly_models() {
+fn ocsvm_gram_path_reproduces_train_at_every_budget() {
     let data = training_data();
     let probes = probes();
     for kernel in kernels() {
         let gram = GramMatrix::compute(kernel, &data);
         for nu in [0.05, 0.2, 0.5] {
             let trainer = NuOcSvm::new(nu, kernel);
-            let direct = trainer.train(&data).expect("on-the-fly trains");
             let via_gram = trainer.train_with_gram(&data, &gram).expect("gram path trains");
-
-            assert_eq!(direct.rho(), via_gram.rho(), "rho for {kernel:?} nu={nu}");
-            assert_eq!(
-                direct.support_vector_count(),
-                via_gram.support_vector_count(),
-                "SV count for {kernel:?} nu={nu}"
+            let models = budgeted_models(
+                &data,
+                kernel,
+                |options| trainer.with_options(options).train(&data).expect("trains"),
+                |rows| trainer.train_with_gram(&data, rows).expect("trains"),
             );
-            let (d, g) = (direct.diagnostics(), via_gram.diagnostics());
-            assert_eq!(d.converged, g.converged, "converged for {kernel:?} nu={nu}");
-            assert_eq!(d.iterations, g.iterations, "iterations for {kernel:?} nu={nu}");
-            assert_eq!(d.objective, g.objective, "objective for {kernel:?} nu={nu}");
-            for x in data.iter().chain(&probes) {
+            for (path, direct) in models {
+                let nu = format!("{nu} ({path})");
+                assert_eq!(direct.rho(), via_gram.rho(), "rho for {kernel:?} nu={nu}");
                 assert_eq!(
-                    direct.decision_value(x),
-                    via_gram.decision_value(x),
-                    "decision value for {kernel:?} nu={nu}"
+                    direct.support_vector_count(),
+                    via_gram.support_vector_count(),
+                    "SV count for {kernel:?} nu={nu}"
                 );
+                let (d, g) = (direct.diagnostics(), via_gram.diagnostics());
+                assert_eq!(d.converged, g.converged, "converged for {kernel:?} nu={nu}");
+                assert_eq!(d.iterations, g.iterations, "iterations for {kernel:?} nu={nu}");
+                assert_eq!(d.objective, g.objective, "objective for {kernel:?} nu={nu}");
+                for x in data.iter().chain(&probes) {
+                    assert_eq!(
+                        direct.decision_value(x),
+                        via_gram.decision_value(x),
+                        "decision value for {kernel:?} nu={nu}"
+                    );
+                }
             }
         }
     }
 }
 
 #[test]
-fn svdd_gram_path_reproduces_on_the_fly_models() {
+fn svdd_gram_path_reproduces_train_at_every_budget() {
     let data = training_data();
     let probes = probes();
     for kernel in kernels() {
         let gram = GramMatrix::compute(kernel, &data);
         for c in [0.05, 0.2, 1.0] {
             let trainer = Svdd::new(c, kernel);
-            let direct = trainer.train(&data).expect("on-the-fly trains");
             let via_gram = trainer.train_with_gram(&data, &gram).expect("gram path trains");
-
-            assert_eq!(direct.r_squared(), via_gram.r_squared(), "R² for {kernel:?} C={c}");
-            assert_eq!(
-                direct.support_vector_count(),
-                via_gram.support_vector_count(),
-                "SV count for {kernel:?} C={c}"
+            let models = budgeted_models(
+                &data,
+                kernel,
+                |options| trainer.with_options(options).train(&data).expect("trains"),
+                |rows| trainer.train_with_gram(&data, rows).expect("trains"),
             );
-            let (d, g) = (direct.diagnostics(), via_gram.diagnostics());
-            assert_eq!(d.converged, g.converged, "converged for {kernel:?} C={c}");
-            assert_eq!(d.iterations, g.iterations, "iterations for {kernel:?} C={c}");
-            assert_eq!(d.objective, g.objective, "objective for {kernel:?} C={c}");
-            for x in data.iter().chain(&probes) {
+            for (path, direct) in models {
+                let c = format!("{c} ({path})");
+                assert_eq!(direct.r_squared(), via_gram.r_squared(), "R² for {kernel:?} C={c}");
                 assert_eq!(
-                    direct.decision_value(x),
-                    via_gram.decision_value(x),
-                    "decision value for {kernel:?} C={c}"
+                    direct.support_vector_count(),
+                    via_gram.support_vector_count(),
+                    "SV count for {kernel:?} C={c}"
                 );
+                let (d, g) = (direct.diagnostics(), via_gram.diagnostics());
+                assert_eq!(d.converged, g.converged, "converged for {kernel:?} C={c}");
+                assert_eq!(d.iterations, g.iterations, "iterations for {kernel:?} C={c}");
+                assert_eq!(d.objective, g.objective, "objective for {kernel:?} C={c}");
+                for x in data.iter().chain(&probes) {
+                    assert_eq!(
+                        direct.decision_value(x),
+                        via_gram.decision_value(x),
+                        "decision value for {kernel:?} C={c}"
+                    );
+                }
             }
         }
     }
@@ -121,13 +167,17 @@ fn one_gram_matrix_serves_a_whole_regularization_sweep() {
     let data = training_data();
     let kernel = Kernel::Rbf { gamma: 0.8 };
     let gram = GramMatrix::compute(kernel, &data);
-    let before = GramMatrix::computations();
     for i in 1..=15 {
         let nu = i as f64 / 16.0;
         let model = NuOcSvm::new(nu, kernel).train_with_gram(&data, &gram).expect("trains");
         assert!(model.support_vector_count() > 0, "nu={nu}");
     }
-    assert_eq!(GramMatrix::computations(), before, "sweep must not recompute the Gram matrix");
+    // Counted on the matrix's own arena: every row is computed at most
+    // once across the whole sweep and re-read from the arena after that.
+    let stats = gram.arena().stats();
+    assert!(stats.fills <= data.len() as u64, "sweep must not recompute rows: {stats:?}");
+    assert_eq!(stats.evictions, 0);
+    assert!(stats.hits > 0, "later solves reuse the rows: {stats:?}");
 }
 
 #[test]

@@ -240,8 +240,8 @@ proptest! {
         let mut seed: Option<Vec<f64>> = None;
         for &c in &ladder {
             let svdd = Svdd::new(c, k).with_options(opts);
-            let (warm, alpha) = svdd.train_with_rows_seeded(&data, &gram, seed.as_deref()).unwrap();
-            let (cold, _) = svdd.train_with_rows_seeded(&data, &gram, None).unwrap();
+            let (warm, alpha) = svdd.train_with_gram_seeded(&data, &gram, seed.as_deref()).unwrap();
+            let (cold, _) = svdd.train_with_gram_seeded(&data, &gram, None).unwrap();
             let obj_scale = 1.0 + cold.diagnostics().objective.abs();
             prop_assert!(
                 (warm.diagnostics().objective - cold.diagnostics().objective).abs() <= 1e-6 * obj_scale,
@@ -262,8 +262,8 @@ proptest! {
         let mut seed: Option<Vec<f64>> = None;
         for &nu in &ladder {
             let ocsvm = NuOcSvm::new(nu, k).with_options(opts);
-            let (warm, alpha) = ocsvm.train_with_rows_seeded(&data, &gram, seed.as_deref()).unwrap();
-            let (cold, _) = ocsvm.train_with_rows_seeded(&data, &gram, None).unwrap();
+            let (warm, alpha) = ocsvm.train_with_gram_seeded(&data, &gram, seed.as_deref()).unwrap();
+            let (cold, _) = ocsvm.train_with_gram_seeded(&data, &gram, None).unwrap();
             let obj_scale = 1.0 + cold.diagnostics().objective.abs();
             prop_assert!(
                 (warm.diagnostics().objective - cold.diagnostics().objective).abs() <= 1e-6 * obj_scale,

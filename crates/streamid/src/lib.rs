@@ -9,9 +9,10 @@
 //! [`proxylog::LogTail`], an in-process channel, or a `tracegen` corpus
 //! replayed live), maintains incremental per-device window state, and
 //! scores *micro-batches* of closed windows against every candidate
-//! profile at once — one kernel-row materialization per support vector per
-//! batch through a shared `CrossGram`, and one dense weight-vector GEMV
-//! per batch for linear models — instead of one window at a time.
+//! profile at once — one kernel row per support vector per batch (cached
+//! in a shared `KernelRowArena` when the engine has one), and one dense
+//! weight-vector GEMV per batch for linear models — instead of one window
+//! at a time.
 //!
 //! The pipeline per transaction:
 //!

@@ -20,8 +20,8 @@ use crate::trainer::{parallel_map, subsample_evenly, ProfileTrainer};
 use crate::vocab::Vocabulary;
 use crate::window::WindowConfig;
 use ocsvm::{
-    ApproxParams, ArenaCrossGram, ArenaGram, ArenaStats, CrossGram, GramMatrix, Kernel, KernelKind,
-    KernelRowArena, SolverBackend, SolverOptions, SparseVector,
+    ApproxParams, ArenaStats, CrossGram, GramMatrix, Kernel, KernelKind, KernelRowArena,
+    SolverBackend, SolverOptions, SparseVector,
 };
 use proxylog::{Dataset, UserId};
 use std::collections::BTreeMap;
@@ -208,18 +208,17 @@ impl SweepStats {
 ///
 /// Every (kernel, regularization) cell of the sweep trains through one
 /// [`SolverBackend`]; this policy decides which backend each cell gets.
-/// Routing applies to the chain-scheduled entry points
-/// ([`sweep_cells`](ModelGridSearch::sweep_cells),
+/// Routing applies to every sweep entry point
+/// ([`run_user`](ModelGridSearch::run_user),
+/// [`sweep_cells`](ModelGridSearch::sweep_cells),
 /// [`sweep_all`](ModelGridSearch::sweep_all),
-/// [`optimize_all`](ModelGridSearch::optimize_all)); the legacy
-/// [`run_user`](ModelGridSearch::run_user) reference path — and the final
-/// per-user profiles of
-/// [`optimized_profiles`](ModelGridSearch::optimized_profiles) — always
-/// train exact.
+/// [`optimize_all`](ModelGridSearch::optimize_all)); the final per-user
+/// profiles of [`optimized_profiles`](ModelGridSearch::optimized_profiles)
+/// always train exact.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepBackend {
     /// Every cell trains with the same backend. `Fixed(ExactSmo)` (the
-    /// default) reproduces the legacy sweep bit-for-bit.
+    /// default) reproduces training each cell on its own bit-for-bit.
     Fixed(SolverBackend),
     /// A default backend plus per-cell overrides, keyed by exact
     /// `(kernel, regularization)` match.
@@ -302,7 +301,8 @@ impl<'a> ModelGridSearch<'a> {
     }
 
     /// Routes solver backends across the sweep's cells (default:
-    /// [`SweepBackend::Fixed`] exact SMO, the bit-exact legacy path). See
+    /// [`SweepBackend::Fixed`] exact SMO, bit-identical to training each
+    /// cell on its own). See
     /// [`SweepBackend`] for the per-cell and auto-calibrated policies.
     /// Warm-start `α` seeds are only honored by exact-SMO cells; the
     /// approximate backends ignore them (see [`SolverBackend`]).
@@ -383,86 +383,11 @@ impl<'a> ModelGridSearch<'a> {
     /// the other users' (used for `ACCother`). Cells whose training fails
     /// (e.g. an infeasible `C` for the window count) are skipped.
     ///
-    /// The kernel matrix over the user's windows is computed exactly once
-    /// per kernel (as a shared [`ocsvm::GramMatrix`]) and reused by every
-    /// regularization of that kernel's sweep, so the whole sweep performs
-    /// 4 Gram computations instead of 60.
+    /// A one-user [`sweep_cells`](Self::sweep_cells): the same chains, the
+    /// same kernel-row arena and the same cell order, so its cells equal
+    /// the user's cells of a full sweep.
     pub fn run_user(&self, windows: &WindowSets, user: UserId) -> Vec<ModelGridCell> {
-        let samples = self.other_window_samples(windows);
-        self.run_user_sampled(windows, &samples, user)
-    }
-
-    fn run_user_sampled<'w>(
-        &self,
-        windows: &'w WindowSets,
-        samples: &BTreeMap<UserId, Vec<&'w SparseVector>>,
-        user: UserId,
-    ) -> Vec<ModelGridCell> {
-        let Some(own) = windows.get(&user) else {
-            return Vec::new();
-        };
-        let n_features = self.vocab.n_features();
-        // The `ACCother` probes of every other user, flattened so one
-        // `CrossGram` row covers them all; `ranges` recovers the per-user
-        // slices for the per-user acceptance means.
-        let mut probes: Vec<&'w SparseVector> = Vec::new();
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
-        for (_, w) in samples.iter().filter(|&(&u, _)| u != user) {
-            let start = probes.len();
-            probes.extend(w.iter().copied());
-            ranges.push((start, probes.len()));
-        }
-        // One Gram matrix (and, for non-linear kernels, one cross matrix
-        // against the probes) per kernel over this user's training windows.
-        // Rows materialize lazily, each at most once, shared read-only by
-        // every regularization of the sweep — training *and* scoring. The
-        // linear kernel needs neither for scoring: its models collapse to a
-        // single weight vector, scored below as one dense GEMV per batch.
-        let own_refs: Vec<&'w SparseVector> = own.iter().collect();
-        let kernels: Vec<(KernelKind, Kernel, GramMatrix<'w>, Option<CrossGram<'w>>)> =
-            KernelKind::ALL
-                .iter()
-                .map(|&kind| {
-                    let kernel = Kernel::default_for(kind, n_features);
-                    let cross = (kernel != Kernel::Linear)
-                        .then(|| CrossGram::new(kernel, own, probes.clone()));
-                    (kind, kernel, GramMatrix::compute(kernel, own), cross)
-                })
-                .collect();
-        let combos: Vec<(usize, f64)> = (0..kernels.len())
-            .flat_map(|k| self.regularizations.iter().map(move |&c| (k, c)))
-            .collect();
-        let results = parallel_map(&combos, |&(k, regularization)| {
-            let (kernel_kind, kernel, ref gram, ref cross) = kernels[k];
-            let trainer = ProfileTrainer::new(self.vocab)
-                .window(self.window)
-                .kind(self.kind)
-                .kernel(kernel)
-                .regularization(regularization);
-            let profile = trainer.train_from_vectors_with_gram(user, own, gram).ok()?;
-            let shared = cross.as_ref().and_then(|cross| {
-                Some((
-                    profile.training_decision_values(gram)?,
-                    profile.cross_decision_values(cross)?,
-                ))
-            });
-            // Linear models have no CrossGram: their collapsed weight
-            // vector scores each batch as one dense GEMV, bit-identical
-            // to per-point decisions.
-            let (self_values, probe_values) = match shared {
-                Some(values) => values,
-                None => (
-                    profile.batch_decision_values(&own_refs),
-                    profile.batch_decision_values(&probes),
-                ),
-            };
-            Some(ModelGridCell {
-                kernel: kernel_kind,
-                regularization,
-                summary: acceptance_summary(own.len(), &ranges, &self_values, &probe_values),
-            })
-        });
-        results.into_iter().flatten().collect()
+        self.sweep(windows, Some(user)).0.remove(&user).unwrap_or_default()
     }
 
     /// The best parameters for one user (maximal `ACC`), or `None` when no
@@ -539,8 +464,7 @@ impl<'a> ModelGridSearch<'a> {
 
     /// Evaluates every (user, kernel, regularization) cell of the sweep on
     /// the work-stealing scheduler, returning each user's cells (ordered by
-    /// kernel, then regularization — the same order
-    /// [`run_user`](Self::run_user) produces) and the sweep statistics.
+    /// kernel, then regularization) and the sweep statistics.
     ///
     /// The sweep is decomposed into one *chain* per (user, kernel). A chain
     /// walks [`regularizations`](Self::regularizations) in order, and each
@@ -555,14 +479,25 @@ impl<'a> ModelGridSearch<'a> {
         &self,
         windows: &WindowSets,
     ) -> (BTreeMap<UserId, Vec<ModelGridCell>>, SweepStats) {
+        self.sweep(windows, None)
+    }
+
+    /// [`sweep_cells`](Self::sweep_cells) over every user of `windows`, or
+    /// over `only` that user (every user's windows still feed `ACCother`).
+    fn sweep(
+        &self,
+        windows: &WindowSets,
+        only: Option<UserId>,
+    ) -> (BTreeMap<UserId, Vec<ModelGridCell>>, SweepStats) {
+        let swept = |user: &UserId| only.is_none_or(|only| only == *user);
         let samples = self.other_window_samples(windows);
         let arena = self.arena.clone().unwrap_or_else(|| Arc::clone(KernelRowArena::global()));
         let arena_before = arena.stats();
         let n_features = self.vocab.n_features();
 
         // Per-user context shared by the user's chains: own windows and the
-        // flattened `ACCother` probes with their per-user ranges (identical
-        // construction to `run_user_sampled`).
+        // flattened `ACCother` probes of every other user, so one cross row
+        // covers them all, with the per-user ranges of the acceptance means.
         struct UserCtx<'w> {
             user: UserId,
             own: &'w [SparseVector],
@@ -572,7 +507,7 @@ impl<'a> ModelGridSearch<'a> {
         }
         let contexts: Vec<UserCtx<'_>> = windows
             .iter()
-            .filter(|(_, own)| !own.is_empty())
+            .filter(|&(user, own)| swept(user) && !own.is_empty())
             .map(|(&user, own)| {
                 let mut probes: Vec<&SparseVector> = Vec::new();
                 let mut ranges: Vec<(usize, usize)> = Vec::new();
@@ -586,14 +521,14 @@ impl<'a> ModelGridSearch<'a> {
             .collect();
 
         // One chain per (user, kernel), in user-major / `KernelKind::ALL`
-        // order so reassembled cells match the legacy cell order (and thus
-        // `pick_best`'s tie-breaking) exactly.
+        // order, so reassembled cells come out kernel by kernel (and thus
+        // `pick_best` breaks ties the same way at every entry point).
         struct Chain<'w> {
             ctx: usize,
             kind: KernelKind,
             kernel: Kernel,
-            gram: ArenaGram<'w>,
-            cross: Option<ArenaCrossGram<'w>>,
+            gram: GramMatrix<'w>,
+            cross: Option<CrossGram<'w>>,
         }
         let chains: Vec<Chain<'_>> = contexts
             .iter()
@@ -603,14 +538,16 @@ impl<'a> ModelGridSearch<'a> {
                 KernelKind::ALL.iter().map(move |&kind| {
                     let kernel = Kernel::default_for(kind, n_features);
                     let owner = u64::from(ctx.user.0);
+                    // Linear models need no cross rows: their collapsed
+                    // weight vector scores each batch as one dense GEMV.
                     let cross = (kernel != Kernel::Linear).then(|| {
-                        ArenaCrossGram::new(kernel, ctx.own, ctx.probes.clone(), arena, owner)
+                        CrossGram::in_arena(kernel, ctx.own, ctx.probes.clone(), arena, owner)
                     });
                     Chain {
                         ctx: ctx_idx,
                         kind,
                         kernel,
-                        gram: ArenaGram::new(kernel, ctx.own, arena, owner),
+                        gram: GramMatrix::in_arena(kernel, ctx.own, arena, owner),
                         cross,
                     }
                 })
@@ -755,10 +692,10 @@ impl<'a> ModelGridSearch<'a> {
         );
 
         // Reassemble per user, chains in `KernelKind::ALL` order, cells in
-        // regularization order — the legacy cell order.
+        // regularization order.
         let mut finished = finished.into_inner().expect("sweep results lock");
         let mut by_user: BTreeMap<UserId, Vec<ModelGridCell>> =
-            windows.keys().map(|&user| (user, Vec::new())).collect();
+            windows.keys().filter(|user| swept(user)).map(|&user| (user, Vec::new())).collect();
         for (chain_idx, chain) in chains.iter().enumerate() {
             let cells = finished[chain_idx].take().unwrap_or_default();
             by_user
@@ -827,8 +764,8 @@ impl<'a> ModelGridSearch<'a> {
 
 /// Borrowed inputs of one sweep-cell evaluation.
 struct CellInputs<'c, 'w> {
-    gram: &'c ArenaGram<'w>,
-    cross: Option<&'c ArenaCrossGram<'w>>,
+    gram: &'c GramMatrix<'w>,
+    cross: Option<&'c CrossGram<'w>>,
     own_refs: &'c [&'w SparseVector],
     probes: &'c [&'w SparseVector],
     ranges: &'c [(usize, usize)],
@@ -926,35 +863,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_cells_without_warm_start_is_bit_identical_to_legacy_path() {
-        let dataset = small_dataset();
-        let vocab = Vocabulary::new(dataset.taxonomy().clone());
-        let sets = compute_window_sets(&vocab, &dataset, WindowConfig::PAPER_DEFAULT, Some(40));
-        for kind in ModelKind::ALL {
-            let search = ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, kind)
-                .regularizations(vec![0.9, 0.5, 0.1])
-                .warm_start(false)
-                .arena(ocsvm::KernelRowArena::with_budget(64 << 20));
-            let (swept, stats) = search.sweep_cells(&sets);
-            assert_eq!(swept.len(), sets.len());
-            assert!(stats.cells > 0);
-            assert_eq!(stats.warm_cells, 0, "warm start was disabled");
-            let samples = search.other_window_samples(&sets);
-            for (&user, cells) in &swept {
-                let legacy = search.run_user_sampled(&sets, &samples, user);
-                assert_eq!(cells.len(), legacy.len(), "{kind} {user}");
-                for (cell, expected) in cells.iter().zip(&legacy) {
-                    assert_eq!(cell.kernel, expected.kernel, "{kind} {user}");
-                    assert_eq!(cell.regularization, expected.regularization);
-                    // Bit-exact: identical rows, identical solver path.
-                    assert_eq!(cell.summary.acc_self, expected.summary.acc_self, "{kind} {user}");
-                    assert_eq!(cell.summary.acc_other, expected.summary.acc_other, "{kind} {user}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn warm_started_sweep_selects_equally_good_parameters() {
         let dataset = small_dataset();
         let vocab = Vocabulary::new(dataset.taxonomy().clone());
@@ -972,17 +880,17 @@ mod tests {
         // sweep's on knife-edge ties — but judged by the *cold* sweep's own
         // scores, the warm selection must be essentially as good as the
         // cold optimum.
-        let samples = search.other_window_samples(&sets);
+        let (cold_cells, _) = search.clone().warm_start(false).sweep_cells(&sets);
         for (&user, params) in &warm_best {
-            let legacy = search.run_user_sampled(&sets, &samples, user);
-            let best_acc = legacy.iter().map(|c| c.summary.acc()).fold(f64::NEG_INFINITY, f64::max);
-            let chosen = legacy
+            let cold = &cold_cells[&user];
+            let best_acc = cold.iter().map(|c| c.summary.acc()).fold(f64::NEG_INFINITY, f64::max);
+            let chosen = cold
                 .iter()
                 .find(|c| {
                     Kernel::default_for(c.kernel, vocab.n_features()) == params.kernel
                         && c.regularization == params.regularization
                 })
-                .expect("warm selection is a cell of the legacy sweep");
+                .expect("warm selection is a cell of the cold sweep");
             assert!(
                 chosen.summary.acc() >= best_acc - 0.1,
                 "{user}: warm pick acc {} vs cold best {best_acc}",

@@ -186,24 +186,19 @@ impl UserProfile {
     }
 
     /// Decision values over the profile's training set, read from the
-    /// shared kernel-row source the profile was trained with (a
-    /// [`ocsvm::GramMatrix`] or arena-backed [`ocsvm::ArenaGram`]; see
+    /// shared [`ocsvm::GramMatrix`] the profile was trained with (see
     /// [`OcSvmModel::training_decision_values`]). `None` when the rows do
     /// not match or the model was deserialized.
-    pub(crate) fn training_decision_values<G: ocsvm::KernelRows>(
-        &self,
-        gram: &G,
-    ) -> Option<Vec<f64>> {
+    pub(crate) fn training_decision_values(&self, gram: &ocsvm::GramMatrix) -> Option<Vec<f64>> {
         match &self.model {
             ProfileModel::OcSvm(m) => m.training_decision_values(gram),
             ProfileModel::Svdd(m) => m.training_decision_values(gram),
         }
     }
 
-    /// Decision values over a fixed probe set via a shared cross-kernel
-    /// row source ([`ocsvm::CrossGram`] or [`ocsvm::ArenaCrossGram`]; see
-    /// [`OcSvmModel::cross_decision_values`]).
-    pub(crate) fn cross_decision_values<C: ocsvm::CrossRows>(&self, cross: &C) -> Option<Vec<f64>> {
+    /// Decision values over a fixed probe set via a shared
+    /// [`ocsvm::CrossGram`] (see [`OcSvmModel::cross_decision_values`]).
+    pub(crate) fn cross_decision_values(&self, cross: &ocsvm::CrossGram) -> Option<Vec<f64>> {
         match &self.model {
             ProfileModel::OcSvm(m) => m.cross_decision_values(cross),
             ProfileModel::Svdd(m) => m.cross_decision_values(cross),

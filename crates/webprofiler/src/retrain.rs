@@ -19,7 +19,7 @@
 use crate::gridsearch::WindowSets;
 use crate::trainer::{ProfileError, ProfileTrainer};
 use crate::UserProfile;
-use ocsvm::{GramMatrix, SparseVector};
+use ocsvm::SparseVector;
 use proxylog::UserId;
 use std::collections::BTreeMap;
 
@@ -169,12 +169,10 @@ pub fn drift_partial_retrain(
         }
     }
 
-    let kernel = trainer.profile_params().kernel;
     let results = parcore::parallel_map_workers(&stale, config.workers.max(1), |&user| {
         let mut merged = training[&user].clone();
         merged.extend_from_slice(&recent[&user]);
-        let gram = GramMatrix::compute(kernel, &merged);
-        trainer.train_from_vectors_seeded(user, &merged, &gram, None).map(|(profile, _)| profile)
+        trainer.train_from_vectors(user, &merged)
     });
 
     let mut retrained = 0usize;

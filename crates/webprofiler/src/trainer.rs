@@ -153,8 +153,7 @@ impl<'a> ProfileTrainer<'a> {
         self.window
     }
 
-    /// The hyper-parameters this trainer trains with (the partial-retrain
-    /// path needs the kernel to precompute a shared Gram matrix).
+    /// The hyper-parameters this trainer trains with.
     pub fn profile_params(&self) -> ProfileParams {
         self.params
     }
@@ -241,28 +240,10 @@ impl<'a> ProfileTrainer<'a> {
         vectors: &[SparseVector],
         gram: &GramMatrix<'_>,
     ) -> Result<UserProfile, ProfileError> {
-        self.train_from_vectors_with_rows(user, vectors, gram)
+        Ok(self.train_from_vectors_seeded(user, vectors, gram, None)?.0)
     }
 
-    /// Trains a profile from precomputed window vectors and any shared
-    /// kernel-row source — a [`GramMatrix`] or an arena-backed
-    /// [`ocsvm::ArenaGram`] whose rows are cached process-wide under a
-    /// memory budget. Numerically identical to
-    /// [`train_from_vectors_with_gram`](Self::train_from_vectors_with_gram).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`train_from_vectors_with_gram`](Self::train_from_vectors_with_gram).
-    pub fn train_from_vectors_with_rows<G: ocsvm::KernelRows>(
-        &self,
-        user: UserId,
-        vectors: &[SparseVector],
-        rows: &G,
-    ) -> Result<UserProfile, ProfileError> {
-        Ok(self.train_from_vectors_seeded(user, vectors, rows, None)?.0)
-    }
-
-    /// Like [`train_from_vectors_with_rows`](Self::train_from_vectors_with_rows),
+    /// Like [`train_from_vectors_with_gram`](Self::train_from_vectors_with_gram),
     /// but optionally warm-starts the solver from the `α` vector of an
     /// adjacent regularization's solution, and returns this solution's full
     /// `α` so the caller can seed the next value of its ladder. Seeding
@@ -271,11 +252,11 @@ impl<'a> ProfileTrainer<'a> {
     /// # Errors
     ///
     /// Same as [`train_from_vectors_with_gram`](Self::train_from_vectors_with_gram).
-    pub fn train_from_vectors_seeded<G: ocsvm::KernelRows>(
+    pub fn train_from_vectors_seeded(
         &self,
         user: UserId,
         vectors: &[SparseVector],
-        rows: &G,
+        gram: &GramMatrix<'_>,
         seed: Option<&[f64]>,
     ) -> Result<(UserProfile, Vec<f64>), ProfileError> {
         if vectors.is_empty() {
@@ -285,13 +266,13 @@ impl<'a> ProfileTrainer<'a> {
             ModelKind::OcSvm => {
                 let (m, alpha) = NuOcSvm::new(self.params.regularization, self.params.kernel)
                     .with_options(self.solver)
-                    .train_with_rows_seeded(vectors, rows, seed)?;
+                    .train_with_gram_seeded(vectors, gram, seed)?;
                 (ProfileModel::OcSvm(m), alpha)
             }
             ModelKind::Svdd => {
                 let (m, alpha) = Svdd::new(self.params.regularization, self.params.kernel)
                     .with_options(self.solver)
-                    .train_with_rows_seeded(vectors, rows, seed)?;
+                    .train_with_gram_seeded(vectors, gram, seed)?;
                 (ProfileModel::Svdd(m), alpha)
             }
         };

@@ -1,54 +1,94 @@
-//! Verifies the shared-Gram grid search end to end: the kernel matrix is
-//! computed exactly once per (user, kernel), and sharing it changes no cell
-//! of the sweep.
+//! Verifies the shared-Gram grid search end to end: each (user, kernel)
+//! kernel matrix is built once and shared by every regularization of the
+//! sweep, and sharing it changes no cell of the sweep.
 //!
-//! Everything lives in ONE `#[test]`: `GramMatrix::computations()` is a
-//! process-wide counter, so concurrent tests in the same binary would
-//! pollute each other's deltas. Integration tests run one process per file,
-//! which keeps the deltas exact.
+//! Builds are counted on the sweep's own arena: every row of one matrix
+//! carries the same content fingerprint (`RowKey::tag`), so the distinct
+//! tags per `(owner, kernel, space)` are the matrices the sweep built.
 
-use ocsvm::{GramMatrix, Kernel, KernelKind};
+use ocsvm::{Kernel, KernelKind, KernelRowArena, RowSpace};
+use std::collections::{BTreeMap, BTreeSet};
 use tracegen::{Scenario, TraceGenerator};
 use webprofiler::{
     acceptance_ratio, compute_window_sets, ModelGridSearch, ModelKind, ProfileTrainer, Vocabulary,
-    WindowConfig,
+    WindowConfig, WindowSets,
 };
 
-#[test]
-fn grid_search_computes_each_gram_once_and_cells_match_legacy_path() {
+fn fixture() -> (Vocabulary, WindowSets) {
     let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
     let vocab = Vocabulary::new(dataset.taxonomy().clone());
     let sets = compute_window_sets(&vocab, &dataset, WindowConfig::PAPER_DEFAULT, Some(60));
-    let user = *sets.iter().max_by_key(|&(_, w)| w.len()).map(|(u, _)| u).unwrap();
-    // usize::MAX disables ACCother subsampling so the legacy replication
-    // below scores exactly the same window sets.
-    let search = ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, ModelKind::Svdd)
-        .max_other_windows(usize::MAX);
+    (vocab, sets)
+}
 
-    // (a) One user's sweep: exactly one Gram computation per kernel family,
-    // not one per (kernel, regularization) cell.
-    let before = GramMatrix::computations();
+/// The most active user: the one with the most training windows.
+fn busiest(sets: &WindowSets) -> proxylog::UserId {
+    *sets.iter().max_by_key(|&(_, w)| w.len()).map(|(u, _)| u).unwrap()
+}
+
+/// Distinct matrices built into `arena`, per `(owner, kernel slot, space)`.
+fn builds(arena: &KernelRowArena) -> BTreeMap<(u64, u8, RowSpace), BTreeSet<u64>> {
+    let mut builds: BTreeMap<_, BTreeSet<u64>> = BTreeMap::new();
+    for key in arena.keys() {
+        builds.entry((key.owner, key.kernel, key.space)).or_default().insert(key.tag);
+    }
+    builds
+}
+
+/// (a) One user's sweep builds exactly one Gram matrix per kernel family,
+/// not one per (kernel, regularization) cell, and computes each of its rows
+/// at most once.
+#[test]
+fn run_user_builds_one_gram_matrix_per_kernel() {
+    let (vocab, sets) = fixture();
+    let user = busiest(&sets);
+    let arena = KernelRowArena::with_budget(256 << 20);
+    let search = ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, ModelKind::Svdd)
+        .arena(arena.clone());
     let cells = search.run_user(&sets, user);
-    let delta = GramMatrix::computations() - before;
-    assert_eq!(
-        delta,
-        KernelKind::ALL.len() as u64,
-        "run_user must compute one Gram matrix per kernel"
-    );
     assert!(!cells.is_empty());
 
-    // (b) The all-users optimization goes through the shared kernel-row
-    // arena: it builds no per-user GramMatrix at all, fills every distinct
-    // (user, kernel, row) at most once, and serves the regularization
-    // ladder's repeated row reads from cache.
-    let arena_search = search.clone().arena(ocsvm::KernelRowArena::with_budget(256 << 20));
-    let before = GramMatrix::computations();
-    let (best, stats) = arena_search.sweep_all(&sets);
+    let builds = builds(&arena);
+    let gram_builds: Vec<usize> = builds
+        .iter()
+        .filter(|((_, _, space), _)| *space == RowSpace::Gram)
+        .map(|(_, tags)| tags.len())
+        .collect();
     assert_eq!(
-        GramMatrix::computations() - before,
-        0,
-        "the arena-backed sweep must not build GramMatrix objects"
+        gram_builds,
+        vec![1; KernelKind::ALL.len()],
+        "run_user must build one Gram matrix per kernel"
     );
+    assert!(builds.keys().all(|&(owner, _, _)| owner == u64::from(user.0)), "only the user's rows");
+    let stats = arena.stats();
+    assert_eq!(stats.evictions, 0, "budget is ample for the quick-test corpus");
+    assert_eq!(stats.fills as usize, arena.len(), "every fill is a distinct row");
+    let own = sets[&user].len() as u64;
+    let distinct_rows = own * (KernelKind::ALL.len() + KernelKind::ALL.len() - 1) as u64;
+    assert!(stats.fills <= distinct_rows, "{} > {distinct_rows}", stats.fills);
+    assert!(stats.hits > stats.fills, "the ladder must reuse rows: {stats:?}");
+}
+
+/// (b) The all-users optimization builds one Gram matrix per (user,
+/// kernel) in the shared arena, fills every distinct (user, kernel, row) at
+/// most once, and serves the regularization ladder's repeated row reads
+/// from cache.
+#[test]
+fn sweep_all_builds_one_gram_matrix_per_user_and_kernel() {
+    let (vocab, sets) = fixture();
+    let user = busiest(&sets);
+    let arena = KernelRowArena::with_budget(256 << 20);
+    let search = ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, ModelKind::Svdd)
+        .max_other_windows(usize::MAX)
+        .arena(arena.clone());
+    let (best, stats) = search.sweep_all(&sets);
+
+    for ((owner, kernel, space), tags) in builds(&arena) {
+        assert_eq!(tags.len(), 1, "user {owner} kernel {kernel} {space:?}: {} builds", tags.len());
+    }
+    let trained_users = sets.values().filter(|w| !w.is_empty()).count();
+    let gram_matrices = builds(&arena).keys().filter(|k| k.2 == RowSpace::Gram).count();
+    assert!(gram_matrices <= trained_users * KernelKind::ALL.len());
     // Distinct rows: per user, one Gram row per window for each of the 4
     // kernels, plus one cross row per window for the 3 non-linear kernels.
     let distinct_rows: u64 = sets
@@ -69,11 +109,23 @@ fn grid_search_computes_each_gram_once_and_cells_match_legacy_path() {
     );
     assert_eq!(stats.arena.evictions, 0, "budget is ample for the quick-test corpus");
     assert!(best.contains_key(&user), "most active user optimizes");
-    assert_eq!(stats.chains, sets.len() * KernelKind::ALL.len());
+    assert_eq!(stats.chains, trained_users * KernelKind::ALL.len());
+}
 
-    // (c) Cell parity with the legacy per-cell training path: retrain every
-    // (kernel, regularization) combination without the shared Gram matrix
-    // and recompute both acceptance ratios from scratch.
+/// (c) Cell parity with the per-cell training path: retrain every
+/// (kernel, regularization) combination without a shared Gram matrix and
+/// recompute both acceptance ratios from scratch.
+#[test]
+fn run_user_cells_match_per_cell_training() {
+    let (vocab, sets) = fixture();
+    let user = busiest(&sets);
+    // usize::MAX disables ACCother subsampling so the replication below
+    // scores exactly the same window sets.
+    let search = ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, ModelKind::Svdd)
+        .max_other_windows(usize::MAX)
+        .arena(KernelRowArena::with_budget(256 << 20));
+    let cells = search.run_user(&sets, user);
+
     let own = &sets[&user];
     let legacy: Vec<(KernelKind, f64, f64, f64)> = KernelKind::ALL
         .iter()
