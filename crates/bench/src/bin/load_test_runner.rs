@@ -21,7 +21,6 @@
 //! metrics for `validate_slo`.
 
 use bench::ExperimentConfig;
-use identd::json::Json;
 use identd::proto::DecisionRecord;
 use identd::{Client, Daemon, DaemonConfig};
 use proxylog::Dataset;
@@ -112,7 +111,6 @@ fn main() {
 
     // Drain once, then collect whatever the flush produced.
     let mut control = Client::connect(addr).expect("connect for drain");
-    let arena_hit_rate = arena_hit_rate(&mut control);
     let flushed = control.drain().expect("drain");
     let mut all_records: Vec<Vec<DecisionRecord>> =
         results.iter().map(|r| r.records.clone()).collect();
@@ -149,7 +147,6 @@ fn main() {
         percentile_us(&queue_us, 0.90) / 1e3,
         percentile_us(&queue_us, 0.99) / 1e3,
     );
-    println!("  arena hit rate     {:>10.3}", arena_hit_rate);
 
     if let Some(path) = ExperimentConfig::arg_value("--json") {
         let metrics = [
@@ -162,7 +159,6 @@ fn main() {
             ("transactions", sent as f64),
             ("tenants", tenants as f64),
             ("profiles", total_profiles as f64),
-            ("arena_hit_rate", arena_hit_rate),
         ];
         std::fs::write(&path, bench::json::emit(&metrics)).expect("writing load-test metrics");
         eprintln!("# wrote {path}");
@@ -230,14 +226,6 @@ fn verify_offline(
             assert_eq!(record.vote, votes[j].1.map(|u| u.0));
         }
     }
-}
-
-fn arena_hit_rate(client: &mut Client) -> f64 {
-    client
-        .stats()
-        .ok()
-        .and_then(|stats| stats.get("arena").and_then(|a| a.get("hit_rate")).and_then(Json::as_num))
-        .unwrap_or(0.0)
 }
 
 fn percentile_us(sorted: &[u64], q: f64) -> f64 {

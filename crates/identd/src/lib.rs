@@ -2,9 +2,7 @@
 //!
 //! A dependency-free daemon that puts the [`streamid`] engine behind a
 //! TCP socket: clients stream proxy-log transactions in and poll
-//! window-vote identification decisions out, per tenant namespace, with
-//! every tenant charging kernel rows to one shared process-wide
-//! [`ocsvm::KernelRowArena`] budget.
+//! window-vote identification decisions out, per tenant namespace.
 //!
 //! # Wire protocol
 //!
@@ -19,7 +17,7 @@
 //! | `load_profiles` | `tenant`, `dir`, `lossy?` | `profiles`, `skipped` |
 //! | `ingest` | `tenant`, `txs` (array of 11-number tuples) | `accepted`, `decided` |
 //! | `decide` | `tenant`, `device?` | `decisions` (array of objects) |
-//! | `stats` | — | `daemon`, `arena`, `tenants` counter objects |
+//! | `stats` | — | `daemon`, `tenants` counter objects |
 //! | `drain` | — | `draining`, `flushed` |
 //!
 //! Example session:

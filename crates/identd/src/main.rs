@@ -13,7 +13,7 @@ USAGE:
 OPTIONS:
     --listen ADDR        listen address (default 127.0.0.1:7433; port 0 = ephemeral)
     --workers N          connection worker threads (default: available parallelism)
-    --arena-mb N         shared kernel-row arena budget in MiB (default 256)
+    --arena-mb N         accepted for compatibility and ignored (scoring caches no kernel rows)
     --batch N            closed windows per scoring batch (default 64)
     --vote-k N           trailing windows per majority vote (default 3)
     --lateness SECS      allowed out-of-order lateness (default 0)
@@ -49,8 +49,9 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--lossy" => lossy = true,
             "--listen" => config.addr = value("host:port")?,
             "--workers" => config.workers = parse_num(&flag, &value("count")?)?,
+            // Still parsed, so a malformed value is an error, then ignored.
             "--arena-mb" => {
-                config.arena_budget_bytes = parse_num::<usize>(&flag, &value("MiB")?)? << 20
+                parse_num::<usize>(&flag, &value("MiB")?)?;
             }
             "--batch" => config.engine.batch_windows = parse_positive(&flag, &value("count")?)?,
             "--vote-k" => config.engine.vote_k = parse_positive(&flag, &value("count")?)?,

@@ -76,7 +76,7 @@ impl std::error::Error for ProtoError {}
 pub enum Request {
     /// Liveness probe.
     Health,
-    /// Arena + per-tenant counters.
+    /// Daemon + per-tenant counters.
     Stats,
     /// Stop accepting connections, flush every tenant, prepare to exit.
     Drain,

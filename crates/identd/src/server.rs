@@ -17,7 +17,6 @@
 use crate::json::Json;
 use crate::proto::{self, DecisionRecord, ProtoError, Request};
 use crate::tenant::{Command, Reply, TenantHandle, TenantStats};
-use ocsvm::KernelRowArena;
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -29,16 +28,13 @@ use std::time::Duration;
 use streamid::{EngineConfig, PrefilterConfig};
 
 /// Daemon tunables. `Default` gives a loopback ephemeral-port daemon with
-/// the paper-scale engine defaults and a 256 MiB shared kernel-row budget.
+/// the paper-scale engine defaults.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Listen address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
     /// Worker threads serving connections (0 ⇒ [`parcore::default_workers`]).
     pub workers: usize,
-    /// Byte budget for the process-wide shared [`KernelRowArena`] all
-    /// tenants charge kernel rows to.
-    pub arena_budget_bytes: usize,
     /// Engine configuration applied to every tenant.
     pub engine: EngineConfig,
     /// Two-stage candidate prefilter, applied to every tenant.
@@ -57,7 +53,6 @@ impl Default for DaemonConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
-            arena_budget_bytes: 256 << 20,
             engine: EngineConfig::default(),
             prefilter: Some(PrefilterConfig::default()),
             mailbox_cap: 256,
@@ -74,7 +69,6 @@ const CONNECTION_BACKLOG: usize = 64;
 
 struct Shared {
     config: DaemonConfig,
-    arena: Arc<KernelRowArena>,
     tenants: Mutex<BTreeMap<String, TenantHandle>>,
     draining: AtomicBool,
     /// The accept thread's handle; taken and joined by the first `drain`.
@@ -99,10 +93,8 @@ impl Daemon {
         let local_addr = listener.local_addr()?;
         let worker_count =
             if config.workers == 0 { parcore::default_workers() } else { config.workers };
-        let arena = KernelRowArena::with_budget(config.arena_budget_bytes);
         let shared = Arc::new(Shared {
             config,
-            arena,
             tenants: Mutex::new(BTreeMap::new()),
             draining: AtomicBool::new(false),
             accept: Mutex::new(None),
@@ -406,7 +398,6 @@ fn load_tenant(
         lossy,
         shared.config.engine,
         shared.config.prefilter,
-        Arc::clone(&shared.arena),
         shared.config.mailbox_cap,
         shared.config.decision_cap,
     )?;
@@ -422,17 +413,6 @@ fn load_tenant(
 }
 
 fn stats_reply(shared: &Shared) -> Result<Json, ProtoError> {
-    let arena = shared.arena.stats();
-    let arena_json = Json::Obj(vec![
-        ("requests".into(), Json::Num(arena.requests as f64)),
-        ("hits".into(), Json::Num(arena.hits as f64)),
-        ("misses".into(), Json::Num(arena.misses as f64)),
-        ("evictions".into(), Json::Num(arena.evictions as f64)),
-        ("hit_rate".into(), Json::Num(arena.hit_rate())),
-        ("bytes".into(), Json::Num(arena.bytes as f64)),
-        ("peak_bytes".into(), Json::Num(arena.peak_bytes as f64)),
-        ("budget".into(), Json::Num(arena.budget as f64)),
-    ]);
     // Snapshot the mailboxes first so tenant threads are queried without
     // holding the map lock.
     let mailboxes: Vec<(String, crate::tenant::Mailbox)> = shared
@@ -466,7 +446,6 @@ fn stats_reply(shared: &Shared) -> Result<Json, ProtoError> {
                 ("errors".into(), Json::Num(shared.errors.load(Ordering::Relaxed) as f64)),
             ]),
         ),
-        ("arena".into(), arena_json),
         ("tenants".into(), Json::Obj(tenants)),
     ]))
 }

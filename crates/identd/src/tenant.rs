@@ -9,13 +9,8 @@
 //! structured `overloaded` reply instead of a disconnect — the same
 //! oldest-first degradation policy the engine applies to its own
 //! per-device pending windows.
-//!
-//! All tenants charge non-linear kernel rows to one shared
-//! [`ocsvm::KernelRowArena`], so the process-wide scoring memory budget
-//! holds regardless of how many namespaces are loaded.
 
 use crate::proto::{DecisionRecord, ProtoError};
-use ocsvm::KernelRowArena;
 use proxylog::{DeviceId, Taxonomy, Transaction};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::mpsc::Sender;
@@ -198,14 +193,12 @@ pub(crate) struct TenantHandle {
 impl TenantHandle {
     /// Loads the tenant's profiles from `dir` (strict or lossy) and spawns
     /// its engine thread.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn spawn(
         name: &str,
         dir: &str,
         lossy: bool,
         engine_config: EngineConfig,
         prefilter: Option<PrefilterConfig>,
-        arena: Arc<KernelRowArena>,
         mailbox_cap: usize,
         decision_cap: usize,
     ) -> Result<Self, ProtoError> {
@@ -226,7 +219,7 @@ impl TenantHandle {
         let thread = std::thread::Builder::new()
             .name(format!("identd-{name}"))
             .spawn(move || {
-                run_tenant(profiles, engine_config, prefilter, arena, worker_mailbox, decision_cap)
+                run_tenant(profiles, engine_config, prefilter, worker_mailbox, decision_cap)
             })
             .map_err(|e| ProtoError::new("internal", format!("spawning tenant thread: {e}")))?;
         Ok(Self { mailbox, thread: Some(thread), profiles: loaded, skipped })
@@ -273,7 +266,6 @@ fn run_tenant(
     profiles: BTreeMap<proxylog::UserId, webprofiler::UserProfile>,
     engine_config: EngineConfig,
     prefilter: Option<PrefilterConfig>,
-    arena: Arc<KernelRowArena>,
     mailbox: Mailbox,
     decision_cap: usize,
 ) {
@@ -281,7 +273,7 @@ fn run_tenant(
     // both live on this thread's stack, which is exactly why each tenant
     // is a thread rather than a struct in a shared map.
     let vocab = Vocabulary::new(Taxonomy::paper_scale());
-    let mut engine = StreamEngine::new(&profiles, &vocab, engine_config).with_arena(arena);
+    let mut engine = StreamEngine::new(&profiles, &vocab, engine_config);
     if let Some(prefilter) = prefilter {
         engine = engine.with_prefilter(prefilter);
     }
@@ -416,7 +408,6 @@ mod tests {
             false,
             EngineConfig::default(),
             None,
-            KernelRowArena::with_budget(1 << 20),
             16,
             1024,
         );

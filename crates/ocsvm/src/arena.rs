@@ -1,15 +1,19 @@
 //! The memory-budgeted kernel-row arena: the crate's one kernel-row cache.
 //!
 //! Every kernel row the crate computes for reuse — solver rows of a plain
-//! `train` call, the rows of a [`GramMatrix`](crate::GramMatrix) or
-//! [`CrossGram`](crate::CrossGram) shared by a whole regularization sweep,
-//! and the streaming scorer's support-vector rows — lives in a
-//! [`KernelRowArena`]: a thread-safe cache of kernel rows keyed by
-//! `(owner, kernel, row)` plus a content fingerprint, governed by an
-//! explicit byte budget with exact least-recently-used eviction. One arena
-//! can be shared by `Arc` across every sweep worker and scoring engine of a
-//! process, bounding their total footprint; a matrix built without one gets
-//! a private arena of its own.
+//! `train` call, and the rows of a [`GramMatrix`](crate::GramMatrix) or
+//! [`CrossGram`](crate::CrossGram) shared by a whole regularization sweep
+//! — lives in a [`KernelRowArena`]: a thread-safe cache of kernel rows
+//! keyed by `(owner, kernel, row)` plus a content fingerprint, governed by
+//! an explicit byte budget with exact least-recently-used eviction. One
+//! arena can be shared by `Arc` across every sweep worker of a process,
+//! bounding their total footprint; a matrix built without one gets a
+//! private arena of its own.
+//!
+//! The arena serves training only, where rows are reused. Serving-time
+//! batch scoring (`batch_decision_values`) sees a fresh probe batch on
+//! every call, so no row would ever be hit again: it computes each
+//! support-vector row into one reused buffer and caches nothing.
 //!
 //! Rows are handed out as `Arc<[f64]>`, so an evicted row stays valid for
 //! every holder; eviction only bounds what the *arena* retains. A solver
@@ -39,13 +43,13 @@ pub enum RowSpace {
 
 /// Identity of one cached kernel row.
 ///
-/// `owner` is a caller-chosen namespace (the grid search uses the user id,
-/// the streaming engine the profiled user), `kernel` the
-/// [`KernelKind`](crate::KernelKind) slot, `row` the row index, and `tag` a
-/// fingerprint of the exact kernel parameters and vector contents the row
-/// was computed from — two row sets that differ in any input hash to
-/// different tags, so stale reuse across window configurations, subsamples
-/// or retrained models is ruled out by construction.
+/// `owner` is a caller-chosen namespace (the grid search uses the user
+/// id), `kernel` the [`KernelKind`](crate::KernelKind) slot, `row` the
+/// row index, and `tag` a fingerprint of the exact kernel parameters and
+/// vector contents the row was computed from — two row sets that differ
+/// in any input hash to different tags, so stale reuse across window
+/// configurations, subsamples or retrained models is ruled out by
+/// construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RowKey {
     /// Caller-chosen namespace, conventionally the user id.
@@ -132,7 +136,7 @@ struct Inner {
 ///
 /// See the module-level docs for the design. Construct one per process
 /// (or use [`KernelRowArena::global`]) and share it by `Arc` across every
-/// sweep worker and scoring engine.
+/// sweep worker.
 ///
 /// # Examples
 ///

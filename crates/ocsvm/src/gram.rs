@@ -22,10 +22,9 @@
 //! [`KernelRowArena`], the crate's one kernel-row cache. `compute`/`new`
 //! give a matrix a private, unbounded arena (every row is computed at most
 //! once for the matrix's lifetime); `in_arena` shares a byte-budgeted arena
-//! across sweeps, users and the streaming scorer, evicting
-//! least-recently-used rows and recomputing them transparently. Both views
-//! are `Send + Sync`, so a whole sweep can share one instance across
-//! threads.
+//! across sweeps and users, evicting least-recently-used rows and
+//! recomputing them transparently. Both views are `Send + Sync`, so a
+//! whole sweep can share one instance across threads.
 
 use crate::arena::{KernelRowArena, RowKey, RowSpace};
 use crate::error::TrainError;

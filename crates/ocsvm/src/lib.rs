@@ -26,8 +26,9 @@
 //! solver run of the sweep via [`NuOcSvm::train_with_gram`] and
 //! [`Svdd::train_with_gram`]; a [`CrossGram`] does the same for scoring
 //! all of the sweep's models against a fixed probe set. Either view takes
-//! a private arena of its own or one arena shared across users, sweeps
-//! and the streaming scorer.
+//! a private arena of its own or one arena shared across users and
+//! sweeps. Scoring fresh probes (`batch_decision_values`) caches no rows:
+//! a new probe batch never reuses one.
 //!
 //! # Quick start
 //!

@@ -1,6 +1,5 @@
 //! Shared trained-model machinery.
 
-use crate::gram::CrossGram;
 use crate::kernel::Kernel;
 use crate::sparse::SparseVector;
 
@@ -131,10 +130,15 @@ impl SupportVectorSet {
     /// `Σᵢ αᵢ·k(svᵢ, pⱼ)` for every probe `pⱼ`, amortizing kernel work over
     /// the whole batch.
     ///
-    /// Non-linear kernels compute one kernel row per support vector against
-    /// the probes packed once into a [`ProbePanel`](crate::ProbePanel), summed in
-    /// support-vector order, so every value is bit-identical to
-    /// [`Self::weighted_kernel_sum`]. The linear kernel goes through a
+    /// Non-linear kernels pack the probes once into a
+    /// [`ProbePanel`](crate::ProbePanel), then add `αᵢ·k(svᵢ, ·)` into the
+    /// sums one support vector at a time, reusing one row buffer and one
+    /// squared-distance scratch for every support vector — no per-row
+    /// allocation, no row cache (each batch is a fresh probe set, so no
+    /// row would ever be reused). The sums start at the identity
+    /// `Iterator::sum` folds from and add the same terms in the same
+    /// (support-vector) order as [`Self::weighted_kernel_sum`], so every
+    /// value is bit-identical to it. The linear kernel goes through a
     /// dense [`LinearBatchScorer`] built from the collapsed weight vector,
     /// which adds exactly the same products in the same (column-ascending)
     /// order as the sparse merge dot and is therefore also bit-identical.
@@ -146,40 +150,31 @@ impl SupportVectorSet {
             return LinearBatchScorer::from_collapsed(w).weighted_sums(probes);
         }
         let panel = crate::panel::ProbePanel::pack(probes);
-        let rows: Vec<Vec<f64>> = self
-            .vectors
-            .iter()
-            .map(|sv| crate::panel::kernel_cross_row(self.kernel, sv, probes, &panel))
-            .collect();
-        self.weighted_row_sums(&rows, probes.len())
-    }
-
-    /// [`Self::batch_weighted_kernel_sums`] with the non-linear kernel rows
-    /// cached in a shared [`KernelRowArena`](crate::KernelRowArena) under
-    /// `owner` (through a [`CrossGram`] over the support vectors). Linear
-    /// models keep their collapsed fast path (nothing to cache). Each row
-    /// is computed from the same kernel evaluations in the same order, so
-    /// the sums are bit-identical to the un-arena'd path.
-    pub(crate) fn batch_weighted_kernel_sums_in(
-        &self,
-        probes: &[&SparseVector],
-        arena: &std::sync::Arc<crate::arena::KernelRowArena>,
-        owner: u64,
-    ) -> Vec<f64> {
-        if let Some(w) = &self.collapsed {
-            return LinearBatchScorer::from_collapsed(w).weighted_sums(probes);
+        let identity: f64 = std::iter::empty::<f64>().sum();
+        let mut sums = vec![identity; probes.len()];
+        let mut row = vec![0.0; probes.len()];
+        let mut scratch = Vec::new();
+        for (sv, &a) in self.vectors.iter().zip(&self.alpha) {
+            crate::panel::kernel_cross_row_into(
+                self.kernel,
+                sv,
+                probes,
+                &panel,
+                &mut scratch,
+                &mut row,
+            );
+            for (s, &k) in sums.iter_mut().zip(&row) {
+                *s += a * k;
+            }
         }
-        let cross = CrossGram::in_arena(self.kernel, &self.vectors, probes.to_vec(), arena, owner);
-        let rows: Vec<_> = (0..self.vectors.len()).map(|i| cross.row(i)).collect();
-        self.weighted_row_sums(&rows, probes.len())
+        sums
     }
 
     /// Reduced-precision `Σᵢ αᵢ·k(svᵢ, pⱼ)` for every probe, over f32
     /// panels — the opt-in fast scoring mode. Kernel rows are computed in
     /// f32 against a packed [`crate::panel::ProbePanelF32`]; the αᵢ sums
     /// accumulate in f32 in support-vector order. Not bit-identical to
-    /// the f64 path (callers pin *decision* agreement instead); rows are
-    /// transient, so this path never touches a kernel-row arena.
+    /// the f64 path (callers pin *decision* agreement instead).
     pub(crate) fn batch_weighted_kernel_sums_f32(&self, probes: &[&SparseVector]) -> Vec<f32> {
         let panel = crate::panel::ProbePanelF32::pack(probes);
         if let Some(w) = &self.collapsed {
@@ -449,10 +444,17 @@ mod tests {
             Kernel::Polynomial { gamma: 0.3, coef0: 1.0, degree: 3 },
             Kernel::Sigmoid { gamma: 0.1, coef0: -0.2 },
         ] {
-            let set = SupportVectorSet::from_solution(&points, &[0.2, 0.3, 0.5], kernel);
-            let batch = set.batch_weighted_kernel_sums(&refs);
-            for (probe, &sum) in refs.iter().zip(&batch) {
-                assert_eq!(sum, set.weighted_kernel_sum(probe), "{kernel:?}");
+            // An empty set pins the sums' starting value: it must be the
+            // one `Iterator::sum` folds from (`-0.0`), bit for bit.
+            for set in [
+                SupportVectorSet::from_solution(&points, &[0.2, 0.3, 0.5], kernel),
+                SupportVectorSet::from_parts(Vec::new(), Vec::new(), kernel),
+            ] {
+                let batch = set.batch_weighted_kernel_sums(&refs);
+                for (probe, &sum) in refs.iter().zip(&batch) {
+                    let single = set.weighted_kernel_sum(probe);
+                    assert_eq!(sum.to_bits(), single.to_bits(), "{kernel:?}");
+                }
             }
         }
     }

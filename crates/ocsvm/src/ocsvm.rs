@@ -349,26 +349,6 @@ impl OcSvmModel {
         self.support.batch_weighted_kernel_sums(probes).into_iter().map(|s| s - self.rho).collect()
     }
 
-    /// [`batch_decision_values`](Self::batch_decision_values), with the
-    /// non-linear kernel rows charged to a shared
-    /// [`KernelRowArena`](crate::KernelRowArena) under the `owner`
-    /// namespace instead of computing them afresh — the process-wide
-    /// byte budget then also bounds scoring, and repeated scoring of the
-    /// same (support vectors, probe batch) pair is served from the arena.
-    /// Values are bit-identical to the un-arena'd path.
-    pub fn batch_decision_values_in(
-        &self,
-        probes: &[&SparseVector],
-        arena: &std::sync::Arc<crate::KernelRowArena>,
-        owner: u64,
-    ) -> Vec<f64> {
-        self.support
-            .batch_weighted_kernel_sums_in(probes, arena, owner)
-            .into_iter()
-            .map(|s| s - self.rho)
-            .collect()
-    }
-
     /// Reduced-precision decision values for a probe micro-batch — the
     /// opt-in f32 fast scoring mode. Kernel sums run in f32 over packed
     /// [`ProbePanelF32`](crate::ProbePanelF32) blocks (half the memory

@@ -34,7 +34,7 @@
 //! Squared distance has no sparse formulation that preserves the merge's
 //! term order, so its panel form walks all `width` columns; for very
 //! sparse operands the merge does less work than the dense walk gains
-//! back in stride. [`kernel_cross_row`] therefore picks the panel only
+//! back in stride. [`kernel_cross_row_into`] therefore picks the panel only
 //! when the dense walk is within [`SQ_DIST_DENSE_FACTOR`] of the merge's
 //! operand count — both paths are bit-identical, so the choice is
 //! invisible to callers.
@@ -316,6 +316,21 @@ impl<T: PanelScalar> Panel<T> {
 /// One kernel row `k(x, pⱼ)` for every packed probe, **bit-identical** to
 /// `kernel.compute(x, pⱼ)` per probe.
 ///
+/// Allocating wrapper around [`kernel_cross_row_into`].
+pub fn kernel_cross_row(
+    kernel: Kernel,
+    x: &SparseVector,
+    probes: &[&SparseVector],
+    panel: &ProbePanel,
+) -> Vec<f64> {
+    let mut out = vec![0.0f64; panel.probe_count()];
+    kernel_cross_row_into(kernel, x, probes, panel, &mut Vec::new(), &mut out);
+    out
+}
+
+/// Writes one kernel row `k(x, pⱼ)` for every packed probe into `out`,
+/// **bit-identical** to `kernel.compute(x, pⱼ)` per probe.
+///
 /// Dot-product kernels (linear, polynomial, sigmoid) always use the panel
 /// — the packed walk does strictly less work than the per-probe merges.
 /// The RBF kernel's dense squared-distance walk covers all `width`
@@ -324,35 +339,44 @@ impl<T: PanelScalar> Panel<T> {
 /// ([`SQ_DIST_DENSE_FACTOR`]); `probes` must be the slice the panel was
 /// packed from so the fallback sees identical vectors.
 ///
+/// `scratch` is the reusable dense buffer of [`Panel::sq_dist_into`];
+/// `out`'s previous contents are ignored. Reusing both across rows keeps a
+/// support-vector loop free of per-row allocations.
+///
 /// The finishing ops are applied with exactly the expressions of
 /// [`Kernel::compute`].
-pub fn kernel_cross_row(
+///
+/// # Panics
+///
+/// Panics if `out.len() != panel.probe_count()`.
+pub fn kernel_cross_row_into(
     kernel: Kernel,
     x: &SparseVector,
     probes: &[&SparseVector],
     panel: &ProbePanel,
-) -> Vec<f64> {
+    scratch: &mut Vec<f64>,
+    out: &mut [f64],
+) {
     debug_assert_eq!(probes.len(), panel.probe_count());
-    let mut out = vec![0.0f64; panel.probe_count()];
+    assert_eq!(out.len(), panel.probe_count(), "output width must match probe count");
     match kernel {
-        Kernel::Linear => panel.dot_into(x, &mut out),
+        Kernel::Linear => panel.dot_into(x, out),
         Kernel::Polynomial { gamma, coef0, degree } => {
-            panel.dot_into(x, &mut out);
-            for v in &mut out {
+            panel.dot_into(x, out);
+            for v in out.iter_mut() {
                 *v = (gamma * *v + coef0).powi(degree as i32);
             }
         }
         Kernel::Sigmoid { gamma, coef0 } => {
-            panel.dot_into(x, &mut out);
-            for v in &mut out {
+            panel.dot_into(x, out);
+            for v in out.iter_mut() {
                 *v = (gamma * *v + coef0).tanh();
             }
         }
         Kernel::Rbf { gamma } => {
             if sq_dist_panel_pays_off(panel, x.nnz()) {
-                let mut scratch = Vec::new();
-                panel.sq_dist_into(x, &mut scratch, &mut out);
-                for v in &mut out {
+                panel.sq_dist_into(x, scratch, out);
+                for v in out.iter_mut() {
                     *v = (-gamma * *v).exp();
                 }
             } else {
@@ -362,7 +386,6 @@ pub fn kernel_cross_row(
             }
         }
     }
-    out
 }
 
 /// Whether the dense panel squared-distance walk is expected to beat the

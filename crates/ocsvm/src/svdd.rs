@@ -388,30 +388,6 @@ impl SvddModel {
             .collect()
     }
 
-    /// [`batch_decision_values`](Self::batch_decision_values), with the
-    /// non-linear kernel rows charged to a shared
-    /// [`KernelRowArena`](crate::KernelRowArena) under the `owner`
-    /// namespace instead of computing them afresh — the process-wide
-    /// byte budget then also bounds scoring, and repeated scoring of the
-    /// same (support vectors, probe batch) pair is served from the arena.
-    /// Values are bit-identical to the un-arena'd path.
-    pub fn batch_decision_values_in(
-        &self,
-        probes: &[&SparseVector],
-        arena: &std::sync::Arc<crate::KernelRowArena>,
-        owner: u64,
-    ) -> Vec<f64> {
-        let sums = self.support.batch_weighted_kernel_sums_in(probes, arena, owner);
-        probes
-            .iter()
-            .zip(sums)
-            .map(|(p, s)| {
-                let squared = self.support.kernel.compute_self(p) - 2.0 * s + self.alpha_k_alpha;
-                self.r_squared - squared
-            })
-            .collect()
-    }
-
     /// Reduced-precision decision values for a probe micro-batch — the
     /// opt-in f32 fast scoring mode (see
     /// [`OcSvmModel::batch_decision_values_f32`](crate::OcSvmModel::batch_decision_values_f32)

@@ -282,3 +282,100 @@ proptest! {
         }
     }
 }
+
+/// Support vectors and probes for the batch-scoring property live in
+/// columns below `SV_WIDTH`, except the probes that reach past it.
+const SV_WIDTH: u32 = 64;
+
+fn from_entries(entries: Vec<(u32, f64)>) -> SparseVector {
+    let mut builder = ocsvm::SparseVectorBuilder::new();
+    for (column, value) in entries {
+        builder.set(column, value);
+    }
+    builder.build()
+}
+
+/// 40–63 stored entries: the panel squared-distance walk pays off
+/// against any batch narrower than 160 columns.
+fn dense_point() -> impl Strategy<Value = SparseVector> {
+    prop::collection::vec(0.1f64..3.0, 40..SV_WIDTH as usize)
+        .prop_map(|values| SparseVector::from_dense(&values))
+}
+
+/// 1–3 stored entries: the per-probe merge wins once the batch is wider
+/// than `4 · (3 + mean probe nnz)` columns.
+fn sparse_point() -> impl Strategy<Value = SparseVector> {
+    prop::collection::vec((0..SV_WIDTH, -3.0f64..3.0), 1..4).prop_map(from_entries)
+}
+
+/// Empty probes, probes inside the training columns, and sparse probes
+/// with columns beyond every support vector's width.
+fn probe() -> impl Strategy<Value = SparseVector> {
+    let near = || (0..SV_WIDTH, -3.0f64..3.0);
+    let far = || (SV_WIDTH..150, -3.0f64..3.0);
+    prop_oneof![
+        Just(SparseVector::new()),
+        prop::collection::vec(near(), 1..8).prop_map(from_entries),
+        (prop::collection::vec(near(), 0..3), prop::collection::vec(far(), 1..4))
+            .prop_map(|(a, b)| from_entries(a.into_iter().chain(b).collect())),
+    ]
+}
+
+fn every_kernel() -> impl Strategy<Value = Kernel> {
+    prop_oneof![
+        Just(Kernel::Linear),
+        (0.01f64..1.0).prop_map(|gamma| Kernel::Rbf { gamma }),
+        (0.01f64..0.3, 0.0f64..1.0, prop::sample::select(vec![2u32, 3]))
+            .prop_map(|(gamma, coef0, degree)| Kernel::Polynomial { gamma, coef0, degree }),
+        (0.005f64..0.1, -0.5f64..0.5).prop_map(|(gamma, coef0)| Kernel::Sigmoid { gamma, coef0 }),
+    ]
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Batch scoring adds every support vector's kernel row into the sums
+    /// through one reused row buffer and one reused squared-distance
+    /// scratch. Whatever batch a probe sits in — the whole batch, the
+    /// empty batch, a one-probe batch — its batch value must equal the
+    /// per-point decision value bit for bit, for both families and all
+    /// four kernels.
+    #[test]
+    fn batch_decision_values_match_per_point_bitwise_over_generated_inputs(
+        kernel in every_kernel(),
+        dense in prop::collection::vec(dense_point(), 2..6),
+        sparse in prop::collection::vec(sparse_point(), 2..10),
+        mut probes in prop::collection::vec(probe(), 1..90),
+        anchor_column in 120u32..150,
+    ) {
+        let data: Vec<SparseVector> = dense.into_iter().chain(sparse).collect();
+        // One probe past column 120 in every batch, so dense support
+        // vectors take the panel walk and sparse ones the merge.
+        probes.push(SparseVector::from_pairs(vec![(anchor_column, 0.5)]).unwrap());
+        let refs: Vec<&SparseVector> = probes.iter().collect();
+        let panel = ocsvm::ProbePanel::pack(&refs);
+        let pays = |x: &SparseVector| ocsvm::panel::sq_dist_panel_pays_off(&panel, x.nnz());
+        prop_assert!(data.iter().any(pays) && !data.iter().all(pays));
+
+        // α ≤ 1/(νl) (OC-SVM) and α ≤ C (SVDD) with Σα = 1 force more than
+        // l − 1 non-zero multipliers: every training point, dense and
+        // sparse, is a support vector.
+        let l = data.len() as f64;
+        let ocsvm = NuOcSvm::new(0.95, kernel).train(&data).unwrap();
+        let svdd = Svdd::new(1.0 / (0.95 * l), kernel).train(&data).unwrap();
+        prop_assert_eq!(ocsvm.support_vector_count(), data.len());
+        prop_assert_eq!(svdd.support_vector_count(), data.len());
+
+        for batch in [&refs[..], &refs[..0]].into_iter().chain(refs.chunks(1)) {
+            let per_point = |model: &dyn OneClassModel| {
+                bits(&batch.iter().map(|p| model.decision_value(p)).collect::<Vec<_>>())
+            };
+            prop_assert_eq!(bits(&ocsvm.batch_decision_values(batch)), per_point(&ocsvm));
+            prop_assert_eq!(bits(&svdd.batch_decision_values(batch)), per_point(&svdd));
+        }
+    }
+}

@@ -34,8 +34,7 @@ pub struct EngineConfig {
     /// and doubles SIMD lane width, but values carry single-precision
     /// rounding: accept/reject decisions can differ from the `f64` path
     /// for windows whose decision value sits within that rounding of
-    /// zero. Also bypasses the shared kernel-row arena (f32 rows are
-    /// transient). Default `false`.
+    /// zero. Default `false`.
     pub f32_scoring: bool,
 }
 

@@ -148,7 +148,6 @@ pub struct StreamEngine<'a> {
     batches: u64,
     max_batch: usize,
     scoring: Duration,
-    arena: Option<std::sync::Arc<ocsvm::KernelRowArena>>,
     prefilter: Option<PrefilterState>,
     prefilter_windows: u64,
     prefilter_candidates: u64,
@@ -191,7 +190,6 @@ impl<'a> StreamEngine<'a> {
             batches: 0,
             max_batch: 0,
             scoring: Duration::ZERO,
-            arena: None,
             prefilter: None,
             prefilter_windows: 0,
             prefilter_candidates: 0,
@@ -227,14 +225,14 @@ impl<'a> StreamEngine<'a> {
         self
     }
 
-    /// Charges the kernel rows of non-linear profile scoring to a shared
-    /// [`ocsvm::KernelRowArena`] (e.g. [`ocsvm::KernelRowArena::global`]),
-    /// keyed by the profiled user. Scoring stays bit-identical to the
-    /// default path; what changes is accounting — streaming kernel rows
-    /// then live under the same process-wide memory budget (and show up in
-    /// the same [`ocsvm::ArenaStats`]) as a concurrent grid search's.
-    pub fn with_arena(mut self, arena: std::sync::Arc<ocsvm::KernelRowArena>) -> Self {
-        self.arena = Some(arena);
+    /// Returns the engine unchanged; `arena` is dropped unused.
+    ///
+    /// Kept only so existing callers still build: scoring used to charge
+    /// non-linear kernel rows to a shared [`ocsvm::KernelRowArena`], but
+    /// every closed window is a fresh probe, so no row was ever reused.
+    /// Scoring now goes straight through
+    /// [`UserProfile::batch_decision_values`], with or without this call.
+    pub fn with_arena(self, _arena: std::sync::Arc<ocsvm::KernelRowArena>) -> Self {
         self
     }
 
@@ -488,26 +486,22 @@ impl<'a> StreamEngine<'a> {
                 _ => probes.len() * profile.support_vector_count(),
             })
             .sum();
-        let score = |user: UserId, profile: &UserProfile| {
+        let score = |profile: &UserProfile| {
             if self.config.f32_scoring {
                 // f32 → f64 widening is exact, so the `>= 0.0` acceptance
                 // test below decides exactly as it would on the f32 values.
-                // The f32 path skips the arena: its rows are transient.
                 return profile
                     .batch_decision_values_f32(probes)
                     .into_iter()
                     .map(f64::from)
                     .collect();
             }
-            match &self.arena {
-                Some(arena) => profile.batch_decision_values_in(probes, arena, u64::from(user.0)),
-                None => profile.batch_decision_values(probes),
-            }
+            profile.batch_decision_values(probes)
         };
         let values: Vec<Vec<f64>> = if work >= PARALLEL_WORK_THRESHOLD {
-            parallel_map(&entries, |(&user, profile)| score(user, profile))
+            parallel_map(&entries, |(_, profile)| score(profile))
         } else {
-            entries.iter().map(|(&user, profile)| score(user, profile)).collect()
+            entries.iter().map(|(_, profile)| score(profile)).collect()
         };
         (0..probes.len())
             .map(|j| {
@@ -556,7 +550,7 @@ impl<'a> StreamEngine<'a> {
                 _ => windows.len() * profile.support_vector_count(),
             })
             .sum();
-        let score = |user: UserId, profile: &UserProfile, windows: &[usize]| {
+        let score = |profile: &UserProfile, windows: &[usize]| {
             let sub: Vec<&SparseVector> = windows.iter().map(|&j| probes[j]).collect();
             if self.config.f32_scoring {
                 // Same exact-widening argument as the exhaustive stage.
@@ -566,15 +560,12 @@ impl<'a> StreamEngine<'a> {
                     .map(f64::from)
                     .collect();
             }
-            match &self.arena {
-                Some(arena) => profile.batch_decision_values_in(&sub, arena, u64::from(user.0)),
-                None => profile.batch_decision_values(&sub),
-            }
+            profile.batch_decision_values(&sub)
         };
         let values: Vec<Vec<f64>> = if work >= PARALLEL_WORK_THRESHOLD {
-            parallel_map(&items, |(user, profile, windows)| score(*user, profile, windows))
+            parallel_map(&items, |(_, profile, windows)| score(profile, windows))
         } else {
-            items.iter().map(|(user, profile, windows)| score(*user, profile, windows)).collect()
+            items.iter().map(|(_, profile, windows)| score(profile, windows)).collect()
         };
         let mut accepted: Vec<Vec<UserId>> = vec![Vec::new(); probes.len()];
         // Slots ascend through the BTreeMap, so each window's accepted
@@ -696,10 +687,10 @@ mod tests {
     }
 
     #[test]
-    fn arena_charged_scoring_is_bit_identical_to_the_default_path() {
+    fn with_arena_scores_like_a_plain_engine_and_leaves_the_arena_untouched() {
         let (dataset, vocab) = trained();
-        // RBF profiles so scoring actually materializes kernel rows (linear
-        // models collapse to a weight vector and bypass the arena).
+        // RBF profiles, so scoring computes support-vector kernel rows that
+        // an arena could cache (linear models collapse to a weight vector).
         let (profiles, _) = ProfileTrainer::new(&vocab)
             .kernel(ocsvm::Kernel::Rbf { gamma: 0.05 })
             .max_training_windows(150)
@@ -707,27 +698,30 @@ mod tests {
         let config = EngineConfig { batch_windows: 16, ..EngineConfig::default() };
         let arena = ocsvm::KernelRowArena::with_budget(32 << 20);
         let mut plain = StreamEngine::new(&profiles, &vocab, config);
-        let mut charged =
+        let mut shim =
             StreamEngine::new(&profiles, &vocab, config).with_arena(std::sync::Arc::clone(&arena));
         let mut plain_decisions = Vec::new();
-        let mut charged_decisions = Vec::new();
+        let mut shim_decisions = Vec::new();
         for tx in dataset.transactions().iter().take(2_000) {
             plain_decisions.extend(plain.observe(*tx));
-            charged_decisions.extend(charged.observe(*tx));
+            shim_decisions.extend(shim.observe(*tx));
         }
         plain_decisions.extend(plain.finish());
-        charged_decisions.extend(charged.finish());
-        assert_eq!(plain_decisions.len(), charged_decisions.len());
-        assert!(!charged_decisions.is_empty());
-        for (a, b) in plain_decisions.iter().zip(&charged_decisions) {
+        shim_decisions.extend(shim.finish());
+        assert_eq!(plain_decisions.len(), shim_decisions.len());
+        assert!(!shim_decisions.is_empty());
+        // Every field but the wall-clock queue latency.
+        for (a, b) in plain_decisions.iter().zip(&shim_decisions) {
             assert_eq!(a.device, b.device);
             assert_eq!(a.start, b.start);
+            assert_eq!(a.transaction_count, b.transaction_count);
+            assert_eq!(a.features, b.features);
             assert_eq!(a.accepted_by, b.accepted_by);
+            assert_eq!(a.actual_users, b.actual_users);
             assert_eq!(a.vote, b.vote);
         }
-        let stats = arena.stats();
-        assert!(stats.fills > 0, "non-linear scoring must charge rows to the arena");
-        assert!(stats.bytes <= stats.budget, "arena budget respected");
+        assert_eq!(arena.stats().requests, 0, "scoring must not consult the arena");
+        assert!(arena.is_empty());
     }
 
     #[test]

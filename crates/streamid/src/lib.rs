@@ -9,10 +9,10 @@
 //! [`proxylog::LogTail`], an in-process channel, or a `tracegen` corpus
 //! replayed live), maintains incremental per-device window state, and
 //! scores *micro-batches* of closed windows against every candidate
-//! profile at once — one kernel row per support vector per batch (cached
-//! in a shared `KernelRowArena` when the engine has one), and one dense
-//! weight-vector GEMV per batch for linear models — instead of one window
-//! at a time.
+//! profile at once — one kernel row per support vector per batch, summed
+//! into the decision values through one reused row buffer (every window
+//! is a fresh probe, so no row is cached), and one dense weight-vector
+//! GEMV per batch for linear models — instead of one window at a time.
 //!
 //! The pipeline per transaction:
 //!

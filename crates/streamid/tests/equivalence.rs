@@ -212,7 +212,7 @@ fn f32_scoring_decisions_agree_with_f64_default_profiles() {
 #[test]
 fn f32_scoring_decisions_agree_with_f64_rbf_ocsvm() {
     // Same pin through the non-linear path: per-SV f32 kernel rows
-    // (bypassing the kernel-row arena) instead of the collapsed GEMV.
+    // instead of the collapsed GEMV.
     let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
     let vocab = Vocabulary::new(dataset.taxonomy().clone());
     let (profiles, _) = ProfileTrainer::new(&vocab)

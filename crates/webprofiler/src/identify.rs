@@ -9,7 +9,6 @@
 //! windows to disambiguate multi-accepted windows.
 
 use crate::metrics::AcceptanceSummary;
-use crate::prefilter::{CandidateIndex, ShortlistScratch};
 use crate::profile::UserProfile;
 use crate::trainer::parallel_map;
 use crate::vocab::Vocabulary;
@@ -70,49 +69,6 @@ pub fn identify_on_device(
         }
     });
     results
-}
-
-/// Two-stage variant of [`identify_on_device`]: a [`CandidateIndex`]
-/// shortlist of `top_k` candidate users per window, then exact scoring on
-/// the shortlist only — every user outside it is treated as rejecting.
-///
-/// With all-linear profiles this reproduces [`identify_on_device`]
-/// bit-identically at any `top_k` — the shortlist's margin guard keeps
-/// every potentially-accepting linear user (see the [`CandidateIndex`]
-/// docs for why). Non-linear profiles trade recall for an
-/// O(users)-to-O(top_k) cut in exact decisions per window.
-pub fn identify_on_device_prefiltered(
-    profiles: &BTreeMap<UserId, UserProfile>,
-    vocab: &Vocabulary,
-    dataset: &Dataset,
-    device: DeviceId,
-    config: WindowConfig,
-    index: &CandidateIndex,
-    top_k: usize,
-) -> Vec<IdentifiedWindow> {
-    let aggregator = WindowAggregator::new(vocab, config);
-    let windows = aggregator.device_windows(dataset, device);
-    let mut scores = ShortlistScratch::default();
-    windows
-        .into_iter()
-        .map(|window| {
-            let shortlist = index.shortlist(&window.features, top_k, &mut scores);
-            // Slots ascend, so the accepted set stays user-ascending.
-            let accepted_by: Vec<UserId> = shortlist
-                .into_iter()
-                .map(|slot| index.user_at(slot))
-                .filter(|user| {
-                    profiles.get(user).is_some_and(|profile| profile.accepts(&window.features))
-                })
-                .collect();
-            IdentifiedWindow {
-                start: window.start,
-                transaction_count: window.transaction_count,
-                accepted_by,
-                actual_users: window.users.clone(),
-            }
-        })
-        .collect()
 }
 
 /// Summary quality of an identification run.
@@ -524,48 +480,6 @@ mod tests {
                 }
                 let streamed = majority_vote(history.iter().map(|set| set.as_slice()));
                 assert_eq!(streamed, batch[i].1, "window {i}, k = {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn prefiltered_identification_matches_exhaustive_at_any_k() {
-        use crate::prefilter::CandidateIndex;
-        use crate::trainer::ProfileTrainer;
-        use tracegen::{Scenario, TraceGenerator};
-
-        let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
-        let vocab = Vocabulary::new(dataset.taxonomy().clone());
-        let (profiles, _) =
-            ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
-        let index = CandidateIndex::build(&profiles, &vocab);
-        for device in dataset.devices() {
-            let exhaustive = identify_on_device(
-                &profiles,
-                &vocab,
-                &dataset,
-                device,
-                WindowConfig::PAPER_DEFAULT,
-            );
-            // All default profiles are linear SVDD, so the margin guard
-            // pins bit-identity at every shortlist budget — including
-            // k = 1, well below the widest acceptance set.
-            for k in [1, 3, profiles.len()] {
-                let prefiltered = identify_on_device_prefiltered(
-                    &profiles,
-                    &vocab,
-                    &dataset,
-                    device,
-                    WindowConfig::PAPER_DEFAULT,
-                    &index,
-                    k,
-                );
-                assert_eq!(prefiltered.len(), exhaustive.len());
-                for (a, b) in prefiltered.iter().zip(&exhaustive) {
-                    assert_eq!(a.start, b.start);
-                    assert_eq!(a.accepted_by, b.accepted_by, "top-{k} shortlist on {device:?}");
-                    assert_eq!(a.actual_users, b.actual_users);
-                }
             }
         }
     }

@@ -87,8 +87,8 @@ pub use gridsearch::{
     WindowGridSearch, WindowSets,
 };
 pub use identify::{
-    consecutive_window_vote, identify_on_device, identify_on_device_prefiltered, majority_vote,
-    IdentificationQuality, IdentifiedWindow, OnlineIdentifier,
+    consecutive_window_vote, identify_on_device, majority_vote, IdentificationQuality,
+    IdentifiedWindow, OnlineIdentifier,
 };
 pub use markov::MarkovProfile;
 pub use metrics::{acceptance_ratio, acceptance_ratio_refs, AcceptanceSummary, ConfusionMatrix};

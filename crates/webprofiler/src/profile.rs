@@ -205,22 +205,20 @@ impl UserProfile {
         }
     }
 
-    /// Like [`batch_decision_values`](Self::batch_decision_values), but
-    /// charges the kernel rows of non-linear models to a shared
-    /// [`ocsvm::KernelRowArena`] under `owner`, so repeated scoring of the
-    /// same probes (e.g. the streaming engine's per-batch loop) reuses rows
-    /// across calls instead of recomputing them. Bit-identical to the plain
-    /// batch path.
+    /// Forwards to [`batch_decision_values`](Self::batch_decision_values)
+    /// and never touches `arena` or `owner`.
+    ///
+    /// Kept only so existing callers still build: scoring used to charge
+    /// non-linear kernel rows to the arena, but a fresh probe batch never
+    /// reuses a row, so the cache only cost memory. Call
+    /// [`batch_decision_values`](Self::batch_decision_values) instead.
     pub fn batch_decision_values_in(
         &self,
         features: &[&SparseVector],
-        arena: &std::sync::Arc<ocsvm::KernelRowArena>,
-        owner: u64,
+        _arena: &std::sync::Arc<ocsvm::KernelRowArena>,
+        _owner: u64,
     ) -> Vec<f64> {
-        match &self.model {
-            ProfileModel::OcSvm(m) => m.batch_decision_values_in(features, arena, owner),
-            ProfileModel::Svdd(m) => m.batch_decision_values_in(features, arena, owner),
-        }
+        self.batch_decision_values(features)
     }
 }
 
@@ -355,7 +353,7 @@ mod tests {
     use crate::vocab::Vocabulary;
     use proxylog::Taxonomy;
 
-    fn trained(kind: ModelKind) -> (UserProfile, Vec<SparseVector>) {
+    fn trained(kind: ModelKind, kernel: Kernel) -> (UserProfile, Vec<SparseVector>) {
         let vocab = Vocabulary::new(Taxonomy::paper_scale());
         let windows: Vec<SparseVector> = (0..30)
             .map(|i| {
@@ -369,6 +367,7 @@ mod tests {
             .collect();
         let profile = ProfileTrainer::new(&vocab)
             .kind(kind)
+            .kernel(kernel)
             .regularization(0.3)
             .train_from_vectors(UserId(9), &windows)
             .unwrap();
@@ -378,7 +377,7 @@ mod tests {
     #[test]
     fn profile_round_trips_through_binary_format() {
         for kind in ModelKind::ALL {
-            let (profile, windows) = trained(kind);
+            let (profile, windows) = trained(kind, Kernel::Linear);
             let mut bytes = Vec::new();
             profile.write_to(&mut bytes).unwrap();
             let loaded = UserProfile::read_from(&mut bytes.as_slice()).unwrap();
@@ -393,9 +392,25 @@ mod tests {
     }
 
     #[test]
+    fn arena_shim_scores_like_the_plain_batch_path_and_leaves_the_arena_untouched() {
+        let arena = ocsvm::KernelRowArena::with_budget(1 << 20);
+        for kind in ModelKind::ALL {
+            // RBF, so the scored models have support-vector rows to cache.
+            let (profile, windows) = trained(kind, Kernel::Rbf { gamma: 0.5 });
+            let probes: Vec<&SparseVector> = windows.iter().collect();
+            let plain = profile.batch_decision_values(&probes);
+            let shim = profile.batch_decision_values_in(&probes, &arena, 9);
+            let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&shim), bits(&plain), "{kind}");
+        }
+        assert_eq!(arena.stats().requests, 0, "the shim must not consult the arena");
+        assert!(arena.is_empty());
+    }
+
+    #[test]
     fn profile_rejects_garbage() {
         assert!(UserProfile::read_from(&mut &b"NOPE\x01\x00rest"[..]).is_err());
-        let (profile, _) = trained(ModelKind::Svdd);
+        let (profile, _) = trained(ModelKind::Svdd, Kernel::Linear);
         let mut bytes = Vec::new();
         profile.write_to(&mut bytes).unwrap();
         bytes.truncate(bytes.len() - 5);
