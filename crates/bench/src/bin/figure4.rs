@@ -10,8 +10,8 @@
 //! cargo run -p bench --bin figure4 --release [--weeks N]
 //! ```
 //!
-//! For rigorous statistics use the Criterion harness:
-//! `cargo bench -p bench --bench prediction_time`.
+//! This binary is the Fig. 4 timing harness; it reports the per-decision
+//! timing distribution (box-and-whiskers), not a single mean.
 
 use bench::{Experiment, ExperimentConfig};
 use std::time::Instant;

@@ -9,8 +9,7 @@
 //! cargo run -p bench --bin figure5 --release
 //! ```
 //!
-//! For rigorous statistics use the Criterion harness:
-//! `cargo bench -p bench --bench composition_speed`.
+//! This binary is the Fig. 5 timing harness.
 
 use proxylog::{Taxonomy, Timestamp, UserId};
 use std::time::Instant;

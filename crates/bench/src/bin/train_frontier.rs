@@ -1,17 +1,15 @@
-//! Accuracy-vs-train-time frontier of the pluggable solver backends.
+//! Accuracy-vs-train-time frontier of the two solver backends.
 //!
-//! Runs the full model grid sweep four times over the same corpus — all
-//! cells exact SMO, all cells ensemble one-data decomposition, all cells
-//! sampled Frank–Wolfe, and the `Auto` policy (sampled FW first, per-chain
-//! fallback to exact when the calibration cell's ACC drops more than the
-//! tolerance) — and reports per-backend solver seconds, iteration counts,
-//! mean support size, and the grid-search ACC delta against the exact
-//! sweep.
+//! Runs the full model grid sweep three times over the same corpus — all
+//! cells exact SMO, all cells sampled Frank–Wolfe, and the `Auto` policy
+//! (sampled FW first, per-chain fallback to exact when the calibration
+//! cell's ACC drops more than the tolerance) — and reports per-run solver
+//! seconds, iteration counts, mean support size, and the grid-search ACC
+//! delta against the exact sweep.
 //!
 //! ```text
 //! cargo run -p bench --bin train_frontier --release [--smoke] [--weeks N]
-//!     [--workers N] [--reps N] [--tolerance T] [--shard N]
-//!     [--fw-sample N] [--json PATH]
+//!     [--workers N] [--reps N] [--tolerance T] [--fw-sample N] [--json PATH]
 //! ```
 //!
 //! `--smoke` sweeps the tiny `quick_test` corpus (seconds; used by CI).
@@ -43,7 +41,7 @@ fn main() {
         // A denser window cap than the other smoke benches: per-cell solver
         // cost grows quadratically with the training-set size, so a larger
         // `l` both stabilizes the timings and exercises the regime the
-        // approximate backends are built for.
+        // sampled backend is built for.
         let max_windows = flag_or("--max-windows", 400usize);
         let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
         let vocab = Vocabulary::new(dataset.taxonomy().clone());
@@ -63,21 +61,17 @@ fn main() {
         (experiment.vocab, sets)
     };
 
-    // Approximate-solver parameters scaled to the corpus: shards and
-    // subsamples well below the largest training set, so the approximate
-    // backends actually decompose/subsample instead of degenerating to
-    // the exact solve.
+    // A subsample well below the largest training set, so sampled FW
+    // actually subsamples instead of degenerating to a full-set solve.
     let largest = sets.values().map(Vec::len).max().unwrap_or(0);
     let approx = ApproxParams {
-        ensemble_shard: flag_or("--shard", (largest / 4).clamp(16, 64)),
         fw_sample: flag_or("--fw-sample", (largest / 5).max(24)),
         ..ApproxParams::default()
     };
     eprintln!(
-        "# {} users, {} windows (largest set {largest}); shard {}, fw sample {}, tolerance {tolerance}",
+        "# {} users, {} windows (largest set {largest}); fw sample {}, tolerance {tolerance}",
         sets.len(),
         sets.values().map(Vec::len).sum::<usize>(),
-        approx.ensemble_shard,
         approx.fw_sample,
     );
 
@@ -90,16 +84,14 @@ fn main() {
         }
         search
     };
-    let cheap = SolverBackend::SampledFw;
-    let runs: [(&str, SweepBackend); 4] = [
+    let runs: [(&str, SweepBackend); 3] = [
         ("exact", SweepBackend::Fixed(SolverBackend::ExactSmo)),
-        ("ensemble", SweepBackend::Fixed(SolverBackend::EnsembleOneData)),
-        ("sampled", SweepBackend::Fixed(cheap)),
-        ("auto", SweepBackend::Auto { cheap, tolerance }),
+        ("sampled", SweepBackend::Fixed(SolverBackend::SampledFw)),
+        ("auto", SweepBackend::Auto { tolerance }),
     ];
 
     println!("TRAIN FRONTIER ({} users, SVDD sweep, {} reps)", sets.len(), reps);
-    // Repetitions are interleaved across the four configurations (round
+    // Repetitions are interleaved across the three configurations (round
     // `i` runs each config once) so machine drift during the bench hits
     // every backend equally instead of skewing the speedup ratio.
     type Timed = (Duration, SweepStats, BTreeMap<UserId, Vec<ModelGridCell>>);
@@ -184,7 +176,7 @@ fn mean_best_acc(cells: &BTreeMap<UserId, Vec<ModelGridCell>>) -> f64 {
 
 /// Mean support-vector count of one final profile per user, trained at
 /// the user's best swept cell with the run's backend (`Auto` retrains
-/// with the cheap candidate — the backend the bulk of its cells used).
+/// with sampled FW — the backend the bulk of its cells used).
 fn mean_support(
     vocab: &Vocabulary,
     sets: &WindowSets,
@@ -194,8 +186,7 @@ fn mean_support(
 ) -> f64 {
     let backend = match backend {
         SweepBackend::Fixed(b) => b,
-        SweepBackend::Auto { cheap, .. } => cheap,
-        SweepBackend::PerCell { default, .. } => default,
+        SweepBackend::Auto { .. } => SolverBackend::SampledFw,
     };
     let mut supports: Vec<f64> = Vec::new();
     for (user, cells) in cells {

@@ -155,28 +155,35 @@ impl Experiment {
 /// Minimal flat-JSON support for the `BENCH_*.json` artifacts the perf
 /// gate compares.
 ///
-/// The benchmarks emit one flat object of numeric metrics; the checked-in
-/// baselines are the same shape. A full JSON implementation would pull in
+/// The benchmarks emit one flat object of numeric metrics, ending with the
+/// core count they ran on; the checked-in baselines are the same shape. A full JSON implementation would pull in
 /// a dependency for what is ultimately `{"metric": number, ...}`, so this
 /// module hand-rolls exactly that subset: string keys, finite `f64`
 /// values, no nesting.
 pub mod json {
-    /// Serializes metric pairs as a flat JSON object, preserving order.
+    /// Key of the core count [`emit`] appends to every object.
+    pub const CORES_KEY: &str = "available_parallelism";
+
+    /// Serializes metric pairs as a flat JSON object, preserving order,
+    /// and appends [`CORES_KEY`]: the cores `std::thread` reports for this
+    /// process, so a file records the machine it was measured on.
     ///
     /// # Panics
     ///
     /// Panics on non-finite values: NaN/inf have no JSON representation
     /// and a gate comparing them is meaningless.
     pub fn emit(pairs: &[(&str, f64)]) -> String {
-        let mut out = String::from("{\n");
-        for (i, (key, value)) in pairs.iter().enumerate() {
-            assert!(value.is_finite(), "metric {key} is not finite: {value}");
-            let comma = if i + 1 < pairs.len() { "," } else { "" };
-            out.push_str(&format!("  \"{key}\": {value}{comma}\n"));
-        }
-        out.push('}');
-        out.push('\n');
-        out
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let entries: Vec<String> = pairs
+            .iter()
+            .copied()
+            .chain([(CORES_KEY, cores as f64)])
+            .map(|(key, value)| {
+                assert!(value.is_finite(), "metric {key} is not finite: {value}");
+                format!("  \"{key}\": {value}")
+            })
+            .collect();
+        format!("{{\n{}\n}}\n", entries.join(",\n"))
     }
 
     /// Parses a flat JSON object of numeric values (the shape [`emit`]
@@ -353,11 +360,25 @@ mod tests {
             ("tiny", 1e-9),
         ]);
         let parsed = json::parse(&text).unwrap();
-        assert_eq!(parsed.len(), 4);
+        assert_eq!(parsed.len(), 5, "four metrics and the core count");
         assert_eq!(parsed[0], ("cells_per_sec".to_string(), 1234.5));
         assert_eq!(parsed[1], ("arena_hit_rate".to_string(), 0.875));
         assert_eq!(parsed[2], ("steals".to_string(), 0.0));
         assert_eq!(parsed[3], ("tiny".to_string(), 1e-9));
+    }
+
+    #[test]
+    fn emit_appends_the_core_count() {
+        let expected = std::thread::available_parallelism().unwrap().get() as f64;
+        for pairs in [&[][..], &[("tx_per_sec", 5.0)][..]] {
+            let text = json::emit(pairs);
+            let parsed = json::parse(&text).unwrap();
+            assert_eq!(parsed.len(), pairs.len() + 1, "{text}");
+            let (key, cores) = parsed.last().unwrap();
+            assert_eq!(key, json::CORES_KEY);
+            assert_eq!(*cores, expected);
+            assert!(*cores >= 1.0);
+        }
     }
 
     #[test]

@@ -80,15 +80,15 @@ fn write_backend<W: Write>(writer: &mut W, backend: SolverBackend) -> io::Result
 }
 
 /// Reads the v3 backend tag; pre-v3 streams carry none and were always
-/// trained by the exact SMO path.
+/// trained by the exact SMO path. A tag-1 (removed one-data ensemble)
+/// model is an `InvalidData` error that names that backend.
 fn read_backend<R: Read>(reader: &mut R, version: u8) -> io::Result<SolverBackend> {
     if version < 3 {
         return Ok(SolverBackend::ExactSmo);
     }
     let mut tag = [0u8; 1];
     reader.read_exact(&mut tag)?;
-    SolverBackend::from_tag(tag[0])
-        .ok_or_else(|| invalid(format!("unknown solver-backend tag {}", tag[0])))
+    SolverBackend::from_tag(tag[0]).map_err(invalid)
 }
 
 fn write_header<W: Write>(writer: &mut W, kind: u8) -> io::Result<()> {
@@ -475,9 +475,7 @@ mod tests {
     #[test]
     fn solver_backend_tag_round_trips_for_every_backend() {
         let data = training_data();
-        for backend in
-            [SolverBackend::ExactSmo, SolverBackend::EnsembleOneData, SolverBackend::SampledFw]
-        {
+        for backend in [SolverBackend::ExactSmo, SolverBackend::SampledFw] {
             let options = crate::SolverOptions { backend, ..Default::default() };
             let model = NuOcSvm::new(0.2, Kernel::Rbf { gamma: 0.5 })
                 .with_options(options)
@@ -521,13 +519,19 @@ mod tests {
 
     #[test]
     fn corrupt_backend_tag_is_rejected() {
+        // An unknown tag and the removed ensemble backend's tag 1 both fail
+        // as `InvalidData`; tag 1 says which backend it was.
         let data = training_data();
         let model = NuOcSvm::new(0.2, Kernel::Linear).train(&data).unwrap();
         let mut bytes = Vec::new();
         model.write_to(&mut bytes).unwrap();
-        *bytes.last_mut().unwrap() = 9;
-        let err = OcSvmModel::read_from(&mut bytes.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("solver-backend"), "{err}");
+        for (tag, needle) in [(9, "unknown solver-backend tag 9"), (1, "one-data ensemble")] {
+            *bytes.last_mut().unwrap() = tag;
+            let err = OcSvmModel::read_from(&mut bytes.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "tag {tag}");
+            assert!(err.to_string().contains("solver-backend"), "{err}");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
     }
 
     #[test]

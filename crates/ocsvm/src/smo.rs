@@ -135,11 +135,10 @@ pub struct SolverOptions {
     /// the full gradient before declaring convergence. Changes only the
     /// speed, not the solution (beyond `eps`-level differences).
     pub shrinking: bool,
-    /// Which training backend runs the solve; the default
-    /// [`SolverBackend::ExactSmo`](crate::SolverBackend::ExactSmo) is
-    /// bit-identical to the pre-backend training path.
+    /// Which training backend runs the solve; the default is
+    /// [`SolverBackend::ExactSmo`](crate::SolverBackend::ExactSmo).
     pub backend: crate::SolverBackend,
-    /// Tuning knobs of the approximate backends (ignored by the exact one).
+    /// Tuning knobs of the sampled backend (ignored by the exact one).
     pub approx: crate::ApproxParams,
 }
 
@@ -248,7 +247,7 @@ pub(crate) fn solve(
                     // If that already happened and the pair still cannot
                     // move, the solver is numerically stuck short of the
                     // stopping tolerance: bail out with `converged` left
-                    // false rather than claim an unmet criterion holds.
+                    // false rather than claim an unmet condition holds.
                     if stuck_recovery {
                         break;
                     }
@@ -452,7 +451,7 @@ pub(crate) fn initial_alpha(l: usize, upper: f64) -> Vec<f64> {
 /// entries with headroom (or removing the excess from positive entries).
 ///
 /// A solver started here reaches the same optimum as one started from
-/// [`initial_alpha`] — the problem is convex and the stopping criterion
+/// [`initial_alpha`] — the problem is convex and the stopping rule
 /// unchanged — but typically in far fewer iterations, because adjacent
 /// regularization values keep most multipliers at or near the same bounds.
 pub(crate) fn seeded_alpha(previous: &[f64], upper: f64) -> Vec<f64> {
@@ -601,7 +600,7 @@ mod tests {
             .filter(|&i| sol.alpha[i] > 1e-9 && sol.alpha[i] < upper - 1e-9)
             .collect();
         if free.is_empty() {
-            return; // stopping criterion trivially satisfied via bounds
+            return; // stopping condition trivially satisfied via bounds
         }
         let rho: f64 = free.iter().map(|&i| sol.gradient[i]).sum::<f64>() / free.len() as f64;
         let eps = 2e-3;

@@ -1,28 +1,22 @@
-//! Pluggable training backends behind the [`Solver`] trait.
+//! The two training backends and the one `match` between them.
 //!
-//! Every backend answers the same question — given the `Q` matrix view of a
+//! Both answer the same question — given the `Q` matrix view of a
 //! single-constraint one-class QP (`min ½αᵀQα + pᵀα` s.t. `Σα = 1`,
 //! `0 ≤ αᵢ ≤ U`), produce a multiplier vector plus the decision threshold —
-//! but trades accuracy for training time differently:
+//! but trade accuracy for training time differently:
 //!
-//! * [`SolverBackend::ExactSmo`] wraps [`smo::solve`] bit-identically to the
-//!   pre-trait training path, including α warm starts across a
-//!   regularization ladder.
-//! * [`SolverBackend::EnsembleOneData`] decomposes the training set into
-//!   deterministic contiguous shards, solves each small one-class problem
-//!   exactly, and aggregates the shard solutions into one averaged decision
-//!   function (the one-data-SVM ensemble decomposition). Training cost per
-//!   shard is quadratic in the shard size instead of the full set size.
+//! * [`SolverBackend::ExactSmo`] runs [`smo::solve`] from the seeded or
+//!   uniform start, including α warm starts across a regularization ladder.
 //! * [`SolverBackend::SampledFw`] draws a seeded deterministic subsample and
 //!   runs pairwise Frank–Wolfe steps (clipped exact line search over the
-//!   max-violating pair) with a Frank–Wolfe duality-gap stopping criterion,
+//!   max-violating pair) until the Frank–Wolfe duality gap is small enough,
 //!   then re-expands the subsample solution to the full index space.
 //!
-//! The approximate backends **ignore warm-start seeds** by design: their
-//! solutions are functions of the training set and
-//! [`ApproxParams`] alone, which keeps them bit-reproducible across sweep
-//! schedules and thread counts regardless of which neighbouring cell solved
-//! first. Callers may pass a seed unconditionally; it is silently unused.
+//! The sampled backend **ignores warm-start seeds** by design: its solution
+//! is a function of the training set and [`ApproxParams`] alone, which keeps
+//! it bit-reproducible across sweep schedules and thread counts regardless
+//! of which neighbouring cell solved first. Callers may pass a seed
+//! unconditionally; it is silently unused.
 
 use crate::smo::{self, QMatrix, Solution, SolverOptions};
 use std::sync::Arc;
@@ -37,14 +31,9 @@ const TAU: f64 = 1e-12;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SolverBackend {
-    /// The exact SMO path (`smo.rs`), bit-identical to pre-trait training;
-    /// honours warm-start seeds.
+    /// The exact SMO path (`smo.rs`); honours warm-start seeds.
     #[default]
     ExactSmo,
-    /// One-data-SVM ensemble decomposition: deterministic contiguous shards
-    /// of [`ApproxParams::ensemble_shard`] points, each solved exactly, with
-    /// averaged multipliers and thresholds. Ignores warm-start seeds.
-    EnsembleOneData,
     /// Seeded subsample ([`ApproxParams::fw_sample`] points) trained by
     /// pairwise Frank–Wolfe steps until the duality gap falls below
     /// [`ApproxParams::fw_gap`]. Ignores warm-start seeds.
@@ -52,39 +41,36 @@ pub enum SolverBackend {
 }
 
 impl SolverBackend {
-    /// Stable on-disk tag (persist format v3).
+    /// Stable on-disk tag (persist format v3). Tag 1 belonged to the
+    /// removed one-data ensemble backend and is never written again.
     pub(crate) fn tag(self) -> u8 {
         match self {
             SolverBackend::ExactSmo => 0,
-            SolverBackend::EnsembleOneData => 1,
             SolverBackend::SampledFw => 2,
         }
     }
 
-    /// Inverse of [`tag`](Self::tag); `None` for unknown tags.
-    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
+    /// Inverse of [`tag`](Self::tag); the error names what the tag was.
+    pub(crate) fn from_tag(tag: u8) -> Result<Self, String> {
         match tag {
-            0 => Some(SolverBackend::ExactSmo),
-            1 => Some(SolverBackend::EnsembleOneData),
-            2 => Some(SolverBackend::SampledFw),
-            _ => None,
+            0 => Ok(SolverBackend::ExactSmo),
+            1 => Err("solver-backend tag 1 is the removed one-data ensemble backend; \
+                      retrain the model with the exact or sampled backend"
+                .into()),
+            2 => Ok(SolverBackend::SampledFw),
+            _ => Err(format!("unknown solver-backend tag {tag}")),
         }
     }
 }
 
-/// Tuning knobs of the approximate backends.
+/// Tuning knobs of [`SolverBackend::SampledFw`].
 ///
 /// All fields participate in `PartialEq` so [`SolverOptions`] comparisons
 /// keep working; the defaults are sized for the per-user grid search
 /// (hundreds to tens of thousands of windows per user).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproxParams {
-    /// Shard size of [`SolverBackend::EnsembleOneData`]. Values `< 2` are
-    /// treated as 2; shards larger than the training set degenerate into a
-    /// single exact solve.
-    pub ensemble_shard: usize,
-    /// Subsample size of [`SolverBackend::SampledFw`]; clamped to the
-    /// training-set size.
+    /// Subsample size; clamped to the training-set size.
     pub fw_sample: usize,
     /// Seed of the deterministic subsample draw (mixed with the
     /// training-set size, so different users diverge even under one seed).
@@ -96,13 +82,13 @@ pub struct ApproxParams {
 
 impl Default for ApproxParams {
     fn default() -> Self {
-        Self { ensemble_shard: 64, fw_sample: 96, fw_seed: 0x0BAD_5EED, fw_gap: 1e-3 }
+        Self { fw_sample: 96, fw_seed: 0x0BAD_5EED, fw_gap: 1e-3 }
     }
 }
 
-/// Which one-class formulation is being trained; the approximate backends
-/// need it to rescale the box constraint onto sub-problems and to recover
-/// the matching threshold (ρ vs `R²`).
+/// Which one-class formulation is being trained; the sampled backend needs
+/// it to rescale the box constraint onto the subsample and to recover the
+/// matching threshold (ρ vs `R²`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ProblemKind {
     /// ν-OC-SVM: `U = 1/(ν·l)`, threshold ρ.
@@ -137,28 +123,13 @@ pub(crate) struct SolverOutcome {
     pub solution: Solution,
     /// Decision threshold (ρ for OC-SVM, `R²` for SVDD) when the backend
     /// recovers it from sub-problem KKT conditions itself; `None` lets the
-    /// trainer recover it from the full solution as before.
+    /// trainer recover it from the full solution.
     pub threshold_override: Option<f64>,
 }
 
-/// Decision interface of a training backend: solve the one-class QP from
-/// kernel rows and options, reporting iterations (and, via the multipliers,
-/// the support size) through [`Solution`].
-pub(crate) trait Solver {
-    /// Trains on the full problem (`q`, `p`, box `[0, upper]`), optionally
-    /// warm-started from `seed` (exact backend only).
-    fn solve(
-        &self,
-        q: &mut dyn QMatrix,
-        p: &[f64],
-        upper: f64,
-        kind: ProblemKind,
-        seed: Option<&[f64]>,
-        options: &SolverOptions,
-    ) -> SolverOutcome;
-}
-
-/// Dispatches to the backend selected by [`SolverOptions::backend`].
+/// Trains the full problem (`q`, `p`, box `[0, upper]`) with the backend
+/// selected by [`SolverOptions::backend`]; only the exact backend uses the
+/// warm-start `seed`.
 pub(crate) fn run(
     q: &mut dyn QMatrix,
     p: &[f64],
@@ -168,225 +139,120 @@ pub(crate) fn run(
     options: &SolverOptions,
 ) -> SolverOutcome {
     match options.backend {
-        SolverBackend::ExactSmo => ExactSmo.solve(q, p, upper, kind, seed, options),
-        SolverBackend::EnsembleOneData => EnsembleOneData.solve(q, p, upper, kind, seed, options),
-        SolverBackend::SampledFw => SampledFw.solve(q, p, upper, kind, seed, options),
-    }
-}
-
-/// The exact backend: a thin wrapper over [`smo::solve`] that reproduces the
-/// pre-trait training path bit-for-bit, warm starts included.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ExactSmo;
-
-impl Solver for ExactSmo {
-    fn solve(
-        &self,
-        q: &mut dyn QMatrix,
-        p: &[f64],
-        upper: f64,
-        _kind: ProblemKind,
-        seed: Option<&[f64]>,
-        options: &SolverOptions,
-    ) -> SolverOutcome {
-        let alpha0 = match seed {
-            Some(previous) => smo::seeded_alpha(previous, upper),
-            None => smo::initial_alpha(q.len(), upper),
-        };
-        SolverOutcome {
-            solution: smo::solve(q, p, upper, alpha0, options),
-            threshold_override: None,
-        }
-    }
-}
-
-/// The one-data-SVM ensemble backend; see [`SolverBackend::EnsembleOneData`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct EnsembleOneData;
-
-impl Solver for EnsembleOneData {
-    fn solve(
-        &self,
-        q: &mut dyn QMatrix,
-        p: &[f64],
-        _upper: f64,
-        kind: ProblemKind,
-        _seed: Option<&[f64]>,
-        options: &SolverOptions,
-    ) -> SolverOutcome {
-        let l = q.len();
-        let shard_size = options.approx.ensemble_shard.max(2).min(l);
-        let n_shards = l.div_ceil(shard_size);
-        let shards = n_shards as f64;
-
-        let mut alpha = vec![0.0; l];
-        let mut iterations = 0usize;
-        let mut converged = true;
-        let mut thr_sum = 0.0; // Σ over shards of ρ_s (OC-SVM) or R²_s (SVDD).
-        let mut aka_sum = 0.0; // Σ over shards of α_sᵀKα_s (SVDD only).
-        for s in 0..n_shards {
-            let start = s * shard_size;
-            let indices: Vec<usize> = (start..((s + 1) * shard_size).min(l)).collect();
-            let m = indices.len();
-            let u_sub = kind.sub_upper(l, m);
-            let p_sub: Vec<f64> = indices.iter().map(|&i| p[i]).collect();
-            let mut sub = SubsetQ::new(q, &indices);
-            let sol = smo::solve(&mut sub, &p_sub, u_sub, smo::initial_alpha(m, u_sub), options);
-            iterations += sol.iterations;
-            converged &= sol.converged;
-            match kind {
-                ProblemKind::OcSvm { .. } => {
-                    thr_sum += crate::ocsvm::recover_rho(&sol.alpha, &sol.gradient, u_sub);
-                }
-                ProblemKind::Svdd { .. } => {
-                    let aka = alpha_k_alpha(&sol.alpha, &sol.gradient, &p_sub);
-                    thr_sum += crate::svdd::recover_r_squared(&sol.alpha, u_sub, |i| {
-                        -sol.gradient[i] + aka
-                    });
-                    aka_sum += aka;
-                }
-            }
-            // The averaged multipliers make the full decision function the
-            // mean of the shard decision functions.
-            for (local, &global) in indices.iter().enumerate() {
-                alpha[global] = sol.alpha[local] / shards;
+        SolverBackend::ExactSmo => {
+            let alpha0 = match seed {
+                Some(previous) => smo::seeded_alpha(previous, upper),
+                None => smo::initial_alpha(q.len(), upper),
+            };
+            SolverOutcome {
+                solution: smo::solve(q, p, upper, alpha0, options),
+                threshold_override: None,
             }
         }
-        finish(
-            q,
-            p,
-            kind,
-            Partial {
-                alpha,
-                iterations,
-                converged,
-                threshold: thr_sum / shards,
-                aka: aka_sum / shards,
-            },
-        )
+        SolverBackend::SampledFw => sampled_fw(q, p, kind, options),
     }
 }
 
 /// The sampled Frank–Wolfe backend; see [`SolverBackend::SampledFw`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SampledFw;
+fn sampled_fw(
+    q: &mut dyn QMatrix,
+    p: &[f64],
+    kind: ProblemKind,
+    options: &SolverOptions,
+) -> SolverOutcome {
+    let l = q.len();
+    let m = options.approx.fw_sample.clamp(1, l);
+    let indices = sample_indices(l, m, options.approx.fw_seed);
+    let u_sub = kind.sub_upper(l, m);
+    let p_sub: Vec<f64> = indices.iter().map(|&i| p[i]).collect();
+    let mut sub = SubsetQ::new(q, &indices);
 
-impl Solver for SampledFw {
-    fn solve(
-        &self,
-        q: &mut dyn QMatrix,
-        p: &[f64],
-        _upper: f64,
-        kind: ProblemKind,
-        _seed: Option<&[f64]>,
-        options: &SolverOptions,
-    ) -> SolverOutcome {
-        let l = q.len();
-        let m = options.approx.fw_sample.clamp(1, l);
-        let indices = sample_indices(l, m, options.approx.fw_seed);
-        let u_sub = kind.sub_upper(l, m);
-        let p_sub: Vec<f64> = indices.iter().map(|&i| p[i]).collect();
-        let mut sub = SubsetQ::new(q, &indices);
+    let mut alpha = smo::initial_alpha(m, u_sub);
+    let mut gradient = vec![0.0; m];
+    smo::reconstruct_gradient(&mut sub, &p_sub, &alpha, &mut gradient);
 
-        let mut alpha = smo::initial_alpha(m, u_sub);
-        let mut gradient = vec![0.0; m];
-        smo::reconstruct_gradient(&mut sub, &p_sub, &alpha, &mut gradient);
-
-        let max_iterations = options.max_iterations.unwrap_or_else(|| 10_000.max(100 * m));
-        let gap_tol = options.approx.fw_gap;
-        let mut iterations = 0usize;
-        while iterations < max_iterations && fw_gap(&gradient, &alpha, u_sub) > gap_tol {
-            // Max-violating pair: the steepest feasible pairwise direction
-            // e_i − e_j (move mass from j to i).
-            let mut i = usize::MAX;
-            let mut j = usize::MAX;
-            let mut up_best = f64::NEG_INFINITY;
-            let mut down_best = f64::NEG_INFINITY;
-            for (t, (&a, &g)) in alpha.iter().zip(&gradient).enumerate() {
-                if a < u_sub && -g > up_best {
-                    up_best = -g;
-                    i = t;
-                }
-                if a > 0.0 && g > down_best {
-                    down_best = g;
-                    j = t;
-                }
+    let max_iterations = options.max_iterations.unwrap_or_else(|| 10_000.max(100 * m));
+    let gap_tol = options.approx.fw_gap;
+    let mut iterations = 0usize;
+    while iterations < max_iterations && fw_gap(&gradient, &alpha, u_sub) > gap_tol {
+        // Max-violating pair: the steepest feasible pairwise direction
+        // e_i − e_j (move mass from j to i).
+        let mut i = usize::MAX;
+        let mut j = usize::MAX;
+        let mut up_best = f64::NEG_INFINITY;
+        let mut down_best = f64::NEG_INFINITY;
+        for (t, (&a, &g)) in alpha.iter().zip(&gradient).enumerate() {
+            if a < u_sub && -g > up_best {
+                up_best = -g;
+                i = t;
             }
-            if i == usize::MAX || j == usize::MAX || i == j {
-                break;
+            if a > 0.0 && g > down_best {
+                down_best = g;
+                j = t;
             }
-            let row_i = sub.row(i);
-            let row_j = sub.row(j);
-            let mut quad = sub.diag(i) + sub.diag(j) - 2.0 * row_i[j];
-            if quad <= 0.0 {
-                quad = TAU;
-            }
-            // Clipped exact line search along e_i − e_j.
-            let step = ((gradient[j] - gradient[i]) / quad).min(u_sub - alpha[i]).min(alpha[j]);
-            if step <= 0.0 {
-                break;
-            }
-            alpha[i] += step;
-            alpha[j] -= step;
-            for ((g, &qi), &qj) in gradient.iter_mut().zip(row_i.iter()).zip(row_j.iter()) {
-                *g += step * (qi - qj);
-            }
-            iterations += 1;
         }
-        let converged = fw_gap(&gradient, &alpha, u_sub) <= gap_tol;
-
-        // Threshold from the subsample's own KKT conditions; the expanded
-        // zero multipliers would otherwise poison the bound recovery.
-        let (threshold, aka) = match kind {
-            ProblemKind::OcSvm { .. } => (crate::ocsvm::recover_rho(&alpha, &gradient, u_sub), 0.0),
-            ProblemKind::Svdd { .. } => {
-                let aka = alpha_k_alpha(&alpha, &gradient, &p_sub);
-                let r2 = crate::svdd::recover_r_squared(&alpha, u_sub, |i| -gradient[i] + aka);
-                (r2, aka)
-            }
-        };
-
-        let mut alpha_full = vec![0.0; l];
-        for (local, &global) in indices.iter().enumerate() {
-            alpha_full[global] = alpha[local];
+        if i == usize::MAX || j == usize::MAX || i == j {
+            break;
         }
-        finish(q, p, kind, Partial { alpha: alpha_full, iterations, converged, threshold, aka })
+        let row_i = sub.row(i);
+        let row_j = sub.row(j);
+        let mut quad = sub.diag(i) + sub.diag(j) - 2.0 * row_i[j];
+        if quad <= 0.0 {
+            quad = TAU;
+        }
+        // Clipped exact line search along e_i − e_j.
+        let step = ((gradient[j] - gradient[i]) / quad).min(u_sub - alpha[i]).min(alpha[j]);
+        if step <= 0.0 {
+            break;
+        }
+        alpha[i] += step;
+        alpha[j] -= step;
+        for ((g, &qi), &qj) in gradient.iter_mut().zip(row_i.iter()).zip(row_j.iter()) {
+            *g += step * (qi - qj);
+        }
+        iterations += 1;
     }
-}
+    let converged = fw_gap(&gradient, &alpha, u_sub) <= gap_tol;
 
-/// Intermediate state an approximate backend hands to [`finish`].
-struct Partial {
-    alpha: Vec<f64>,
-    iterations: usize,
-    converged: bool,
-    /// Mean shard / subsample threshold (ρ or R²).
-    threshold: f64,
-    /// Mean shard / subsample αᵀKα (SVDD only; 0 for OC-SVM).
-    aka: f64,
-}
+    // Threshold from the subsample's own KKT conditions; the expanded
+    // zero multipliers would otherwise poison the bound recovery.
+    let (threshold, aka) = match kind {
+        ProblemKind::OcSvm { .. } => (crate::ocsvm::recover_rho(&alpha, &gradient, u_sub), 0.0),
+        ProblemKind::Svdd { .. } => {
+            let aka = alpha_k_alpha(&alpha, &gradient, &p_sub);
+            let r2 = crate::svdd::recover_r_squared(&alpha, u_sub, |i| -gradient[i] + aka);
+            (r2, aka)
+        }
+    };
 
-/// Expands an approximate solution onto the full problem: exact full
-/// gradient, objective, and the SVDD threshold shifted so the full decision
-/// function (which uses the full-solution αᵀKα constant) equals the mean of
-/// the sub-problem decision functions.
-fn finish(q: &mut dyn QMatrix, p: &[f64], kind: ProblemKind, partial: Partial) -> SolverOutcome {
-    let Partial { alpha, iterations, converged, threshold, aka } = partial;
-    let mut gradient = vec![0.0; alpha.len()];
-    smo::reconstruct_gradient(q, p, &alpha, &mut gradient);
+    // Expand onto the full problem: exact full gradient and objective.
+    let mut alpha_full = vec![0.0; l];
+    for (local, &global) in indices.iter().enumerate() {
+        alpha_full[global] = alpha[local];
+    }
+    let mut gradient_full = vec![0.0; l];
+    smo::reconstruct_gradient(q, p, &alpha_full, &mut gradient_full);
     let objective = 0.5
-        * alpha
+        * alpha_full
             .iter()
-            .zip(gradient.iter().zip(p.iter()))
+            .zip(gradient_full.iter().zip(p.iter()))
             .map(|(&a, (&g, &pi))| a * (g + pi))
             .sum::<f64>();
     let threshold = match kind {
         ProblemKind::OcSvm { .. } => threshold,
-        // d²_sub(x) and d²_full(x) differ only in the αᵀKα constant, so
-        // shifting R² by (full − mean-sub) keeps decisions identical.
-        ProblemKind::Svdd { .. } => threshold + alpha_k_alpha(&alpha, &gradient, p) - aka,
+        // The SVDD model scores with the αᵀKα constant of the full
+        // solution; d²_sub(x) and d²_full(x) differ only in that constant,
+        // so shifting R² by (full − sub) keeps decisions identical.
+        ProblemKind::Svdd { .. } => threshold + alpha_k_alpha(&alpha_full, &gradient_full, p) - aka,
     };
     SolverOutcome {
-        solution: Solution { alpha, gradient, objective, iterations, converged },
+        solution: Solution {
+            alpha: alpha_full,
+            gradient: gradient_full,
+            objective,
+            iterations,
+            converged,
+        },
         threshold_override: Some(threshold),
     }
 }
@@ -502,7 +368,7 @@ mod tests {
     fn options(backend: SolverBackend) -> SolverOptions {
         SolverOptions {
             backend,
-            approx: ApproxParams { ensemble_shard: 16, fw_sample: 24, ..Default::default() },
+            approx: ApproxParams { fw_sample: 24, ..Default::default() },
             ..Default::default()
         }
     }
@@ -556,88 +422,58 @@ mod tests {
     #[test]
     fn solver_approx_backends_are_bit_identical_across_runs() {
         let points = cluster(60);
-        for backend in [SolverBackend::EnsembleOneData, SolverBackend::SampledFw] {
-            let trainer =
-                NuOcSvm::new(0.25, Kernel::Rbf { gamma: 0.8 }).with_options(options(backend));
-            let a = trainer.train(&points).unwrap();
-            let b = trainer.train(&points).unwrap();
-            assert_eq!(a.rho(), b.rho(), "{backend:?}");
-            let refs: Vec<&SparseVector> = points.iter().collect();
-            assert_eq!(a.batch_decision_values(&refs), b.batch_decision_values(&refs));
-            assert_eq!(a.diagnostics(), b.diagnostics(), "{backend:?}");
-        }
+        let trainer = NuOcSvm::new(0.25, Kernel::Rbf { gamma: 0.8 })
+            .with_options(options(SolverBackend::SampledFw));
+        let a = trainer.train(&points).unwrap();
+        let b = trainer.train(&points).unwrap();
+        assert_eq!(a.rho(), b.rho());
+        let refs: Vec<&SparseVector> = points.iter().collect();
+        assert_eq!(a.batch_decision_values(&refs), b.batch_decision_values(&refs));
+        assert_eq!(a.diagnostics(), b.diagnostics());
     }
 
     #[test]
     fn solver_approx_backends_ignore_warm_start_seeds() {
-        // Seeded and unseeded solves must agree bitwise: the approximate
-        // backends document that warm starts are ignored, not an error.
+        // Seeded and unseeded solves must agree bitwise: the sampled
+        // backend documents that warm starts are ignored, not an error.
         let points = cluster(50);
         let gram = crate::GramMatrix::compute(Kernel::Rbf { gamma: 0.8 }, &points);
         let skewed_seed: Vec<f64> = (0..points.len()).map(|i| (i % 3) as f64 * 0.3).collect();
-        for backend in [SolverBackend::EnsembleOneData, SolverBackend::SampledFw] {
-            let trainer =
-                NuOcSvm::new(0.25, Kernel::Rbf { gamma: 0.8 }).with_options(options(backend));
-            let (cold, cold_alpha) = trainer.train_with_gram_seeded(&points, &gram, None).unwrap();
-            let (seeded, seeded_alpha) =
-                trainer.train_with_gram_seeded(&points, &gram, Some(&skewed_seed)).unwrap();
-            assert_eq!(cold_alpha, seeded_alpha, "{backend:?}");
-            assert_eq!(cold.rho(), seeded.rho(), "{backend:?}");
-        }
+        let trainer = NuOcSvm::new(0.25, Kernel::Rbf { gamma: 0.8 })
+            .with_options(options(SolverBackend::SampledFw));
+        let (cold, cold_alpha) = trainer.train_with_gram_seeded(&points, &gram, None).unwrap();
+        let (seeded, seeded_alpha) =
+            trainer.train_with_gram_seeded(&points, &gram, Some(&skewed_seed)).unwrap();
+        assert_eq!(cold_alpha, seeded_alpha);
+        assert_eq!(cold.rho(), seeded.rho());
     }
 
     #[test]
     fn solver_approx_models_accept_the_cluster_and_reject_outliers() {
         let points = cluster(80);
         let outlier = SparseVector::from_dense(&[-6.0, 8.0]);
-        for backend in [SolverBackend::EnsembleOneData, SolverBackend::SampledFw] {
-            let opts = options(backend);
-            let ocsvm = NuOcSvm::new(0.2, Kernel::Rbf { gamma: 1.0 })
-                .with_options(opts)
-                .train(&points)
-                .unwrap();
-            let accepted = points.iter().filter(|x| ocsvm.accepts(x)).count();
-            assert!(
-                accepted as f64 >= 0.6 * points.len() as f64,
-                "{backend:?} accepted only {accepted}/{}",
-                points.len()
-            );
-            assert!(!ocsvm.accepts(&outlier), "{backend:?}");
-
-            let svdd = Svdd::new(0.1, Kernel::Rbf { gamma: 1.0 })
-                .with_options(opts)
-                .train(&points)
-                .unwrap();
-            let accepted = points.iter().filter(|x| svdd.accepts(x)).count();
-            assert!(
-                accepted as f64 >= 0.6 * points.len() as f64,
-                "{backend:?} svdd accepted only {accepted}/{}",
-                points.len()
-            );
-            assert!(!svdd.accepts(&outlier), "{backend:?} svdd");
-        }
-    }
-
-    #[test]
-    fn solver_ensemble_matches_exact_when_one_shard_covers_everything() {
-        // A shard at least as large as the training set degenerates into a
-        // single exact cold solve; multipliers and decisions must agree with
-        // the exact backend (thresholds are recovered from the same KKT
-        // state, so they agree bitwise too).
-        let points = cluster(30);
-        let exact = NuOcSvm::new(0.3, Kernel::Rbf { gamma: 0.8 }).train(&points).unwrap();
-        let one_shard = SolverOptions {
-            backend: SolverBackend::EnsembleOneData,
-            approx: ApproxParams { ensemble_shard: points.len(), ..Default::default() },
-            ..Default::default()
-        };
-        let ensemble = NuOcSvm::new(0.3, Kernel::Rbf { gamma: 0.8 })
-            .with_options(one_shard)
+        let opts = options(SolverBackend::SampledFw);
+        let ocsvm = NuOcSvm::new(0.2, Kernel::Rbf { gamma: 1.0 })
+            .with_options(opts)
             .train(&points)
             .unwrap();
-        assert_eq!(exact.rho(), ensemble.rho());
-        let refs: Vec<&SparseVector> = points.iter().collect();
-        assert_eq!(exact.batch_decision_values(&refs), ensemble.batch_decision_values(&refs));
+        let accepted = points.iter().filter(|x| ocsvm.accepts(x)).count();
+        assert!(
+            accepted as f64 >= 0.6 * points.len() as f64,
+            "accepted only {accepted}/{}",
+            points.len()
+        );
+        assert!(!ocsvm.accepts(&outlier));
+
+        let svdd =
+            Svdd::new(0.1, Kernel::Rbf { gamma: 1.0 }).with_options(opts).train(&points).unwrap();
+        let accepted = points.iter().filter(|x| svdd.accepts(x)).count();
+        assert!(
+            accepted as f64 >= 0.6 * points.len() as f64,
+            "svdd accepted only {accepted}/{}",
+            points.len()
+        );
+        assert!(!svdd.accepts(&outlier), "svdd");
     }
 
     #[test]
@@ -658,15 +494,38 @@ mod tests {
 
     #[test]
     fn solver_svdd_threshold_shift_keeps_self_distances_consistent() {
-        // The aggregated SVDD decision must behave like a real SVDD: the
+        // The sampled SVDD decision must behave like a real SVDD: the
         // radius is positive and training points mostly fall inside.
         let points = cluster(48);
         let model = Svdd::new(0.25, Kernel::Rbf { gamma: 0.8 })
-            .with_options(options(SolverBackend::EnsembleOneData))
+            .with_options(options(SolverBackend::SampledFw))
             .train(&points)
             .unwrap();
         assert!(model.r_squared() > 0.0);
         let inside = points.iter().filter(|x| model.accepts(x)).count();
         assert!(inside as f64 >= 0.6 * points.len() as f64, "inside {inside}/{}", points.len());
+
+        // R² is the subsample's mean squared distance over its free
+        // support vectors, shifted onto the model's full-solution αᵀKα
+        // constant, so those vectors sit on the sphere on average. A
+        // smaller C (box C·l/m = 0.2 on the 24-point subsample) leaves
+        // some multipliers strictly inside the box.
+        let c = 0.1;
+        let u_sub = c * 48.0 / 24.0;
+        let model = Svdd::new(c, Kernel::Rbf { gamma: 0.8 })
+            .with_options(options(SolverBackend::SampledFw))
+            .train(&points)
+            .unwrap();
+        let support = model.support();
+        let free: Vec<&SparseVector> = support
+            .vectors
+            .iter()
+            .zip(&support.alpha)
+            .filter(|&(_, &a)| a > 1e-9 && a < u_sub * (1.0 - 1e-9))
+            .map(|(x, _)| x)
+            .collect();
+        assert!(!free.is_empty(), "a free support vector pins R²");
+        let mean = free.iter().map(|x| model.decision_value(x)).sum::<f64>() / free.len() as f64;
+        assert!(mean.abs() < 1e-9, "free SVs sit {mean} off the sphere on average");
     }
 }

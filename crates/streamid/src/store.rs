@@ -76,18 +76,34 @@ impl ModelStore {
     }
 
     /// Writes every profile into the store, returning how many were
-    /// written. Existing files for the same users are overwritten.
+    /// written. Existing files for the same users are replaced.
+    ///
+    /// Each profile is written to `user_<id>.profile.tmp`, flushed and
+    /// synced, then renamed over `user_<id>.profile`, and the directory is
+    /// synced once at the end: a crash leaves every profile file either
+    /// old or new, never half-written. A leftover `.tmp` file is not a
+    /// `.profile` file, so loads ignore it.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation and file I/O errors.
+    /// Propagates directory-creation and file I/O errors, including the
+    /// final flush of each file; the failed profile's `.tmp` file is
+    /// removed.
     pub fn save(&self, profiles: &BTreeMap<UserId, UserProfile>) -> io::Result<usize> {
         fs::create_dir_all(&self.dir)?;
         for (user, profile) in profiles {
             let path = self.profile_path(*user);
-            let mut writer = BufWriter::new(File::create(&path)?);
-            profile.write_to(&mut writer)?;
+            let tmp = path.with_extension("profile.tmp");
+            let written = write_synced(&tmp, profile).and_then(|()| fs::rename(&tmp, &path));
+            if let Err(error) = written {
+                let _ = fs::remove_file(&tmp);
+                return Err(error);
+            }
         }
+        // Make the renames durable. Only Unix can open a directory as a
+        // file to sync it.
+        #[cfg(unix)]
+        File::open(&self.dir)?.sync_all()?;
         Ok(profiles.len())
     }
 
@@ -158,6 +174,14 @@ impl ModelStore {
     fn profile_path(&self, user: UserId) -> PathBuf {
         self.dir.join(format!("user_{}.profile", user.0))
     }
+}
+
+/// Writes `profile` to a fresh file at `path`, surfacing the final flush's
+/// error, and syncs the file's data to disk.
+fn write_synced(path: &Path, profile: &UserProfile) -> io::Result<()> {
+    let mut writer = BufWriter::new(File::create(path)?);
+    profile.write_to(&mut writer)?;
+    writer.into_inner().map_err(io::IntoInnerError::into_error)?.sync_all()
 }
 
 #[cfg(test)]
@@ -275,7 +299,7 @@ mod tests {
 
     #[test]
     fn restored_approximate_models_score_identically_and_keep_their_backend() {
-        use ocsvm::SolverBackend;
+        use ocsvm::{SolverBackend, SolverOptions};
         let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
         let vocab = Vocabulary::new(dataset.taxonomy().clone());
         let aggregator = WindowAggregator::new(&vocab, WindowConfig::PAPER_DEFAULT);
@@ -283,31 +307,30 @@ mod tests {
         let windows = aggregator.device_windows(&dataset, device);
         assert!(!windows.is_empty());
         let features: Vec<&_> = windows.iter().map(|w| &w.features).collect();
-        for backend in [SolverBackend::EnsembleOneData, SolverBackend::SampledFw] {
-            let (profiles, _) = ProfileTrainer::new(&vocab)
-                .max_training_windows(150)
-                .solver_backend(backend)
-                .train_all(&dataset);
-            let store = temp_store(&format!("approx-{backend:?}"));
-            store.save(&profiles).unwrap();
-            let loaded = store.load().unwrap();
-            assert_eq!(loaded.len(), profiles.len());
-            for (user, original) in &profiles {
-                let restored = &loaded[user];
-                // The backend survives the round trip and the restored
-                // model batch-scores bit-identically to the in-memory one
-                // (the linear default kernel routes both through the
-                // collapsed-weight batch scorer).
-                assert_eq!(original.solver_backend(), backend, "{backend:?} {user:?}");
-                assert_eq!(restored.solver_backend(), backend, "{backend:?} {user:?}");
-                assert_eq!(
-                    original.batch_decision_values(&features),
-                    restored.batch_decision_values(&features),
-                    "{backend:?} {user:?}"
-                );
-            }
-            let _ = fs::remove_dir_all(store.dir());
+        let backend = SolverBackend::SampledFw;
+        let (profiles, _) = ProfileTrainer::new(&vocab)
+            .max_training_windows(150)
+            .solver_options(SolverOptions { backend, ..SolverOptions::default() })
+            .train_all(&dataset);
+        let store = temp_store("approx-sampled");
+        store.save(&profiles).unwrap();
+        let loaded = store.load().unwrap();
+        assert_eq!(loaded.len(), profiles.len());
+        for (user, original) in &profiles {
+            let restored = &loaded[user];
+            // The backend survives the round trip and the restored model
+            // batch-scores bit-identically to the in-memory one (the
+            // linear default kernel routes both through the
+            // collapsed-weight batch scorer).
+            assert_eq!(original.solver_backend(), backend, "{user:?}");
+            assert_eq!(restored.solver_backend(), backend, "{user:?}");
+            assert_eq!(
+                original.batch_decision_values(&features),
+                restored.batch_decision_values(&features),
+                "{user:?}"
+            );
         }
+        let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -317,19 +340,25 @@ mod tests {
         let (profiles, _) =
             ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
         let store = temp_store("bad-backend");
-        store.save(&profiles).unwrap();
         // The solver-backend tag is the final byte of the embedded model
-        // stream, which is the final byte of the profile file.
+        // stream, which is the final byte of the profile file. Tag 1 is
+        // the removed one-data ensemble backend; the error names it.
         let first = *profiles.keys().next().unwrap();
         let path = store.dir().join(format!("user_{}.profile", first.0));
-        let mut bytes = fs::read(&path).unwrap();
-        *bytes.last_mut().unwrap() = 0xEE;
-        fs::write(&path, &bytes).unwrap();
-        let (loaded, issues) = store.load_lossy().unwrap();
-        assert_eq!(loaded.len(), profiles.len() - 1, "only the tampered file fails");
-        assert!(!loaded.contains_key(&first));
-        assert_eq!(issues.len(), 1);
-        assert!(issues[0].error.to_string().contains("solver-backend"), "{}", issues[0].error);
+        for (tag, needle) in [(0xEE, "unknown solver-backend tag"), (1, "one-data ensemble")] {
+            store.save(&profiles).unwrap();
+            let mut bytes = fs::read(&path).unwrap();
+            *bytes.last_mut().unwrap() = tag;
+            fs::write(&path, &bytes).unwrap();
+            let (loaded, issues) = store.load_lossy().unwrap();
+            assert_eq!(loaded.len(), profiles.len() - 1, "only the tampered file fails");
+            assert!(!loaded.contains_key(&first));
+            assert_eq!(issues.len(), 1);
+            let error = &issues[0].error;
+            assert_eq!(error.kind(), ErrorKind::InvalidData, "tag {tag}");
+            assert!(error.to_string().contains("solver-backend"), "{error}");
+            assert!(error.to_string().contains(needle), "{error}");
+        }
         let _ = fs::remove_dir_all(store.dir());
     }
 
@@ -342,8 +371,62 @@ mod tests {
         let store = temp_store("ignore");
         store.save(&profiles).unwrap();
         fs::write(store.dir().join("README.txt"), b"not a model").unwrap();
+        // What an interrupted save leaves behind: a half-written .tmp file
+        // next to the intact previous profile.
+        let first = *profiles.keys().next().unwrap();
+        fs::write(store.dir().join(format!("user_{}.profile.tmp", first.0)), b"half").unwrap();
         let loaded = store.load().unwrap();
         assert_eq!(loaded.len(), profiles.len());
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// Names of the `.tmp` files in the store directory.
+    fn tmp_files(store: &ModelStore) -> Vec<PathBuf> {
+        fs::read_dir(store.dir())
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().and_then(|e| e.to_str()) == Some("tmp"))
+            .collect()
+    }
+
+    #[test]
+    fn truncated_profile_is_one_issue_and_the_others_still_load() {
+        let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
+        let vocab = Vocabulary::new(dataset.taxonomy().clone());
+        let (profiles, _) =
+            ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
+        assert!(profiles.len() > 1);
+        let store = temp_store("truncated");
+        store.save(&profiles).unwrap();
+        // A profile cut off mid-stream, as an in-place write interrupted
+        // by a crash would leave it.
+        let first = *profiles.keys().next().unwrap();
+        let path = store.dir().join(format!("user_{}.profile", first.0));
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let (loaded, issues) = store.load_lossy().unwrap();
+        assert_eq!(issues.len(), 1);
+        assert_eq!(issues[0].path, path);
+        assert_eq!(loaded.len(), profiles.len() - 1);
+        assert!(!loaded.contains_key(&first));
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn resaving_over_a_store_leaves_no_tmp_files() {
+        let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
+        let vocab = Vocabulary::new(dataset.taxonomy().clone());
+        let (profiles, _) =
+            ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
+        let store = temp_store("resave");
+        store.save(&profiles).unwrap();
+        assert!(tmp_files(&store).is_empty());
+        // A stale .tmp file of a saved user is replaced and renamed away.
+        let first = *profiles.keys().next().unwrap();
+        fs::write(store.dir().join(format!("user_{}.profile.tmp", first.0)), b"half").unwrap();
+        assert_eq!(store.save(&profiles).unwrap(), profiles.len());
+        assert!(tmp_files(&store).is_empty(), "{:?}", tmp_files(&store));
+        assert_eq!(store.load().unwrap().len(), profiles.len());
         let _ = fs::remove_dir_all(store.dir());
     }
 }

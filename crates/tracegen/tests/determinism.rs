@@ -180,7 +180,7 @@ fn legacy_text_golden(scenario: &Scenario) -> Vec<u8> {
     golden
 }
 
-/// Acceptance criterion for the zero-allocation emission path: the text
+/// Acceptance check for the zero-allocation emission path: the text
 /// byte stream rendered on the workers is bit-identical to the legacy
 /// per-line `format_line` output at 1, 2 and 8 threads.
 #[test]

@@ -171,8 +171,8 @@ pub struct SweepStats {
     pub cold_iterations: u64,
     /// Cells whose kept result was solved by exact SMO.
     pub exact_cells: u64,
-    /// Cells whose kept result was solved by an approximate backend
-    /// (ensemble decomposition or sampled Frank–Wolfe).
+    /// Cells whose kept result was solved by sampled Frank–Wolfe
+    /// ([`SolverBackend::SampledFw`]).
     pub approx_cells: u64,
     /// [`SweepBackend::Auto`] chains that fell back to exact SMO after
     /// calibration.
@@ -204,11 +204,11 @@ impl SweepStats {
     }
 }
 
-/// Solver-backend routing for [`ModelGridSearch::sweep_cells`].
+/// Solver-backend choice for [`ModelGridSearch::sweep_cells`].
 ///
 /// Every (kernel, regularization) cell of the sweep trains through one
-/// [`SolverBackend`]; this policy decides which backend each cell gets.
-/// Routing applies to every sweep entry point
+/// [`SolverBackend`]; this policy decides which backend each chain gets.
+/// It applies to every sweep entry point
 /// ([`run_user`](ModelGridSearch::run_user),
 /// [`sweep_cells`](ModelGridSearch::sweep_cells),
 /// [`sweep_all`](ModelGridSearch::sweep_all),
@@ -220,28 +220,18 @@ pub enum SweepBackend {
     /// Every cell trains with the same backend. `Fixed(ExactSmo)` (the
     /// default) reproduces training each cell on its own bit-for-bit.
     Fixed(SolverBackend),
-    /// A default backend plus per-cell overrides, keyed by exact
-    /// `(kernel, regularization)` match.
-    PerCell {
-        /// Backend for cells without an override.
-        default: SolverBackend,
-        /// `(kernel, regularization, backend)` overrides.
-        overrides: Vec<(KernelKind, f64, SolverBackend)>,
-    },
     /// Per-chain calibration: each chain's first trainable cell is solved
-    /// with both `cheap` and exact SMO, and the whole chain keeps the
-    /// cheap backend unless its validation `ACC` trails the exact one by
-    /// more than `tolerance` — then the chain falls back to exact
-    /// (counted in [`SweepStats::auto_fallbacks`]).
+    /// with both sampled Frank–Wolfe and exact SMO, and the whole chain
+    /// keeps sampled Frank–Wolfe unless its validation `ACC` trails the
+    /// exact one by more than `tolerance` — then the chain falls back to
+    /// exact (counted in [`SweepStats::auto_fallbacks`]).
     ///
     /// `ACC` differences live in `[-2, 2]`, so `tolerance ≤ -2` always
     /// falls back (every chain runs exact) and `tolerance ≥ 2` never does
-    /// (every chain runs `cheap`). The calibration cell's discarded solve
+    /// (every chain runs sampled). The calibration cell's discarded solve
     /// is excluded from the warm/cold iteration statistics.
     Auto {
-        /// The approximate backend to try first.
-        cheap: SolverBackend,
-        /// Maximal acceptable `ACC_exact − ACC_cheap` before falling back.
+        /// Maximal acceptable `ACC_exact − ACC_sampled` before falling back.
         tolerance: f64,
     },
 }
@@ -300,20 +290,18 @@ impl<'a> ModelGridSearch<'a> {
         }
     }
 
-    /// Routes solver backends across the sweep's cells (default:
+    /// Chooses the solver backend of the sweep's cells (default:
     /// [`SweepBackend::Fixed`] exact SMO, bit-identical to training each
-    /// cell on its own). See
-    /// [`SweepBackend`] for the per-cell and auto-calibrated policies.
-    /// Warm-start `α` seeds are only honored by exact-SMO cells; the
-    /// approximate backends ignore them (see [`SolverBackend`]).
+    /// cell on its own). See [`SweepBackend`] for the auto-calibrated
+    /// policy. Warm-start `α` seeds are only honored by exact-SMO cells;
+    /// sampled Frank–Wolfe ignores them (see [`SolverBackend`]).
     pub fn solver_backend(mut self, backend: SweepBackend) -> Self {
         self.backend = backend;
         self
     }
 
-    /// Tunes the approximate backends' parameters (ensemble shard size,
-    /// Frank–Wolfe subsample size / seed / duality-gap tolerance). Exact
-    /// SMO cells ignore them.
+    /// Tunes sampled Frank–Wolfe (subsample size, seed, duality-gap
+    /// tolerance). Exact SMO cells ignore it.
     pub fn approx_params(mut self, approx: ApproxParams) -> Self {
         self.approx = approx;
         self
@@ -625,21 +613,15 @@ impl<'a> ModelGridSearch<'a> {
                 let seed = if self.warm_start { task.seed.as_deref() } else { None };
                 let (backend, run) = match &self.backend {
                     SweepBackend::Fixed(backend) => (*backend, train_cell(*backend, seed)),
-                    SweepBackend::PerCell { default, overrides } => {
-                        let backend = overrides
-                            .iter()
-                            .find(|&&(k, r, _)| k == chain.kind && r == regularization)
-                            .map_or(*default, |&(_, _, b)| b);
-                        (backend, train_cell(backend, seed))
-                    }
-                    SweepBackend::Auto { cheap, tolerance } => match task.auto_choice {
+                    SweepBackend::Auto { tolerance } => match task.auto_choice {
                         Some(backend) => (backend, train_cell(backend, seed)),
                         None => {
                             // Calibration cell: solve with both candidates
                             // and compare validation ACC. Chains whose
                             // first cells are infeasible calibrate at
                             // their first trainable cell instead.
-                            let cheap_run = train_cell(*cheap, None);
+                            let cheap = SolverBackend::SampledFw;
+                            let cheap_run = train_cell(cheap, None);
                             let exact_run = train_cell(SolverBackend::ExactSmo, None);
                             let fallback = match (&cheap_run, &exact_run) {
                                 (Some((c, ..)), Some((e, ..))) => {
@@ -651,7 +633,7 @@ impl<'a> ModelGridSearch<'a> {
                             if fallback {
                                 auto_fallbacks.fetch_add(1, Ordering::Relaxed);
                             }
-                            let backend = if fallback { SolverBackend::ExactSmo } else { *cheap };
+                            let backend = if fallback { SolverBackend::ExactSmo } else { cheap };
                             if cheap_run.is_some() || exact_run.is_some() {
                                 task.auto_choice = Some(backend);
                             }
@@ -659,7 +641,7 @@ impl<'a> ModelGridSearch<'a> {
                         }
                     },
                 };
-                // Approximate backends ignore `α` seeds, so only exact
+                // Sampled Frank–Wolfe ignores `α` seeds, so only exact
                 // cells that actually received one count as warm.
                 let warm = seed.is_some() && backend == SolverBackend::ExactSmo;
                 if let Some((cell, alpha, iterations)) = run {

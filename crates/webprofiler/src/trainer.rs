@@ -140,14 +140,6 @@ impl<'a> ProfileTrainer<'a> {
         self
     }
 
-    /// Selects the solver backend, keeping the other solver options —
-    /// shorthand for [`solver_options`](Self::solver_options) with only
-    /// [`ocsvm::SolverOptions::backend`] changed.
-    pub fn solver_backend(mut self, backend: ocsvm::SolverBackend) -> Self {
-        self.solver.backend = backend;
-        self
-    }
-
     /// The configured window configuration.
     pub fn window_config(&self) -> WindowConfig {
         self.window

@@ -1,9 +1,9 @@
-//! Solver-backend routing through the model grid sweep: seeded
-//! determinism of the approximate backends, the `Auto` calibration
-//! policy's two extremes, per-cell overrides, and the warm-start
-//! interaction with exact and approximate backends.
+//! Solver-backend choice through the model grid sweep: seeded
+//! determinism of sampled Frank–Wolfe, the `Auto` calibration policy's two
+//! extremes, and the warm-start interaction with the exact and sampled
+//! backends.
 
-use ocsvm::{ApproxParams, Kernel, KernelKind, KernelRowArena, SolverBackend};
+use ocsvm::{ApproxParams, Kernel, KernelRowArena, SolverBackend};
 use proxylog::UserId;
 use std::collections::BTreeMap;
 use tracegen::{Scenario, TraceGenerator};
@@ -12,11 +12,10 @@ use webprofiler::{
     WindowConfig, WindowSets,
 };
 
-/// Small approximate-backend parameters so the quick-test corpus (≤ 40
-/// windows per user here) actually shards / subsamples instead of
-/// degenerating to the exact solve.
+/// A small Frank–Wolfe subsample so the quick-test corpus (≤ 40 windows
+/// per user here) actually subsamples instead of solving every window.
 fn small_approx() -> ApproxParams {
-    ApproxParams { ensemble_shard: 16, fw_sample: 24, ..ApproxParams::default() }
+    ApproxParams { fw_sample: 24, ..ApproxParams::default() }
 }
 
 fn fixture() -> (Vocabulary, WindowSets) {
@@ -56,20 +55,17 @@ fn assert_cells_bitwise_equal(
 #[test]
 fn approximate_backends_are_bit_identical_across_runs_and_workers() {
     let (vocab, sets) = fixture();
-    for backend in [SolverBackend::EnsembleOneData, SolverBackend::SampledFw] {
-        let reference =
-            search(&vocab, SweepBackend::Fixed(backend)).workers(1).sweep_cells(&sets).0;
-        // A fixed seed must give the same models run-to-run and at any
-        // sweep parallelism: cells are solved independently, so thread
-        // count may change the schedule but never the arithmetic.
-        for workers in [1usize, 2, 8] {
-            let (cells, stats) =
-                search(&vocab, SweepBackend::Fixed(backend)).workers(workers).sweep_cells(&sets);
-            assert_eq!(stats.workers, workers, "{backend:?}");
-            assert_eq!(stats.exact_cells, 0, "{backend:?}: every cell routed approximate");
-            assert_eq!(stats.approx_cells, stats.cells, "{backend:?}");
-            assert_cells_bitwise_equal(&reference, &cells, &format!("{backend:?} x{workers}"));
-        }
+    let sampled = SweepBackend::Fixed(SolverBackend::SampledFw);
+    let reference = search(&vocab, sampled.clone()).workers(1).sweep_cells(&sets).0;
+    // A fixed seed must give the same models run-to-run and at any sweep
+    // parallelism: cells are solved independently, so thread count may
+    // change the schedule but never the arithmetic.
+    for workers in [1usize, 2, 8] {
+        let (cells, stats) = search(&vocab, sampled.clone()).workers(workers).sweep_cells(&sets);
+        assert_eq!(stats.workers, workers);
+        assert_eq!(stats.exact_cells, 0, "every cell runs sampled");
+        assert_eq!(stats.approx_cells, stats.cells);
+        assert_cells_bitwise_equal(&reference, &cells, &format!("sampled x{workers}"));
     }
 }
 
@@ -80,9 +76,7 @@ fn auto_with_impossible_tolerance_is_bitwise_the_exact_sweep() {
         search(&vocab, SweepBackend::Fixed(SolverBackend::ExactSmo)).sweep_cells(&sets);
     // ACC differences live in [-2, 2], so a tolerance of -10 makes every
     // chain's calibration fall back to exact SMO.
-    let (auto, stats) =
-        search(&vocab, SweepBackend::Auto { cheap: SolverBackend::SampledFw, tolerance: -10.0 })
-            .sweep_cells(&sets);
+    let (auto, stats) = search(&vocab, SweepBackend::Auto { tolerance: -10.0 }).sweep_cells(&sets);
     assert_cells_bitwise_equal(&exact, &auto, "auto(-10) vs exact");
     assert!(stats.auto_fallbacks > 0, "every calibrated chain must fall back");
     assert_eq!(stats.approx_cells, 0);
@@ -93,46 +87,15 @@ fn auto_with_impossible_tolerance_is_bitwise_the_exact_sweep() {
 #[test]
 fn auto_with_generous_tolerance_is_bitwise_the_cheap_sweep() {
     let (vocab, sets) = fixture();
-    let cheap = SolverBackend::EnsembleOneData;
-    let (fixed, _) = search(&vocab, SweepBackend::Fixed(cheap)).sweep_cells(&sets);
-    // A tolerance of 10 can never be exceeded, so every chain keeps the
-    // cheap backend and the sweep equals the fixed-cheap sweep bitwise.
-    let (auto, stats) =
-        search(&vocab, SweepBackend::Auto { cheap, tolerance: 10.0 }).sweep_cells(&sets);
+    let (fixed, _) =
+        search(&vocab, SweepBackend::Fixed(SolverBackend::SampledFw)).sweep_cells(&sets);
+    // A tolerance of 10 can never be exceeded, so every chain keeps sampled
+    // Frank–Wolfe and the sweep equals the fixed sampled sweep bitwise.
+    let (auto, stats) = search(&vocab, SweepBackend::Auto { tolerance: 10.0 }).sweep_cells(&sets);
     assert_cells_bitwise_equal(&fixed, &auto, "auto(10) vs cheap");
     assert_eq!(stats.auto_fallbacks, 0, "no chain may fall back");
     assert_eq!(stats.exact_cells, 0);
     assert_eq!(stats.approx_cells, stats.cells);
-}
-
-#[test]
-fn per_cell_overrides_route_only_the_matching_cells() {
-    let (vocab, sets) = fixture();
-    let (exact, _) =
-        search(&vocab, SweepBackend::Fixed(SolverBackend::ExactSmo)).sweep_cells(&sets);
-    let overridden = (KernelKind::Linear, 0.5);
-    let (mixed, stats) = search(
-        &vocab,
-        SweepBackend::PerCell {
-            default: SolverBackend::ExactSmo,
-            overrides: vec![(overridden.0, overridden.1, SolverBackend::SampledFw)],
-        },
-    )
-    .sweep_cells(&sets);
-    assert!(stats.approx_cells > 0, "the override must route some cells");
-    assert!(stats.exact_cells > 0, "non-matching cells stay exact");
-    assert_eq!(stats.exact_cells + stats.approx_cells, stats.cells);
-    // Cells outside the override are bit-identical to the all-exact sweep.
-    for (user, cells) in &mixed {
-        for (cell, reference) in cells.iter().zip(&exact[user]) {
-            assert_eq!(cell.kernel, reference.kernel, "{user}");
-            assert_eq!(cell.regularization, reference.regularization, "{user}");
-            if (cell.kernel, cell.regularization) != overridden {
-                assert_eq!(cell.summary.acc_self, reference.summary.acc_self, "{user}");
-                assert_eq!(cell.summary.acc_other, reference.summary.acc_other, "{user}");
-            }
-        }
-    }
 }
 
 #[test]
@@ -178,15 +141,12 @@ fn warm_started_exact_sweep_selects_like_the_cold_sweep() {
 #[test]
 fn warm_start_is_ignored_by_approximate_backends() {
     let (vocab, sets) = fixture();
-    for backend in [SolverBackend::EnsembleOneData, SolverBackend::SampledFw] {
-        let (cold, _) =
-            search(&vocab, SweepBackend::Fixed(backend)).warm_start(false).sweep_cells(&sets);
-        let (warm, stats) =
-            search(&vocab, SweepBackend::Fixed(backend)).warm_start(true).sweep_cells(&sets);
-        // The approximate solvers discard α seeds, so turning warm start
-        // on must not change a single bit — and no cell counts as warm.
-        assert_cells_bitwise_equal(&cold, &warm, &format!("{backend:?} warm vs cold"));
-        assert_eq!(stats.warm_cells, 0, "{backend:?}: approximate cells never count warm");
-        assert_eq!(stats.cold_cells, stats.cells, "{backend:?}");
-    }
+    let sampled = SweepBackend::Fixed(SolverBackend::SampledFw);
+    let (cold, _) = search(&vocab, sampled.clone()).warm_start(false).sweep_cells(&sets);
+    let (warm, stats) = search(&vocab, sampled).warm_start(true).sweep_cells(&sets);
+    // Sampled Frank–Wolfe discards α seeds, so turning warm start on must
+    // not change a single bit — and no cell counts as warm.
+    assert_cells_bitwise_equal(&cold, &warm, "sampled warm vs cold");
+    assert_eq!(stats.warm_cells, 0, "sampled cells never count warm");
+    assert_eq!(stats.cold_cells, stats.cells);
 }
