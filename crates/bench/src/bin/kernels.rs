@@ -14,20 +14,19 @@
 //! (`perf_gate --metrics-lower`):
 //!
 //! * `ns_per_gemv_row` — one dense-weight GEMV row (`Σ_c w[c]·pⱼ[c]`)
-//!   through [`Panel::gemv_into`](ocsvm::panel::Panel::gemv_into), the
+//!   through [`ProbePanel::gemv_into`], the
 //!   linear-profile batch-scoring kernel.
 //! * `ns_per_sq_dist` — one probe's squared distance through
-//!   [`Panel::sq_dist_into`](ocsvm::panel::Panel::sq_dist_into), the RBF
+//!   [`ProbePanel::sq_dist_into`], the RBF
 //!   row-fill kernel.
 //!
-//! Everything else (merge-walk comparison points, speedups, the f32
-//! variants) is informational. Before timing anything the run re-proves
+//! Everything else (merge-walk comparison points, speedups) is
+//! informational. Before timing anything the run re-proves
 //! the panel/merge bit-identity inline on the benchmark vectors and
 //! aborts on any mismatch — a gate run can never time a wrong kernel.
 
 use bench::{json, ExperimentConfig};
-use ocsvm::panel::{Panel, ProbePanel, ProbePanelF32};
-use ocsvm::{SparseVector, SparseVectorBuilder};
+use ocsvm::{ProbePanel, SparseVector, SparseVectorBuilder};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -72,10 +71,8 @@ fn main() {
     let xs: Vec<SparseVector> = (0..64).map(|_| random_vector(&mut rng, dim, nnz)).collect();
     let weights: Vec<f64> = (0..dim).map(|_| rng.unit() * 2.0 - 1.0).collect();
     let weights_sv = SparseVector::from_dense(&weights);
-    let weights_f32: Vec<f32> = weights.iter().map(|&w| w as f32).collect();
 
     let panel = ProbePanel::pack(&refs);
-    let panel_f32 = ProbePanelF32::pack(&refs);
     let mean_nnz = panel.mean_probe_nnz();
     verify_bit_identity(&panel, &refs, &xs, &weights, &weights_sv);
     eprintln!(
@@ -100,13 +97,6 @@ fn main() {
         }
         black_box(&out);
     });
-    let mut out_f32 = vec![0.0f32; probes];
-    let ns_per_gemv_row_f32 = best_ns(gemv_reps * probes, || {
-        for _ in 0..gemv_reps {
-            panel_f32.gemv_into(black_box(&weights_f32), &mut out_f32);
-        }
-        black_box(&out_f32);
-    });
 
     // --- Squared distance: one probe column per (x, probe) pair. -------
     let sq_reps = 20;
@@ -126,13 +116,6 @@ fn main() {
         }
         black_box(&out);
     });
-    let mut scratch_f32: Vec<f32> = Vec::new();
-    let ns_per_sq_dist_f32 = best_ns(pairs, || {
-        for x in &xs {
-            panel_f32.sq_dist_into(black_box(x), &mut scratch_f32, &mut out_f32);
-        }
-        black_box(&out_f32);
-    });
 
     let metrics: Vec<(&str, f64)> = vec![
         ("ns_per_gemv_row", ns_per_gemv_row),
@@ -141,8 +124,6 @@ fn main() {
         ("ns_per_sq_dist_merge", ns_per_sq_dist_merge),
         ("gemv_speedup_vs_merge", ns_per_gemv_row_merge / ns_per_gemv_row),
         ("sq_dist_speedup_vs_merge", ns_per_sq_dist_merge / ns_per_sq_dist),
-        ("ns_per_gemv_row_f32", ns_per_gemv_row_f32),
-        ("ns_per_sq_dist_f32", ns_per_sq_dist_f32),
         ("probes", probes as f64),
         ("dim", dim as f64),
         ("mean_nnz", mean_nnz as f64),
@@ -159,7 +140,7 @@ fn main() {
 /// bit-identical to the sparse merge walks (the property `ocsvm::panel`'s
 /// test suite pins corpus-independently).
 fn verify_bit_identity(
-    panel: &Panel<f64>,
+    panel: &ProbePanel,
     refs: &[&SparseVector],
     xs: &[SparseVector],
     weights: &[f64],

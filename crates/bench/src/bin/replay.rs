@@ -22,7 +22,7 @@ use bench::{Experiment, ExperimentConfig};
 use proxylog::{Dataset, UserId};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-use streamid::{EngineConfig, ModelStore, StreamEngine, TraceEvent};
+use streamid::{EngineConfig, ModelStore, StreamEngine};
 use tracegen::{Scenario, TraceGenerator};
 use webprofiler::{
     ProfileTrainer, UserProfile, Vocabulary, WindowAggregator, WindowConfig, WindowKey,
@@ -77,7 +77,6 @@ fn main() {
         batch_windows,
         lateness_secs,
         max_pending_per_device: max_pending,
-        f32_scoring: false,
     };
     let mut engine = StreamEngine::new(&profiles, &vocab, config);
     let mut latencies: Vec<Duration> = Vec::new();
@@ -162,7 +161,12 @@ fn main() {
         );
     }
     println!("  engine stats       {stats}");
-    print_telemetry(engine.events());
+    println!(
+        "  stream counters    {} streams opened, {} windows closed, mean batch {:.1}",
+        stats.streams_opened,
+        stats.windows_closed,
+        stats.windows_scored as f64 / stats.batches.max(1) as f64,
+    );
 
     assert_eq!(decisions as u64, stats.windows_scored, "decision/stat mismatch");
     assert_eq!(
@@ -228,37 +232,6 @@ fn percentile(sorted: &[Duration], q: f64) -> Duration {
     }
     let rank = ((sorted.len() as f64 - 1.0) * q).round() as usize;
     sorted[rank.min(sorted.len() - 1)]
-}
-
-fn print_telemetry(events: &[TraceEvent]) {
-    let mut opened = 0usize;
-    let mut closed = 0usize;
-    let mut shed_events = 0usize;
-    let mut batch_sizes: Vec<usize> = Vec::new();
-    for event in events {
-        match event {
-            TraceEvent::StreamOpened { .. } => opened += 1,
-            TraceEvent::WindowsClosed { count, .. } => closed += count,
-            TraceEvent::WindowsShed { .. } => shed_events += 1,
-            TraceEvent::BatchScored { windows, .. } => batch_sizes.push(*windows),
-            // This replay runs exhaustive scoring and never evicts.
-            TraceEvent::BatchPrefiltered { .. } | TraceEvent::StreamEvicted { .. } => {}
-        }
-    }
-    let mean_batch = if batch_sizes.is_empty() {
-        0.0
-    } else {
-        batch_sizes.iter().sum::<usize>() as f64 / batch_sizes.len() as f64
-    };
-    println!(
-        "  tracelog           {} events: {} streams opened, {} windows closed, \
-         {} shed events, mean batch {:.1}",
-        events.len(),
-        opened,
-        closed,
-        shed_events,
-        mean_batch,
-    );
 }
 
 fn flag_or<T: std::str::FromStr>(name: &str, default: T) -> T

@@ -466,7 +466,8 @@ fn tenant_stats_json(stats: &TenantStats) -> Json {
         ("ingests_shed".into(), Json::Num(stats.ingests_shed as f64)),
         ("streams_opened".into(), Json::Num(stats.streams_opened as f64)),
         ("windows_closed".into(), Json::Num(stats.windows_closed as f64)),
-        ("batches_scored".into(), Json::Num(stats.batches_scored as f64)),
+        // Kept for wire compatibility: the same count as `batches`.
+        ("batches_scored".into(), Json::Num(stats.batches as f64)),
     ])
 }
 

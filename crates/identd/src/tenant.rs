@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use streamid::{EngineConfig, ModelStore, PrefilterConfig, StreamEngine, TraceEvent};
+use streamid::{EngineConfig, ModelStore, PrefilterConfig, StreamEngine};
 use webprofiler::Vocabulary;
 
 /// A command sent to a tenant thread. Every variant carries the reply
@@ -80,12 +80,10 @@ pub struct TenantStats {
     pub decisions_dropped: u64,
     /// Ingest batches shed by mailbox backpressure.
     pub ingests_shed: u64,
-    /// Telemetry: streams opened (first transaction per device).
+    /// Device window streams opened: one per distinct device ingested.
     pub streams_opened: u64,
-    /// Telemetry: windows closed by the watermark.
+    /// Windows closed and queued for scoring.
     pub windows_closed: u64,
-    /// Telemetry: scoring batches recorded by the event log.
-    pub batches_scored: u64,
 }
 
 /// Bounded multi-producer mailbox feeding one tenant thread.
@@ -238,30 +236,6 @@ impl TenantHandle {
     }
 }
 
-/// Telemetry counters folded out of the engine's event log each command,
-/// so the log never grows for the process lifetime.
-#[derive(Default)]
-struct EventCounters {
-    streams_opened: u64,
-    windows_closed: u64,
-    batches_scored: u64,
-}
-
-impl EventCounters {
-    fn fold(&mut self, events: Vec<TraceEvent>) {
-        for event in events {
-            match event {
-                TraceEvent::StreamOpened { .. } => self.streams_opened += 1,
-                TraceEvent::WindowsClosed { count, .. } => self.windows_closed += count as u64,
-                TraceEvent::BatchScored { .. } => self.batches_scored += 1,
-                TraceEvent::WindowsShed { .. }
-                | TraceEvent::BatchPrefiltered { .. }
-                | TraceEvent::StreamEvicted { .. } => {}
-            }
-        }
-    }
-}
-
 fn run_tenant(
     profiles: BTreeMap<proxylog::UserId, webprofiler::UserProfile>,
     engine_config: EngineConfig,
@@ -280,7 +254,6 @@ fn run_tenant(
     let mut buffered: VecDeque<DecisionRecord> = VecDeque::new();
     let mut decisions_dropped = 0u64;
     let mut seen_devices: BTreeSet<DeviceId> = BTreeSet::new();
-    let mut telemetry = EventCounters::default();
 
     let buffer = |buffered: &mut VecDeque<DecisionRecord>,
                   dropped: &mut u64,
@@ -333,9 +306,8 @@ fn run_tenant(
                     decisions_buffered: buffered.len(),
                     decisions_dropped,
                     ingests_shed: mailbox.shed_count(),
-                    streams_opened: telemetry.streams_opened,
-                    windows_closed: telemetry.windows_closed,
-                    batches_scored: telemetry.batches_scored,
+                    streams_opened: stats.streams_opened,
+                    windows_closed: stats.windows_closed,
                 })));
             }
             Command::Flush { reply } => {
@@ -351,7 +323,6 @@ fn run_tenant(
                 break;
             }
         }
-        telemetry.fold(engine.take_events());
     }
 }
 

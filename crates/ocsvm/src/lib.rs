@@ -73,7 +73,7 @@ pub use gram::{content_fingerprint, CrossGram, GramMatrix};
 pub use kernel::{Kernel, KernelKind};
 pub use model::{LinearBatchScorer, LinearDecisionTerms, OneClassModel, TrainDiagnostics};
 pub use ocsvm::{NuOcSvm, OcSvmModel};
-pub use panel::{ProbePanel, ProbePanelF32};
+pub use panel::ProbePanel;
 pub use scale::MinMaxScaler;
 pub use smo::SolverOptions;
 pub use solver::{ApproxParams, SolverBackend};

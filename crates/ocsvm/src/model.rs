@@ -170,27 +170,6 @@ impl SupportVectorSet {
         sums
     }
 
-    /// Reduced-precision `Σᵢ αᵢ·k(svᵢ, pⱼ)` for every probe, over f32
-    /// panels — the opt-in fast scoring mode. Kernel rows are computed in
-    /// f32 against a packed [`crate::panel::ProbePanelF32`]; the αᵢ sums
-    /// accumulate in f32 in support-vector order. Not bit-identical to
-    /// the f64 path (callers pin *decision* agreement instead).
-    pub(crate) fn batch_weighted_kernel_sums_f32(&self, probes: &[&SparseVector]) -> Vec<f32> {
-        let panel = crate::panel::ProbePanelF32::pack(probes);
-        if let Some(w) = &self.collapsed {
-            return LinearBatchScorer::from_collapsed(w).weighted_sums_f32(&panel);
-        }
-        let mut sums = vec![0.0f32; probes.len()];
-        for (sv, &a) in self.vectors.iter().zip(&self.alpha) {
-            let row = crate::panel::kernel_cross_row_f32(self.kernel, sv, &panel);
-            let a = a as f32;
-            for (s, &k) in sums.iter_mut().zip(&row) {
-                *s += a * k;
-            }
-        }
-        sums
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.vectors.len()
     }
@@ -327,18 +306,10 @@ impl LinearBatchScorer {
 
     /// The panel GEMV: `Σ_c w[c]·pⱼ[c]` over an already-packed probe
     /// panel, bit-identical to [`weighted_sum`](Self::weighted_sum) per
-    /// probe (see [`crate::panel::Panel::gemv_into`]).
+    /// probe (see [`crate::ProbePanel::gemv_into`]).
     pub fn weighted_sums_panel(&self, panel: &crate::panel::ProbePanel) -> Vec<f64> {
         let mut out = vec![0.0; panel.probe_count()];
         panel.gemv_into(&self.weights, &mut out);
-        out
-    }
-
-    /// Reduced-precision panel GEMV for the opt-in f32 scoring mode.
-    pub fn weighted_sums_f32(&self, panel: &crate::panel::ProbePanelF32) -> Vec<f32> {
-        let weights: Vec<f32> = self.weights.iter().map(|&w| w as f32).collect();
-        let mut out = vec![0.0f32; panel.probe_count()];
-        panel.gemv_into(&weights, &mut out);
         out
     }
 

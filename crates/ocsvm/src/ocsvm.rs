@@ -349,21 +349,6 @@ impl OcSvmModel {
         self.support.batch_weighted_kernel_sums(probes).into_iter().map(|s| s - self.rho).collect()
     }
 
-    /// Reduced-precision decision values for a probe micro-batch — the
-    /// opt-in f32 fast scoring mode. Kernel sums run in f32 over packed
-    /// [`ProbePanelF32`](crate::ProbePanelF32) blocks (half the memory
-    /// traffic of the f64 panels); only the final `Σ − ρ` stays scalar.
-    ///
-    /// **Not** bit-identical to [`batch_decision_values`](Self::batch_decision_values):
-    /// values differ in low-order bits, and a decision whose f64 value
-    /// sits within f32 noise of zero could flip sign. Callers that need
-    /// identical accept/reject behavior must pin it on their corpora, as
-    /// `streamid`'s equivalence suite does.
-    pub fn batch_decision_values_f32(&self, probes: &[&SparseVector]) -> Vec<f32> {
-        let rho = self.rho as f32;
-        self.support.batch_weighted_kernel_sums_f32(probes).into_iter().map(|s| s - rho).collect()
-    }
-
     pub(crate) fn support(&self) -> &SupportVectorSet {
         &self.support
     }

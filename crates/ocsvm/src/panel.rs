@@ -3,7 +3,7 @@
 //! Batch scoring evaluates one support vector (or weight vector) against
 //! *many* probe windows. The sparse merge loops in [`SparseVector`] walk
 //! index lists with data-dependent branches — correct, but opaque to the
-//! autovectorizer. A [`Panel`] repacks the probe batch once into
+//! autovectorizer. A [`ProbePanel`] repacks the probe batch once into
 //! column-major blocks of [`PANEL_BLOCK`] probes (`block[c * bw + j]` =
 //! probe `j`'s value in column `c`), after which every kernel primitive is
 //! a unit-stride loop over the probe lane `j` with a block-sized
@@ -12,7 +12,7 @@
 //!
 //! # Bit-identity
 //!
-//! The f64 primitives are **bit-identical** to the sparse merge loops they
+//! The primitives are **bit-identical** to the sparse merge loops they
 //! replace, not merely close:
 //!
 //! * Terms are added in the same ascending-column order as the merges.
@@ -25,9 +25,7 @@
 //!   (negation is exact; squaring is sign-symmetric).
 //!
 //! The equivalence tests below and the suites in `gram`/`model` re-prove
-//! this on every run. The `f32` variants ([`ProbePanelF32`]) trade that
-//! guarantee for half the memory traffic; they are opt-in and pinned only
-//! to *decision* agreement (see `streamid`).
+//! this on every run.
 //!
 //! # Adaptivity
 //!
@@ -52,112 +50,28 @@ pub const PANEL_BLOCK: usize = 64;
 /// doing a few times more scalar work).
 pub const SQ_DIST_DENSE_FACTOR: usize = 4;
 
-/// Scalar type a [`Panel`] can be packed with: `f64` (bit-identical
-/// scoring) or `f32` (opt-in fast scoring).
-pub trait PanelScalar:
-    Copy
-    + PartialEq
-    + PartialOrd
-    + core::ops::Add<Output = Self>
-    + core::ops::Sub<Output = Self>
-    + core::ops::Mul<Output = Self>
-    + core::ops::AddAssign
-    + core::fmt::Debug
-    + Send
-    + Sync
-    + 'static
-{
-    /// Additive identity (`+0.0`).
-    const ZERO: Self;
-    /// Converts from the sparse storage type.
-    fn from_f64(v: f64) -> Self;
-    /// Converts to `f64` (for decision assembly).
-    fn to_f64(self) -> f64;
-    /// `e^self`.
-    fn exp(self) -> Self;
-    /// `tanh(self)`.
-    fn tanh(self) -> Self;
-    /// `self^n`.
-    fn powi(self, n: i32) -> Self;
-}
-
-impl PanelScalar for f64 {
-    const ZERO: Self = 0.0;
-
-    fn from_f64(v: f64) -> Self {
-        v
-    }
-
-    fn to_f64(self) -> f64 {
-        self
-    }
-
-    fn exp(self) -> Self {
-        f64::exp(self)
-    }
-
-    fn tanh(self) -> Self {
-        f64::tanh(self)
-    }
-
-    fn powi(self, n: i32) -> Self {
-        f64::powi(self, n)
-    }
-}
-
-impl PanelScalar for f32 {
-    const ZERO: Self = 0.0;
-
-    fn from_f64(v: f64) -> Self {
-        v as f32
-    }
-
-    fn to_f64(self) -> f64 {
-        f64::from(self)
-    }
-
-    fn exp(self) -> Self {
-        f32::exp(self)
-    }
-
-    fn tanh(self) -> Self {
-        f32::tanh(self)
-    }
-
-    fn powi(self, n: i32) -> Self {
-        f32::powi(self, n)
-    }
-}
-
 /// One column-major block of up to [`PANEL_BLOCK`] probes.
 #[derive(Debug, Clone)]
-struct Block<T> {
+struct Block {
     /// `data[c * bw + j]`: probe `j`'s value in column `c`.
-    data: Vec<T>,
+    data: Vec<f64>,
     /// Probes in this block (= lane width of every column row).
     bw: usize,
 }
 
 /// A probe batch repacked into column-major, unit-stride blocks.
 ///
-/// Pack once per batch ([`Panel::pack`]), then evaluate any number of
-/// kernel rows against it. [`ProbePanel`] (`f64`) is the bit-identical
-/// production type; [`ProbePanelF32`] backs the opt-in f32 scoring mode.
+/// Pack once per batch ([`ProbePanel::pack`]), then evaluate any number
+/// of kernel rows against it.
 #[derive(Debug, Clone)]
-pub struct Panel<T> {
+pub struct ProbePanel {
     width: usize,
     count: usize,
     total_nnz: usize,
-    blocks: Vec<Block<T>>,
+    blocks: Vec<Block>,
 }
 
-/// Bit-identical f64 probe panel.
-pub type ProbePanel = Panel<f64>;
-
-/// Reduced-precision f32 probe panel (opt-in fast scoring mode).
-pub type ProbePanelF32 = Panel<f32>;
-
-impl<T: PanelScalar> Panel<T> {
+impl ProbePanel {
     /// Packs `probes` into column-major blocks. The panel width is the
     /// maximum column index any probe touches plus one; columns a probe
     /// does not store are `+0.0`, which the kernels treat exactly like the
@@ -168,10 +82,10 @@ impl<T: PanelScalar> Panel<T> {
         let mut blocks = Vec::with_capacity(probes.len().div_ceil(PANEL_BLOCK));
         for chunk in probes.chunks(PANEL_BLOCK) {
             let bw = chunk.len();
-            let mut data = vec![T::ZERO; width * bw];
+            let mut data = vec![0.0; width * bw];
             for (j, probe) in chunk.iter().enumerate() {
                 for (column, value) in probe.iter() {
-                    data[column as usize * bw + j] = T::from_f64(value);
+                    data[column as usize * bw + j] = value;
                 }
             }
             blocks.push(Block { data, bw });
@@ -196,7 +110,7 @@ impl<T: PanelScalar> Panel<T> {
 
     /// `out[j] = x · probeⱼ` for every probe.
     ///
-    /// In f64 this is bit-identical to [`SparseVector::dot`] per probe:
+    /// Bit-identical to [`SparseVector::dot`] per probe:
     /// common-column products are added in ascending column order, and the
     /// extra `x[c]·0.0` terms for columns the probe lacks are `±0.0`
     /// no-ops (see the module docs).
@@ -204,9 +118,9 @@ impl<T: PanelScalar> Panel<T> {
     /// # Panics
     ///
     /// Panics if `out.len() != self.probe_count()`.
-    pub fn dot_into(&self, x: &SparseVector, out: &mut [T]) {
+    pub fn dot_into(&self, x: &SparseVector, out: &mut [f64]) {
         assert_eq!(out.len(), self.count, "output width must match probe count");
-        out.fill(T::ZERO);
+        out.fill(0.0);
         let mut base = 0;
         for block in &self.blocks {
             let bw = block.bw;
@@ -216,10 +130,9 @@ impl<T: PanelScalar> Panel<T> {
                 if c >= self.width {
                     break;
                 }
-                let v = T::from_f64(value);
                 let row = &block.data[c * bw..(c + 1) * bw];
                 for (a, &p) in acc.iter_mut().zip(row) {
-                    *a += v * p;
+                    *a += value * p;
                 }
             }
             base += bw;
@@ -228,9 +141,9 @@ impl<T: PanelScalar> Panel<T> {
 
     /// `out[j] = ‖x − probeⱼ‖²` for every probe.
     ///
-    /// In f64 this is bit-identical to [`SparseVector::squared_distance`]
-    /// per probe: the dense column walk adds one term per column in
-    /// ascending order — `(x[c]−p[c])²` where the merge adds `(va−vb)²`,
+    /// Bit-identical to [`SparseVector::squared_distance`] per probe: the
+    /// dense column walk adds one term per column in ascending order —
+    /// `(x[c]−p[c])²` where the merge adds `(va−vb)²`,
     /// `x[c]²` where it adds `va²` (since `va−0.0 = va`), `(0−p[c])² = p[c]²`
     /// where it adds `vb²`, and a `+0.0` no-op where both are absent —
     /// then appends `x`'s beyond-width entries in ascending order, exactly
@@ -242,17 +155,17 @@ impl<T: PanelScalar> Panel<T> {
     /// # Panics
     ///
     /// Panics if `out.len() != self.probe_count()`.
-    pub fn sq_dist_into(&self, x: &SparseVector, scratch: &mut Vec<T>, out: &mut [T]) {
+    pub fn sq_dist_into(&self, x: &SparseVector, scratch: &mut Vec<f64>, out: &mut [f64]) {
         assert_eq!(out.len(), self.count, "output width must match probe count");
         scratch.clear();
-        scratch.resize(self.width, T::ZERO);
+        scratch.resize(self.width, 0.0);
         for (column, value) in x.iter() {
             let c = column as usize;
             if c < self.width {
-                scratch[c] = T::from_f64(value);
+                scratch[c] = value;
             }
         }
-        out.fill(T::ZERO);
+        out.fill(0.0);
         let mut base = 0;
         for block in &self.blocks {
             let bw = block.bw;
@@ -271,8 +184,7 @@ impl<T: PanelScalar> Panel<T> {
         // association (a precomputed partial sum would re-associate).
         for (column, value) in x.iter() {
             if column as usize >= self.width {
-                let v = T::from_f64(value);
-                let vv = v * v;
+                let vv = value * value;
                 for a in out.iter_mut() {
                     *a += vv;
                 }
@@ -282,7 +194,7 @@ impl<T: PanelScalar> Panel<T> {
 
     /// `out[j] = Σ_c w[c] · probeⱼ[c]` for every probe (dense GEMV).
     ///
-    /// In f64 this is bit-identical to
+    /// Bit-identical to
     /// [`LinearBatchScorer::weighted_sum`](crate::LinearBatchScorer::weighted_sum)
     /// per probe: non-zero weight columns are visited in ascending order
     /// (matching the probe-entry walk over the same common columns), and
@@ -291,16 +203,16 @@ impl<T: PanelScalar> Panel<T> {
     /// # Panics
     ///
     /// Panics if `out.len() != self.probe_count()`.
-    pub fn gemv_into(&self, weights: &[T], out: &mut [T]) {
+    pub fn gemv_into(&self, weights: &[f64], out: &mut [f64]) {
         assert_eq!(out.len(), self.count, "output width must match probe count");
-        out.fill(T::ZERO);
+        out.fill(0.0);
         let cols = self.width.min(weights.len());
         let mut base = 0;
         for block in &self.blocks {
             let bw = block.bw;
             let acc = &mut out[base..base + bw];
             for (c, &w) in weights.iter().take(cols).enumerate() {
-                if w == T::ZERO {
+                if w == 0.0 {
                     continue;
                 }
                 let row = &block.data[c * bw..(c + 1) * bw];
@@ -339,7 +251,7 @@ pub fn kernel_cross_row(
 /// ([`SQ_DIST_DENSE_FACTOR`]); `probes` must be the slice the panel was
 /// packed from so the fallback sees identical vectors.
 ///
-/// `scratch` is the reusable dense buffer of [`Panel::sq_dist_into`];
+/// `scratch` is the reusable dense buffer of [`ProbePanel::sq_dist_into`];
 /// `out`'s previous contents are ignored. Reusing both across rows keeps a
 /// support-vector loop free of per-row allocations.
 ///
@@ -392,53 +304,6 @@ pub fn kernel_cross_row_into(
 /// sparse merge for an operand with `x_nnz` stored entries.
 pub fn sq_dist_panel_pays_off(panel: &ProbePanel, x_nnz: usize) -> bool {
     panel.width() <= SQ_DIST_DENSE_FACTOR * (x_nnz + panel.mean_probe_nnz())
-}
-
-/// One f32 kernel row `k(x, pⱼ)` for every packed probe, computed in
-/// reduced precision (panel always; the opt-in fast path has no merge
-/// obligation to mirror).
-pub fn kernel_cross_row_f32(kernel: Kernel, x: &SparseVector, panel: &ProbePanelF32) -> Vec<f32> {
-    let mut out = vec![0.0f32; panel.probe_count()];
-    match kernel {
-        Kernel::Linear => panel.dot_into(x, &mut out),
-        Kernel::Polynomial { gamma, coef0, degree } => {
-            panel.dot_into(x, &mut out);
-            let (g, c0) = (gamma as f32, coef0 as f32);
-            for v in &mut out {
-                *v = (g * *v + c0).powi(degree as i32);
-            }
-        }
-        Kernel::Sigmoid { gamma, coef0 } => {
-            panel.dot_into(x, &mut out);
-            let (g, c0) = (gamma as f32, coef0 as f32);
-            for v in &mut out {
-                *v = (g * *v + c0).tanh();
-            }
-        }
-        Kernel::Rbf { gamma } => {
-            let mut scratch = Vec::new();
-            panel.sq_dist_into(x, &mut scratch, &mut out);
-            let g = gamma as f32;
-            for v in &mut out {
-                *v = (-g * *v).exp();
-            }
-        }
-    }
-    out
-}
-
-/// `k(x, x)` in f32 — the reduced-precision counterpart of
-/// [`Kernel::compute_self`], used by the f32 SVDD decision path.
-pub fn kernel_self_f32(kernel: Kernel, x: &SparseVector) -> f32 {
-    let norm: f32 = x.iter().map(|(_, v)| (v as f32) * (v as f32)).sum();
-    match kernel {
-        Kernel::Linear => norm,
-        Kernel::Polynomial { gamma, coef0, degree } => {
-            (gamma as f32 * norm + coef0 as f32).powi(degree as i32)
-        }
-        Kernel::Rbf { .. } => 1.0,
-        Kernel::Sigmoid { gamma, coef0 } => (gamma as f32 * norm + coef0 as f32).tanh(),
-    }
 }
 
 #[cfg(test)]
@@ -609,47 +474,5 @@ mod tests {
         let mut scratch = Vec::new();
         panel.sq_dist_into(&SparseVector::from_dense(&[3.0]), &mut scratch, &mut out);
         assert_eq!(out[0], 9.0);
-    }
-
-    #[test]
-    fn f32_rows_approximate_f64() {
-        let mut rng = Xs(0xACE1_ACE2_ACE3_ACE5);
-        let probes = random_batch(&mut rng, 50, 120, 18);
-        let refs: Vec<&SparseVector> = probes.iter().collect();
-        let panel64 = ProbePanel::pack(&refs);
-        let panel32 = ProbePanelF32::pack(&refs);
-        for kernel in [
-            Kernel::Linear,
-            Kernel::Polynomial { gamma: 0.3, coef0: 1.0, degree: 3 },
-            Kernel::Rbf { gamma: 0.7 },
-            Kernel::Sigmoid { gamma: 0.1, coef0: -0.2 },
-        ] {
-            let x = random_vector(&mut rng, 120, 20);
-            let row64 = kernel_cross_row(kernel, &x, &refs, &panel64);
-            let row32 = kernel_cross_row_f32(kernel, &x, &panel32);
-            for (j, (&v64, &v32)) in row64.iter().zip(&row32).enumerate() {
-                let scale = v64.abs().max(1.0);
-                assert!(
-                    (v64 - f64::from(v32)).abs() <= 1e-3 * scale,
-                    "{kernel:?} f32 row too far at {j}: {v64} vs {v32}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_self_f32_matches_f64_closely() {
-        let mut rng = Xs(0x0123_4567_89AB_CDEF);
-        for kernel in [
-            Kernel::Linear,
-            Kernel::Polynomial { gamma: 0.3, coef0: 1.0, degree: 2 },
-            Kernel::Rbf { gamma: 0.7 },
-            Kernel::Sigmoid { gamma: 0.1, coef0: -0.2 },
-        ] {
-            let x = random_vector(&mut rng, 200, 25);
-            let exact = kernel.compute_self(&x);
-            let fast = f64::from(kernel_self_f32(kernel, &x));
-            assert!((exact - fast).abs() <= 1e-3 * exact.abs().max(1.0), "{kernel:?}");
-        }
     }
 }

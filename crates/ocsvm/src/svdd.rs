@@ -388,26 +388,6 @@ impl SvddModel {
             .collect()
     }
 
-    /// Reduced-precision decision values for a probe micro-batch — the
-    /// opt-in f32 fast scoring mode (see
-    /// [`OcSvmModel::batch_decision_values_f32`](crate::OcSvmModel::batch_decision_values_f32)
-    /// for the precision caveats). The sphere geometry
-    /// `R² − (k(p,p) − 2Σ + αKα)` is assembled in f32 throughout.
-    pub fn batch_decision_values_f32(&self, probes: &[&SparseVector]) -> Vec<f32> {
-        let sums = self.support.batch_weighted_kernel_sums_f32(probes);
-        let r_squared = self.r_squared as f32;
-        let alpha_k_alpha = self.alpha_k_alpha as f32;
-        probes
-            .iter()
-            .zip(sums)
-            .map(|(p, s)| {
-                let squared =
-                    crate::panel::kernel_self_f32(self.support.kernel, p) - 2.0 * s + alpha_k_alpha;
-                r_squared - squared
-            })
-            .collect()
-    }
-
     /// The full training multiplier vector `α` (zeros for non-support
     /// points), reconstructed from the support vectors' training indices —
     /// the warm-start seed for an adjacent regularization value.

@@ -6,7 +6,9 @@ use webprofiler::WindowConfig;
 ///
 /// The defaults mirror the paper's deployment choices where it makes them
 /// (window grid `D = 60 s / S = 30 s`, vote over 3 consecutive windows)
-/// and pick pragmatic values elsewhere.
+/// and pick pragmatic values elsewhere. None of the knobs changes how a
+/// window is scored: decision values always come from the `f64` batch
+/// path, bit-identical to offline per-window scoring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Sliding-window duration and shift (the paper retains 60 s / 30 s).
@@ -27,15 +29,6 @@ pub struct EngineConfig {
     /// exceeds it (e.g. the scorer cannot keep up with a flood), its
     /// oldest pending windows are shed and counted. Must be positive.
     pub max_pending_per_device: usize,
-    /// Opt-in single-precision scoring: batch decision values run through
-    /// the `f32` panel kernels
-    /// ([`UserProfile::batch_decision_values_f32`](webprofiler::UserProfile::batch_decision_values_f32))
-    /// instead of the default `f64` path. Halves scoring memory traffic
-    /// and doubles SIMD lane width, but values carry single-precision
-    /// rounding: accept/reject decisions can differ from the `f64` path
-    /// for windows whose decision value sits within that rounding of
-    /// zero. Default `false`.
-    pub f32_scoring: bool,
 }
 
 impl Default for EngineConfig {
@@ -46,7 +39,6 @@ impl Default for EngineConfig {
             batch_windows: 64,
             lateness_secs: 0,
             max_pending_per_device: 1024,
-            f32_scoring: false,
         }
     }
 }

@@ -1,12 +1,8 @@
 //! The streaming identification engine.
 
 use crate::config::{EngineConfig, PrefilterConfig};
-#[cfg(feature = "tracelog")]
-use crate::telemetry::TraceEvent;
 use ocsvm::SparseVector;
 use proxylog::{DeviceId, Timestamp, Transaction, UserId};
-#[cfg(feature = "tracelog")]
-use std::collections::BTreeSet;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -76,6 +72,13 @@ struct PendingWindow {
 pub struct EngineStats {
     /// Devices with window state.
     pub devices: usize,
+    /// Window streams opened: each device's first transaction, and its
+    /// first one again after [`StreamEngine::evict_device`].
+    pub streams_opened: u64,
+    /// Windows closed and queued for scoring. Every closed window is
+    /// eventually scored, shed, or still pending, so this equals
+    /// `windows_scored + windows_shed + pending_windows()`.
+    pub windows_closed: u64,
     /// Windows scored (decisions emitted).
     pub windows_scored: u64,
     /// Closed windows shed by per-device backpressure, never scored.
@@ -139,6 +142,8 @@ pub struct StreamEngine<'a> {
     devices: BTreeMap<DeviceId, DeviceState<'a>>,
     /// Closed windows across all devices, oldest first, awaiting scoring.
     pending: Vec<PendingWindow>,
+    streams_opened: u64,
+    windows_closed: u64,
     windows_scored: u64,
     windows_shed: u64,
     /// Lifetime count of too-late transactions, accumulated as streams
@@ -152,8 +157,6 @@ pub struct StreamEngine<'a> {
     prefilter_windows: u64,
     prefilter_candidates: u64,
     prefilter_mismatches: u64,
-    #[cfg(feature = "tracelog")]
-    events: Vec<TraceEvent>,
 }
 
 /// Two-stage scoring state: the candidate index over the enrolled
@@ -184,6 +187,8 @@ impl<'a> StreamEngine<'a> {
             config,
             devices: BTreeMap::new(),
             pending: Vec::new(),
+            streams_opened: 0,
+            windows_closed: 0,
             windows_scored: 0,
             windows_shed: 0,
             late_dropped: 0,
@@ -194,8 +199,6 @@ impl<'a> StreamEngine<'a> {
             prefilter_windows: 0,
             prefilter_candidates: 0,
             prefilter_mismatches: 0,
-            #[cfg(feature = "tracelog")]
-            events: Vec::new(),
         }
     }
 
@@ -256,8 +259,7 @@ impl<'a> StreamEngine<'a> {
     pub fn observe(&mut self, tx: Transaction) -> Vec<WindowDecision> {
         let device = tx.device;
         if !self.devices.contains_key(&device) {
-            #[cfg(feature = "tracelog")]
-            self.events.push(TraceEvent::StreamOpened { device });
+            self.streams_opened += 1;
             self.devices.insert(
                 device,
                 DeviceState {
@@ -310,13 +312,16 @@ impl<'a> StreamEngine<'a> {
         self.score_pending()
     }
 
-    /// Lifetime counters (live devices, windows scored/shed, late drops,
-    /// batch sizes, scoring time, prefilter usage). All counters except
-    /// `devices` are cumulative over the engine's lifetime: evicting a
-    /// device does not erase what it already contributed.
+    /// Lifetime counters (live devices, streams opened, windows
+    /// closed/scored/shed, late drops, batch sizes, scoring time,
+    /// prefilter usage). All counters except `devices` are cumulative over
+    /// the engine's lifetime: evicting a device does not erase what it
+    /// already contributed.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             devices: self.devices.len(),
+            streams_opened: self.streams_opened,
+            windows_closed: self.windows_closed,
             windows_scored: self.windows_scored,
             windows_shed: self.windows_shed,
             late_dropped: self.late_dropped,
@@ -344,24 +349,7 @@ impl<'a> StreamEngine<'a> {
         self.enqueue(device, windows);
         let decisions = self.score_pending();
         self.devices.remove(&device);
-        #[cfg(feature = "tracelog")]
-        self.events.push(TraceEvent::StreamEvicted { device });
         decisions
-    }
-
-    /// The structured event log (only with the `tracelog` feature).
-    #[cfg(feature = "tracelog")]
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Drains the structured event log, leaving it empty (only with the
-    /// `tracelog` feature). Long-running embedders — the `identd` daemon
-    /// in particular — poll this to fold events into their own counters
-    /// without the in-memory log growing for the process lifetime.
-    #[cfg(feature = "tracelog")]
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// Queues closed windows for scoring, shedding the device's oldest
@@ -370,8 +358,7 @@ impl<'a> StreamEngine<'a> {
         if windows.is_empty() {
             return;
         }
-        #[cfg(feature = "tracelog")]
-        self.events.push(TraceEvent::WindowsClosed { device, count: windows.len() });
+        self.windows_closed += windows.len() as u64;
         let now = Instant::now();
         self.pending.extend(windows.into_iter().map(|window| PendingWindow {
             device,
@@ -391,8 +378,6 @@ impl<'a> StreamEngine<'a> {
                 }
             });
             self.windows_shed += shed as u64;
-            #[cfg(feature = "tracelog")]
-            self.events.push(TraceEvent::WindowsShed { device, count: shed });
         }
     }
 
@@ -430,11 +415,6 @@ impl<'a> StreamEngine<'a> {
                     self.prefilter_mismatches +=
                         accepted.iter().zip(&exhaustive).filter(|(a, b)| a != b).count() as u64;
                 }
-                #[cfg(feature = "tracelog")]
-                self.events.push(TraceEvent::BatchPrefiltered {
-                    windows: probes.len(),
-                    candidates: candidates as usize,
-                });
                 accepted
             }
             None => self.score_exhaustive(&probes),
@@ -443,12 +423,6 @@ impl<'a> StreamEngine<'a> {
         self.batches += 1;
         self.max_batch = self.max_batch.max(batch.len());
         self.windows_scored += batch.len() as u64;
-        #[cfg(feature = "tracelog")]
-        {
-            let devices: BTreeSet<DeviceId> = batch.iter().map(|p| p.device).collect();
-            self.events
-                .push(TraceEvent::BatchScored { windows: batch.len(), devices: devices.len() });
-        }
         let mut decisions = Vec::with_capacity(batch.len());
         for (accepted_by, pending) in accepted.into_iter().zip(batch) {
             let state = self.devices.get_mut(&pending.device).expect("scored unknown device");
@@ -486,22 +460,10 @@ impl<'a> StreamEngine<'a> {
                 _ => probes.len() * profile.support_vector_count(),
             })
             .sum();
-        let score = |profile: &UserProfile| {
-            if self.config.f32_scoring {
-                // f32 → f64 widening is exact, so the `>= 0.0` acceptance
-                // test below decides exactly as it would on the f32 values.
-                return profile
-                    .batch_decision_values_f32(probes)
-                    .into_iter()
-                    .map(f64::from)
-                    .collect();
-            }
-            profile.batch_decision_values(probes)
-        };
         let values: Vec<Vec<f64>> = if work >= PARALLEL_WORK_THRESHOLD {
-            parallel_map(&entries, |(_, profile)| score(profile))
+            parallel_map(&entries, |(_, profile)| profile.batch_decision_values(probes))
         } else {
-            entries.iter().map(|(_, profile)| score(profile)).collect()
+            entries.iter().map(|(_, profile)| profile.batch_decision_values(probes)).collect()
         };
         (0..probes.len())
             .map(|j| {
@@ -552,14 +514,6 @@ impl<'a> StreamEngine<'a> {
             .sum();
         let score = |profile: &UserProfile, windows: &[usize]| {
             let sub: Vec<&SparseVector> = windows.iter().map(|&j| probes[j]).collect();
-            if self.config.f32_scoring {
-                // Same exact-widening argument as the exhaustive stage.
-                return profile
-                    .batch_decision_values_f32(&sub)
-                    .into_iter()
-                    .map(f64::from)
-                    .collect();
-            }
             profile.batch_decision_values(&sub)
         };
         let values: Vec<Vec<f64>> = if work >= PARALLEL_WORK_THRESHOLD {
@@ -840,45 +794,5 @@ mod tests {
             ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
         let config = EngineConfig { batch_windows: 0, ..EngineConfig::default() };
         let _ = StreamEngine::new(&profiles, &vocab, config);
-    }
-
-    #[cfg(feature = "tracelog")]
-    #[test]
-    fn tracelog_records_engine_events() {
-        let (dataset, vocab) = trained();
-        let (profiles, _) =
-            ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
-        let config = EngineConfig { batch_windows: 8, ..EngineConfig::default() };
-        let mut engine = StreamEngine::new(&profiles, &vocab, config);
-        for tx in dataset.transactions() {
-            let _ = engine.observe(*tx);
-        }
-        let _ = engine.finish();
-        let events = engine.events();
-        let opened = events.iter().filter(|e| matches!(e, TraceEvent::StreamOpened { .. })).count();
-        assert_eq!(opened, dataset.devices().len());
-        assert!(events.iter().any(|e| matches!(e, TraceEvent::WindowsClosed { .. })));
-        assert!(events.iter().any(|e| matches!(e, TraceEvent::BatchScored { .. })));
-    }
-
-    #[cfg(feature = "tracelog")]
-    #[test]
-    fn tracelog_records_prefilter_and_eviction_events() {
-        let (dataset, vocab) = trained();
-        let (profiles, _) =
-            ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
-        let config = EngineConfig { batch_windows: 8, ..EngineConfig::default() };
-        let mut engine =
-            StreamEngine::new(&profiles, &vocab, config).with_prefilter(PrefilterConfig::default());
-        let device = dataset.devices()[0];
-        for tx in dataset.for_device(device).take(300) {
-            let _ = engine.observe(*tx);
-        }
-        let _ = engine.evict_device(device);
-        let events = engine.events();
-        assert!(events.iter().any(|e| matches!(e, TraceEvent::BatchPrefiltered { .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::StreamEvicted { device: d } if *d == device)));
     }
 }

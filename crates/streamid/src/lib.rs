@@ -37,6 +37,12 @@
 //! closed windows may wait for scoring per device; beyond that the oldest
 //! are shed (counted in [`EngineStats::windows_shed`]).
 //!
+//! [`StreamEngine::stats`] is the engine's one counter surface. Every
+//! closed window is counted once ([`EngineStats::windows_closed`]) and is
+//! then scored, shed or still pending; every window stream opened,
+//! including a device's reopen after [`StreamEngine::evict_device`], is
+//! counted in [`EngineStats::streams_opened`].
+//!
 //! At large populations exhaustive scoring is the bottleneck: every
 //! closed window visits every enrolled profile. [`StreamEngine::with_prefilter`]
 //! switches scoring to a two-stage path — a cheap
@@ -79,12 +85,8 @@ mod config;
 mod engine;
 mod scorecard;
 mod store;
-#[cfg(feature = "tracelog")]
-mod telemetry;
 
 pub use config::{EngineConfig, PrefilterConfig};
 pub use engine::{EngineStats, StreamEngine, WindowDecision};
 pub use scorecard::{LabeledInterval, ScenarioReport, ScenarioTelemetry};
 pub use store::{LoadIssue, ModelStore, StoreLoadError};
-#[cfg(feature = "tracelog")]
-pub use telemetry::TraceEvent;

@@ -191,44 +191,6 @@ fn streaming_matches_offline_identification_rbf_ocsvm() {
 }
 
 #[test]
-fn f32_scoring_decisions_agree_with_f64_default_profiles() {
-    // The opt-in single-precision mode is not bit-identical in decision
-    // *values*, but its accept/reject *decisions* are pinned to agree
-    // with the f64 path on the equivalence corpora: profile margins dwarf
-    // single-precision rounding here, and a disagreement would mean the
-    // f32 kernels drifted beyond rounding (a real bug, not noise).
-    let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
-    let vocab = Vocabulary::new(dataset.taxonomy().clone());
-    let (profiles, _) = ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
-    for batch_windows in [1, 16, 64] {
-        let f64_config = EngineConfig { batch_windows, ..EngineConfig::default() };
-        let f32_config = EngineConfig { f32_scoring: true, ..f64_config };
-        let baseline = replay(&profiles, &vocab, &dataset, f64_config);
-        let single = replay(&profiles, &vocab, &dataset, f32_config);
-        assert_same_decisions(&baseline, &single);
-    }
-}
-
-#[test]
-fn f32_scoring_decisions_agree_with_f64_rbf_ocsvm() {
-    // Same pin through the non-linear path: per-SV f32 kernel rows
-    // instead of the collapsed GEMV.
-    let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
-    let vocab = Vocabulary::new(dataset.taxonomy().clone());
-    let (profiles, _) = ProfileTrainer::new(&vocab)
-        .kind(ModelKind::OcSvm)
-        .kernel(Kernel::Rbf { gamma: 0.5 })
-        .regularization(0.1)
-        .max_training_windows(120)
-        .train_all(&dataset);
-    let f64_config = EngineConfig { batch_windows: 16, ..EngineConfig::default() };
-    let f32_config = EngineConfig { f32_scoring: true, ..f64_config };
-    let baseline = replay(&profiles, &vocab, &dataset, f64_config);
-    let single = replay(&profiles, &vocab, &dataset, f32_config);
-    assert_same_decisions(&baseline, &single);
-}
-
-#[test]
 fn streaming_matches_offline_with_non_default_window_grid() {
     let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
     let vocab = Vocabulary::new(dataset.taxonomy().clone());

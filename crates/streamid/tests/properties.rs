@@ -1,0 +1,242 @@
+//! Engine properties over generated feeds.
+//!
+//! Each case cuts a slice out of a generated corpus, keeps a random subset
+//! of its devices, and delivers it out of order: every transaction is
+//! delayed by a random jitter of at most 0, 5, 30, 90 or 240 seconds,
+//! which also reshuffles how the devices interleave. The engine configuration
+//! (`lateness_secs`, `batch_windows`, `max_pending_per_device`, the
+//! prefilter) and the points where a device is evicted vary per case.
+//! After `finish()` every case checks:
+//!
+//! * (a) the counters reconcile: every closed window is scored or shed,
+//!   one decision comes back per scored window, and one window stream
+//!   opened per first-seen or reopened device;
+//! * (b) every decision's acceptance set is exactly the profiles whose
+//!   `decision_value` is `>= 0.0` on the window, in ascending user order;
+//! * (c) when the lateness covers the feed's largest disorder, nothing is
+//!   dropped as late and the decisions equal those of the same feed
+//!   sorted by time.
+//!
+//! Inputs come from a seeded xorshift generator, so every run checks the
+//! same cases; a failure names its case seed.
+
+use proxylog::{Dataset, DeviceId, Transaction, UserId};
+use std::collections::{BTreeMap, BTreeSet};
+use streamid::{EngineConfig, EngineStats, PrefilterConfig, StreamEngine, WindowDecision};
+use tracegen::{Scenario, TraceGenerator};
+use webprofiler::{ProfileTrainer, UserProfile, Vocabulary};
+
+/// Generated cases per run.
+const CASES: u64 = 64;
+
+/// Deterministic xorshift64*.
+struct Xs(u64);
+
+impl Xs {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// Uniform in `0..n` (`n > 0`).
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.below(items.len() as u64) as usize]
+    }
+
+    fn chance(&mut self, one_in: u64) -> bool {
+        self.below(one_in) == 0
+    }
+}
+
+/// One generated case: the delivered feed, the engine setup and the
+/// eviction schedule (`evictions[i]` is evicted right after `feed[i]`).
+struct Case {
+    feed: Vec<Transaction>,
+    config: EngineConfig,
+    prefilter: bool,
+    evictions: BTreeMap<usize, DeviceId>,
+    /// Whether the lateness covers the feed's largest disorder.
+    covered: bool,
+}
+
+/// Largest per-device lag behind the device's newest transaction so far:
+/// the lateness a device's window stream needs to accept every arrival.
+fn largest_disorder(feed: &[Transaction]) -> u32 {
+    let mut head: BTreeMap<DeviceId, i64> = BTreeMap::new();
+    let mut worst = 0;
+    for tx in feed {
+        let t = tx.timestamp.as_secs();
+        let newest = head.entry(tx.device).or_insert(t);
+        *newest = (*newest).max(t);
+        worst = worst.max(*newest - t);
+    }
+    u32::try_from(worst).expect("disorder fits in u32")
+}
+
+fn generate(dataset: &Dataset, rng: &mut Xs) -> Case {
+    let all = dataset.transactions();
+    let len = 200 + rng.below(1_000) as usize;
+    let start = rng.below((all.len() - len) as u64) as usize;
+    let devices: Vec<DeviceId> = dataset.devices();
+    let keep: BTreeSet<DeviceId> = devices.iter().copied().filter(|_| !rng.chance(3)).collect();
+    let keep = if keep.is_empty() { BTreeSet::from([rng.pick(&devices)]) } else { keep };
+    let slice: Vec<Transaction> =
+        all[start..start + len].iter().copied().filter(|tx| keep.contains(&tx.device)).collect();
+
+    // Deliver each transaction at its event time plus a bounded jitter;
+    // the stable sort keeps equal delivery times in corpus order.
+    let max_jitter = rng.pick(&[0i64, 5, 30, 90, 240]);
+    let mut delivery: Vec<(i64, Transaction)> = slice
+        .into_iter()
+        .map(|tx| (tx.timestamp.as_secs() + rng.below(max_jitter as u64 + 1) as i64, tx))
+        .collect();
+    delivery.sort_by_key(|&(at, _)| at);
+    let feed: Vec<Transaction> = delivery.into_iter().map(|(_, tx)| tx).collect();
+
+    let disorder = largest_disorder(&feed);
+    let batch_windows = rng.pick(&[1usize, 2, 5, 16, 64]);
+    let covered = rng.chance(2);
+    let (lateness_secs, max_pending_per_device) = if covered {
+        let lateness = disorder + rng.below(40) as u32;
+        // A device holds fewer than `batch_windows` pending windows before
+        // an enqueue, and one enqueue adds at most its open windows,
+        // `(D + L) / S + 2`; a bound above both never sheds, so the sorted
+        // replay scores exactly the same windows.
+        let window = EngineConfig::default().window;
+        let open = (window.duration_secs() + lateness) / window.shift_secs() + 2;
+        (lateness, batch_windows + open as usize + rng.below(4) as usize)
+    } else {
+        (rng.below(u64::from(disorder) + 1) as u32, rng.pick(&[1usize, 2, 3, 8, 1024]))
+    };
+    let mut evictions = BTreeMap::new();
+    if !covered {
+        for _ in 0..rng.below(4) {
+            evictions.insert(rng.below(feed.len() as u64) as usize, rng.pick(&devices));
+        }
+    }
+    Case {
+        feed,
+        config: EngineConfig {
+            batch_windows,
+            lateness_secs,
+            max_pending_per_device,
+            ..EngineConfig::default()
+        },
+        prefilter: rng.chance(3),
+        evictions,
+        covered,
+    }
+}
+
+/// Runs `feed` through a fresh engine, evicting per `evictions`; returns
+/// the decisions, the final counters, and the number of streams the feed
+/// should have opened (first-seen devices plus reopens after eviction).
+fn run<'a>(
+    profiles: &'a BTreeMap<UserId, UserProfile>,
+    vocab: &'a Vocabulary,
+    case: &Case,
+    feed: &[Transaction],
+    evictions: &BTreeMap<usize, DeviceId>,
+) -> (Vec<WindowDecision>, EngineStats, u64) {
+    let mut engine = StreamEngine::new(profiles, vocab, case.config);
+    if case.prefilter {
+        engine = engine.with_prefilter(PrefilterConfig::default());
+    }
+    let mut decisions = Vec::new();
+    let mut live = BTreeSet::new();
+    let mut opened = 0;
+    for (i, tx) in feed.iter().enumerate() {
+        if live.insert(tx.device) {
+            opened += 1;
+        }
+        decisions.extend(engine.observe(*tx));
+        if let Some(&device) = evictions.get(&i) {
+            live.remove(&device);
+            decisions.extend(engine.evict_device(device));
+        }
+    }
+    decisions.extend(engine.finish());
+    (decisions, engine.stats(), opened)
+}
+
+/// Decisions grouped per device, in emission order.
+fn by_device(decisions: &[WindowDecision]) -> BTreeMap<DeviceId, Vec<&WindowDecision>> {
+    let mut grouped: BTreeMap<DeviceId, Vec<&WindowDecision>> = BTreeMap::new();
+    for decision in decisions {
+        grouped.entry(decision.device).or_default().push(decision);
+    }
+    grouped
+}
+
+#[test]
+fn engine_properties_hold_over_generated_feeds() {
+    let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
+    let vocab = Vocabulary::new(dataset.taxonomy().clone());
+    let (profiles, _) = ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
+    let mut covered_cases = 0;
+    let mut evicting_cases = 0;
+    for seed in 1..=CASES {
+        let mut rng = Xs(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let case = generate(&dataset, &mut rng);
+        let (decisions, stats, opened) = run(&profiles, &vocab, &case, &case.feed, &case.evictions);
+
+        // (a) Counters reconcile.
+        assert_eq!(
+            stats.windows_closed,
+            stats.windows_scored + stats.windows_shed,
+            "case {seed}: closed windows must be scored or shed"
+        );
+        assert_eq!(decisions.len() as u64, stats.windows_scored, "case {seed}");
+        assert_eq!(stats.streams_opened, opened, "case {seed}: streams opened");
+
+        // (b) Acceptance sets are the exact profile scan.
+        for decision in &decisions {
+            let scan: Vec<UserId> = profiles
+                .iter()
+                .filter(|(_, profile)| profile.decision_value(&decision.features) >= 0.0)
+                .map(|(&user, _)| user)
+                .collect();
+            assert_eq!(decision.accepted_by, scan, "case {seed}: window at {}", decision.start);
+        }
+
+        // (c) Covered disorder is invisible.
+        if case.covered {
+            covered_cases += 1;
+            assert_eq!(stats.late_dropped, 0, "case {seed}: lateness covers the disorder");
+            let mut sorted = case.feed.clone();
+            sorted.sort_by_key(|tx| tx.timestamp);
+            let (reference, reference_stats, _) =
+                run(&profiles, &vocab, &case, &sorted, &BTreeMap::new());
+            assert_eq!(reference_stats.windows_shed, 0, "case {seed}: no shedding expected");
+            assert_eq!(stats.windows_shed, 0, "case {seed}: no shedding expected");
+            let (got, want) = (by_device(&decisions), by_device(&reference));
+            assert_eq!(
+                got.keys().collect::<Vec<_>>(),
+                want.keys().collect::<Vec<_>>(),
+                "case {seed}"
+            );
+            for (device, want) in &want {
+                let got = &got[device];
+                assert_eq!(got.len(), want.len(), "case {seed}: windows on {device:?}");
+                for (a, b) in got.iter().zip(want) {
+                    assert_eq!(a.start, b.start, "case {seed} on {device:?}");
+                    assert_eq!(a.transaction_count, b.transaction_count, "case {seed}");
+                    assert_eq!(a.features, b.features, "case {seed}: window at {}", a.start);
+                    assert_eq!(a.accepted_by, b.accepted_by, "case {seed}");
+                    assert_eq!(a.actual_users, b.actual_users, "case {seed}");
+                    assert_eq!(a.vote, b.vote, "case {seed}: vote at {}", a.start);
+                }
+            }
+        } else if !case.evictions.is_empty() {
+            evicting_cases += 1;
+        }
+    }
+    assert!(covered_cases >= 4, "only {covered_cases} cases covered their disorder");
+    assert!(evicting_cases >= 4, "only {evicting_cases} cases evicted a device");
+}

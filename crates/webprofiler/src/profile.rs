@@ -123,22 +123,6 @@ impl UserProfile {
         }
     }
 
-    /// Single-precision decision values for a window micro-batch (see
-    /// [`OcSvmModel::batch_decision_values_f32`]): kernel rows and the
-    /// linear GEMV run in `f32` panels, halving memory traffic and
-    /// doubling SIMD lane width. **Not** bit-identical to
-    /// [`batch_decision_values`](Self::batch_decision_values) — values
-    /// carry single-precision rounding, and accept/reject decisions
-    /// (`>= 0.0`) can flip for windows whose double-precision value sits
-    /// within that rounding of zero. Opt-in only; the `f64` path stays
-    /// the default everywhere.
-    pub fn batch_decision_values_f32(&self, features: &[&SparseVector]) -> Vec<f32> {
-        match &self.model {
-            ProfileModel::OcSvm(m) => m.batch_decision_values_f32(features),
-            ProfileModel::Svdd(m) => m.batch_decision_values_f32(features),
-        }
-    }
-
     /// Support-vector count of the underlying model.
     pub fn support_vector_count(&self) -> usize {
         match &self.model {

@@ -292,6 +292,9 @@ pub struct WindowStream<'a> {
     /// Next window index to consider for emission (windows below this are
     /// already emitted or permanently empty).
     next_k: Option<i64>,
+    /// Highest window index the watermark has closed: windows up to here
+    /// are emitted or were empty when they closed.
+    closed_through: Option<i64>,
     last_time: Option<i64>,
     /// Allowed lateness `L` for [`offer`](Self::offer): emission lags the
     /// newest event time by `L` seconds so stragglers can still land.
@@ -312,6 +315,7 @@ impl<'a> WindowStream<'a> {
             key,
             buffer: Vec::new(),
             next_k: None,
+            closed_through: None,
             last_time: None,
             lateness_secs: 0,
             max_time: None,
@@ -376,7 +380,7 @@ impl<'a> WindowStream<'a> {
     /// [`push`](Self::push) which panics on disorder.
     ///
     /// A transaction is accepted as long as none of the windows that could
-    /// contain it has been emitted yet. Emission is watermark-driven: a
+    /// contain it has closed yet. Emission is watermark-driven: a
     /// window closes once its end falls behind `newest event time − L`,
     /// where `L` is the allowed lateness ([`with_lateness`](Self::with_lateness)),
     /// so any transaction at most `L` seconds behind the stream head is
@@ -391,13 +395,14 @@ impl<'a> WindowStream<'a> {
         let d = i64::from(self.config.duration_secs());
         // First window that can contain this transaction.
         let k_min = (t - d).div_euclid(s) + 1;
-        if self.next_k.is_some_and(|next_k| k_min < next_k) {
+        if self.closed_through.is_some_and(|closed| k_min <= closed) {
             self.late_dropped += 1;
             return Vec::new();
         }
-        if self.next_k.is_none() {
-            self.next_k = Some(k_min);
-        }
+        // Windows from `k_min` on are still open, even below `next_k`: an
+        // arrival older than the stream's first transaction, or one landing
+        // in a gap the emitter skipped while it was empty.
+        self.next_k = Some(self.next_k.map_or(k_min, |next_k| next_k.min(k_min)));
         let pos = self.buffer.partition_point(|b| b.timestamp <= tx.timestamp);
         self.buffer.insert(pos, tx);
         let max_time = self.max_time.map_or(t, |m| m.max(t));
@@ -417,6 +422,7 @@ impl<'a> WindowStream<'a> {
         let emitted = self.emit_through(last_k);
         self.buffer.clear();
         self.next_k = None;
+        self.closed_through = None;
         self.last_time = None;
         self.max_time = None;
         emitted
@@ -425,6 +431,7 @@ impl<'a> WindowStream<'a> {
     /// Emits non-empty windows with indices `next_k ..= k_limit`, advances
     /// `next_k`, and drops buffered transactions no future window needs.
     fn emit_through(&mut self, k_limit: i64) -> Vec<TransactionWindow> {
+        self.closed_through = Some(self.closed_through.map_or(k_limit, |c| c.max(k_limit)));
         let mut result = Vec::new();
         let Some(mut k) = self.next_k else {
             return result;
@@ -785,6 +792,32 @@ mod tests {
         assert_eq!(stream.late_dropped(), 1);
         let tail = stream.flush();
         assert!(tail.iter().any(|w| w.transaction_count == 2));
+    }
+
+    #[test]
+    fn offer_keeps_stragglers_within_lateness_before_the_first_arrival_and_in_skipped_gaps() {
+        let config = WindowConfig::new(60, 30).unwrap();
+        let v = vocab();
+        let sorted = [tx_at(50, 0), tx_at(100, 0), tx_at(985, 0), tx_at(1_000, 0)];
+        // 50 arrives 50 s after 100, and 985 15 s after 1000, whose arrival
+        // made the emitter jump over the empty gap past 985's windows.
+        let arrivals = [sorted[1], sorted[0], sorted[3], sorted[2]];
+        let mut stream =
+            WindowStream::new(&v, config, WindowKey::User(UserId(0))).with_lateness(50);
+        let mut streamed = Vec::new();
+        for tx in arrivals {
+            streamed.extend(stream.offer(tx));
+        }
+        streamed.extend(stream.flush());
+        assert_eq!(stream.late_dropped(), 0, "every arrival is within the lateness");
+        let batch =
+            WindowAggregator::new(&v, config).windows_over(&sorted, WindowKey::User(UserId(0)));
+        assert_eq!(streamed.len(), batch.len());
+        for (a, b) in streamed.iter().zip(&batch) {
+            assert_eq!(a.start, b.start);
+            assert_eq!(a.features, b.features);
+            assert_eq!(a.transaction_count, b.transaction_count);
+        }
     }
 
     #[test]
