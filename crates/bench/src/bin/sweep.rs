@@ -1,5 +1,5 @@
 //! Grid-search sweep benchmark: drives the work-stealing scheduler and the
-//! process-wide kernel-row arena over a generated corpus and reports cell
+//! sweep's byte-budgeted kernel-row arena over a generated corpus and reports cell
 //! throughput, steal counts, arena hit rate, and warm-vs-cold SMO
 //! iteration counts.
 //!

@@ -6,9 +6,9 @@
 //! — lives in a [`KernelRowArena`]: a thread-safe cache of kernel rows
 //! keyed by `(owner, kernel, row)` plus a content fingerprint, governed by
 //! an explicit byte budget with exact least-recently-used eviction. One
-//! arena can be shared by `Arc` across every sweep worker of a process,
-//! bounding their total footprint; a matrix built without one gets a
-//! private arena of its own.
+//! arena can be shared by `Arc` across every worker and every sweep that
+//! should draw on one budget, bounding their total footprint; a matrix
+//! built without one gets a private arena of its own.
 //!
 //! The arena serves training only, where rows are reused. Serving-time
 //! batch scoring (`batch_decision_values`) sees a fresh probe batch on
@@ -28,7 +28,7 @@
 //! eviction pass).
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Which kind of matrix a cached row belongs to. Gram rows (training ×
 /// training) and cross rows (training × probes) of the same owner share the
@@ -132,11 +132,12 @@ struct Inner {
     stats: ArenaStats,
 }
 
-/// Process-wide, byte-budgeted, thread-safe cache of kernel rows.
+/// Byte-budgeted, thread-safe cache of kernel rows.
 ///
-/// See the module-level docs for the design. Construct one per process
-/// (or use [`KernelRowArena::global`]) and share it by `Arc` across every
-/// sweep worker.
+/// See the module-level docs for the design. Construct one and share it by
+/// `Arc` across every sweep worker that should draw on the same budget; a
+/// grid search handed none creates one of [`DEFAULT_SWEEP_BUDGET`] bytes
+/// for the length of the sweep.
 ///
 /// # Examples
 ///
@@ -158,10 +159,9 @@ pub struct KernelRowArena {
     inner: Mutex<Inner>,
 }
 
-/// Default budget of the process-global arena: 256 MiB of kernel rows.
-pub const DEFAULT_GLOBAL_BUDGET: usize = 256 << 20;
-
-static GLOBAL: OnceLock<Arc<KernelRowArena>> = OnceLock::new();
+/// Default budget of the arena a sweep creates when it is handed none:
+/// 256 MiB of kernel rows.
+pub const DEFAULT_SWEEP_BUDGET: usize = 256 << 20;
 
 impl KernelRowArena {
     /// Creates an arena retaining at most `budget_bytes` of row data.
@@ -177,12 +177,6 @@ impl KernelRowArena {
                 ..Inner::default()
             }),
         })
-    }
-
-    /// The process-global arena ([`DEFAULT_GLOBAL_BUDGET`] bytes), used by
-    /// sweeps that are not handed an explicit arena.
-    pub fn global() -> &'static Arc<KernelRowArena> {
-        GLOBAL.get_or_init(|| KernelRowArena::with_budget(DEFAULT_GLOBAL_BUDGET))
     }
 
     /// The configured byte budget.
@@ -363,13 +357,6 @@ mod tests {
         assert!(arena.is_empty());
         assert_eq!(arena.stats().bytes, 0);
         assert_eq!(arena.stats().fills, 1);
-    }
-
-    #[test]
-    fn global_arena_is_shared() {
-        let a = Arc::as_ptr(KernelRowArena::global());
-        let b = Arc::as_ptr(KernelRowArena::global());
-        assert_eq!(a, b);
     }
 
     #[test]

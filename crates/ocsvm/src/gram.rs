@@ -16,7 +16,10 @@
 //!   set and a fixed probe set, consumed by
 //!   [`OcSvmModel::cross_decision_values`](crate::OcSvmModel::cross_decision_values)
 //!   (and the SVDD equivalents) so a sweep scores every model against the
-//!   probes without re-evaluating the kernel per model.
+//!   probes without re-evaluating the kernel per model. It borrows one
+//!   [`ProbePanel`] per probe set: the caller packs the probes once and
+//!   every `CrossGram` over them — one per (training set, kernel) — reads
+//!   its rows against that same panel.
 //!
 //! Neither owns its rows: both compute rows on first access into a
 //! [`KernelRowArena`], the crate's one kernel-row cache. `compute`/`new`
@@ -32,7 +35,7 @@ use crate::kernel::{Kernel, KernelKind};
 use crate::panel::{self, ProbePanel};
 use crate::sparse::SparseVector;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The arena slot of one matrix: every row of the matrix lives in `arena`
 /// under `(owner, kernel, space, row, tag)`.
@@ -227,20 +230,24 @@ impl<'a> GramMatrix<'a> {
 /// One `CrossGram` per (training set, kernel, probe set) lets every model of
 /// a regularization sweep score the same probes while each support vector's
 /// kernel row against the probes is evaluated once — across *all* models
-/// of the sweep (their support vectors heavily overlap).
+/// of the sweep (their support vectors heavily overlap). The probes come
+/// as a borrowed [`ProbePanel`]: packed once per probe set by the caller
+/// and shared by every `CrossGram` over it.
 ///
 /// # Examples
 ///
 /// ```
-/// use ocsvm::{CrossGram, GramMatrix, Kernel, NuOcSvm, SparseVector};
+/// use ocsvm::{CrossGram, GramMatrix, Kernel, NuOcSvm, ProbePanel, SparseVector};
 ///
 /// let data: Vec<SparseVector> =
 ///     (0..40).map(|i| SparseVector::from_dense(&[1.0, 0.02 * (i % 5) as f64])).collect();
 /// let probes: Vec<SparseVector> =
 ///     (0..10).map(|i| SparseVector::from_dense(&[0.9, 0.03 * i as f64])).collect();
+/// let refs: Vec<&SparseVector> = probes.iter().collect();
+/// let panel = ProbePanel::pack(&refs);
 /// let kernel = Kernel::Rbf { gamma: 1.0 };
 /// let gram = GramMatrix::compute(kernel, &data);
-/// let cross = CrossGram::new(kernel, &data, probes.iter().collect());
+/// let cross = CrossGram::new(kernel, &data, &panel);
 /// for nu in [0.1, 0.5] {
 ///     let model = NuOcSvm::new(nu, kernel).train_with_gram(&data, &gram)?;
 ///     let values = model.cross_decision_values(&cross).expect("compatible");
@@ -252,27 +259,18 @@ impl<'a> GramMatrix<'a> {
 pub struct CrossGram<'a> {
     kernel: Kernel,
     train: &'a [SparseVector],
-    probes: Vec<&'a SparseVector>,
+    panel: &'a ProbePanel<'a>,
     probe_diag: Vec<f64>,
     rows: RowSlot,
-    /// Probes repacked into unit-stride panels, built lazily on the first
-    /// row fill and shared by every subsequent fill (see [`crate::panel`]);
-    /// an arena hit skips the pack entirely.
-    panel: OnceLock<ProbePanel>,
 }
 
 impl<'a> CrossGram<'a> {
-    /// Prepares the cross matrix between `train` and `probes` in a private,
-    /// unbounded arena. Rows (one per training point) are computed on
-    /// first access; the probe diagonal `k(pⱼ, pⱼ)` (needed by SVDD
-    /// decisions) is computed eagerly.
-    pub fn new(kernel: Kernel, train: &'a [SparseVector], probes: Vec<&'a SparseVector>) -> Self {
-        Self::with_rows(
-            kernel,
-            train,
-            probes,
-            RowSlot::private(usize::MAX, kernel, RowSpace::Cross),
-        )
+    /// Prepares the cross matrix between `train` and the probes of `panel`
+    /// in a private, unbounded arena. Rows (one per training point) are
+    /// computed on first access; the probe diagonal `k(pⱼ, pⱼ)` (needed by
+    /// SVDD decisions) is computed eagerly.
+    pub fn new(kernel: Kernel, train: &'a [SparseVector], panel: &'a ProbePanel<'a>) -> Self {
+        Self::with_rows(kernel, train, panel, RowSlot::private(usize::MAX, kernel, RowSpace::Cross))
     }
 
     /// Prepares the cross matrix with its rows cached in the shared `arena`
@@ -281,28 +279,28 @@ impl<'a> CrossGram<'a> {
     pub fn in_arena(
         kernel: Kernel,
         train: &'a [SparseVector],
-        probes: Vec<&'a SparseVector>,
+        panel: &'a ProbePanel<'a>,
         arena: &Arc<KernelRowArena>,
         owner: u64,
     ) -> Self {
-        let tag = content_fingerprint(kernel, train, Some(&probes));
+        let tag = content_fingerprint(kernel, train, Some(panel.probes()));
         let rows = RowSlot::new(arena, owner, kernel, RowSpace::Cross, tag);
-        Self::with_rows(kernel, train, probes, rows)
+        Self::with_rows(kernel, train, panel, rows)
     }
 
     fn with_rows(
         kernel: Kernel,
         train: &'a [SparseVector],
-        probes: Vec<&'a SparseVector>,
+        panel: &'a ProbePanel<'a>,
         rows: RowSlot,
     ) -> Self {
-        let probe_diag = probes.iter().map(|p| kernel.compute_self(p)).collect();
-        Self { kernel, train, probes, probe_diag, rows, panel: OnceLock::new() }
+        let probe_diag = panel.probes().iter().map(|p| kernel.compute_self(p)).collect();
+        Self { kernel, train, panel, probe_diag, rows }
     }
 
     /// Number of probe points (= row width).
     pub fn probe_count(&self) -> usize {
-        self.probes.len()
+        self.panel.probe_count()
     }
 
     /// Number of training points (= rows).
@@ -319,10 +317,7 @@ impl<'a> CrossGram<'a> {
     /// the unit-stride panel kernels — bit-identical to evaluating
     /// `kernel.compute(xᵢ, pⱼ)` per probe (see [`crate::panel`]).
     pub fn row(&self, i: usize) -> Arc<[f64]> {
-        self.rows.get(i, || {
-            let panel = self.panel.get_or_init(|| ProbePanel::pack(&self.probes));
-            panel::kernel_cross_row(self.kernel, &self.train[i], &self.probes, panel)
-        })
+        self.rows.get(i, || panel::kernel_cross_row(self.kernel, &self.train[i], self.panel))
     }
 
     /// Probe diagonal entry `k(pⱼ, pⱼ)` (via `Kernel::compute_self`).
@@ -427,8 +422,10 @@ mod tests {
     fn cross_matches_direct_kernel_evaluation() {
         let pts = points();
         let (train, probes) = pts.split_at(4);
+        let refs: Vec<&SparseVector> = probes.iter().collect();
+        let panel = ProbePanel::pack(&refs);
         let kernel = Kernel::Rbf { gamma: 0.7 };
-        let cross = CrossGram::new(kernel, train, probes.iter().collect());
+        let cross = CrossGram::new(kernel, train, &panel);
         assert_eq!(cross.train_len(), 4);
         assert_eq!(cross.probe_count(), 2);
         for (i, x) in train.iter().enumerate() {
@@ -512,10 +509,11 @@ mod tests {
         let pts = points();
         let (train, probe_pts) = pts.split_at(4);
         let probes: Vec<&SparseVector> = probe_pts.iter().collect();
+        let panel = ProbePanel::pack(&probes);
         let arena = KernelRowArena::with_budget(1 << 20);
         let kernel = Kernel::Polynomial { gamma: 0.4, coef0: 1.0, degree: 2 };
-        let private = CrossGram::new(kernel, train, probes.clone());
-        let shared = CrossGram::in_arena(kernel, train, probes, &arena, 5);
+        let private = CrossGram::new(kernel, train, &panel);
+        let shared = CrossGram::in_arena(kernel, train, &panel, &arena, 5);
         assert_eq!(shared.probe_count(), private.probe_count());
         for i in 0..train.len() {
             assert_eq!(shared.row(i)[..], private.row(i)[..], "row {i}");

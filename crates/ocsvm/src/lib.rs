@@ -25,7 +25,8 @@
 //! row once into its arena and shares it — thread-safely — across every
 //! solver run of the sweep via [`NuOcSvm::train_with_gram`] and
 //! [`Svdd::train_with_gram`]; a [`CrossGram`] does the same for scoring
-//! all of the sweep's models against a fixed probe set. Either view takes
+//! all of the sweep's models against a fixed probe set, reading its rows
+//! against the one [`ProbePanel`] packed for that set. Either view takes
 //! a private arena of its own or one arena shared across users and
 //! sweeps. Scoring fresh probes (`batch_decision_values`) caches no rows:
 //! a new probe batch never reuses one.
@@ -67,7 +68,7 @@ mod solver;
 mod sparse;
 mod svdd;
 
-pub use arena::{ArenaStats, KernelRowArena, RowKey, RowSpace, DEFAULT_GLOBAL_BUDGET};
+pub use arena::{ArenaStats, KernelRowArena, RowKey, RowSpace, DEFAULT_SWEEP_BUDGET};
 pub use error::TrainError;
 pub use gram::{content_fingerprint, CrossGram, GramMatrix};
 pub use kernel::{Kernel, KernelKind};

@@ -130,12 +130,13 @@ impl SupportVectorSet {
     /// `Σᵢ αᵢ·k(svᵢ, pⱼ)` for every probe `pⱼ`, amortizing kernel work over
     /// the whole batch.
     ///
-    /// Non-linear kernels pack the probes once into a
-    /// [`ProbePanel`](crate::ProbePanel), then add `αᵢ·k(svᵢ, ·)` into the
-    /// sums one support vector at a time, reusing one row buffer and one
-    /// squared-distance scratch for every support vector — no per-row
-    /// allocation, no row cache (each batch is a fresh probe set, so no
-    /// row would ever be reused). The sums start at the identity
+    /// Non-linear kernels pack the batch once into a
+    /// [`ProbePanel`](crate::ProbePanel), the one panel of this probe set:
+    /// it borrows the batch, so every support vector's row reads nothing
+    /// else. The sums then add `αᵢ·k(svᵢ, ·)` one support vector at a
+    /// time, reusing one row buffer and one squared-distance scratch — no
+    /// per-row allocation, no row cache (each batch is a fresh probe set,
+    /// so no row would ever be reused). The sums start at the identity
     /// `Iterator::sum` folds from and add the same terms in the same
     /// (support-vector) order as [`Self::weighted_kernel_sum`], so every
     /// value is bit-identical to it. The linear kernel goes through a
@@ -155,14 +156,7 @@ impl SupportVectorSet {
         let mut row = vec![0.0; probes.len()];
         let mut scratch = Vec::new();
         for (sv, &a) in self.vectors.iter().zip(&self.alpha) {
-            crate::panel::kernel_cross_row_into(
-                self.kernel,
-                sv,
-                probes,
-                &panel,
-                &mut scratch,
-                &mut row,
-            );
+            crate::panel::kernel_cross_row_into(self.kernel, sv, &panel, &mut scratch, &mut row);
             for (s, &k) in sums.iter_mut().zip(&row) {
                 *s += a * k;
             }

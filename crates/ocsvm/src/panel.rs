@@ -10,6 +10,12 @@
 //! accumulator that stays in registers/L1 — exactly the shape LLVM's
 //! autovectorizer turns into SIMD on any target.
 //!
+//! A panel borrows the probe slice it was packed from, so one panel per
+//! probe set serves every row against it: a regularization sweep packs
+//! its `ACCother` probes once and every [`CrossGram`](crate::CrossGram)
+//! over them borrows that panel, while batch scoring packs each fresh
+//! batch once for all of a model's support vectors.
+//!
 //! # Bit-identity
 //!
 //! The primitives are **bit-identical** to the sparse merge loops they
@@ -62,21 +68,23 @@ struct Block {
 /// A probe batch repacked into column-major, unit-stride blocks.
 ///
 /// Pack once per batch ([`ProbePanel::pack`]), then evaluate any number
-/// of kernel rows against it.
+/// of kernel rows against it. The panel borrows the probes it was packed
+/// from ([`ProbePanel::probes`]), so a kernel row needs nothing but the
+/// panel.
 #[derive(Debug, Clone)]
-pub struct ProbePanel {
+pub struct ProbePanel<'a> {
+    probes: &'a [&'a SparseVector],
     width: usize,
-    count: usize,
     total_nnz: usize,
     blocks: Vec<Block>,
 }
 
-impl ProbePanel {
+impl<'a> ProbePanel<'a> {
     /// Packs `probes` into column-major blocks. The panel width is the
     /// maximum column index any probe touches plus one; columns a probe
     /// does not store are `+0.0`, which the kernels treat exactly like the
     /// sparse merges treat absent entries.
-    pub fn pack(probes: &[&SparseVector]) -> Self {
+    pub fn pack(probes: &'a [&'a SparseVector]) -> Self {
         let width = probes.iter().map(|p| p.dimension_lower_bound()).max().unwrap_or(0);
         let total_nnz = probes.iter().map(|p| p.nnz()).sum();
         let mut blocks = Vec::with_capacity(probes.len().div_ceil(PANEL_BLOCK));
@@ -90,12 +98,17 @@ impl ProbePanel {
             }
             blocks.push(Block { data, bw });
         }
-        Self { width, count: probes.len(), total_nnz, blocks }
+        Self { probes, width, total_nnz, blocks }
+    }
+
+    /// The probes the panel was packed from, in packing order.
+    pub fn probes(&self) -> &'a [&'a SparseVector] {
+        self.probes
     }
 
     /// Number of packed probes (= output length of every kernel).
     pub fn probe_count(&self) -> usize {
-        self.count
+        self.probes.len()
     }
 
     /// Columns covered by the panel (max probe dimension).
@@ -105,7 +118,7 @@ impl ProbePanel {
 
     /// Mean stored entries per packed probe.
     pub fn mean_probe_nnz(&self) -> usize {
-        self.total_nnz.checked_div(self.count).unwrap_or(0)
+        self.total_nnz.checked_div(self.probes.len()).unwrap_or(0)
     }
 
     /// `out[j] = x · probeⱼ` for every probe.
@@ -119,7 +132,7 @@ impl ProbePanel {
     ///
     /// Panics if `out.len() != self.probe_count()`.
     pub fn dot_into(&self, x: &SparseVector, out: &mut [f64]) {
-        assert_eq!(out.len(), self.count, "output width must match probe count");
+        assert_eq!(out.len(), self.probes.len(), "output width must match probe count");
         out.fill(0.0);
         let mut base = 0;
         for block in &self.blocks {
@@ -156,7 +169,7 @@ impl ProbePanel {
     ///
     /// Panics if `out.len() != self.probe_count()`.
     pub fn sq_dist_into(&self, x: &SparseVector, scratch: &mut Vec<f64>, out: &mut [f64]) {
-        assert_eq!(out.len(), self.count, "output width must match probe count");
+        assert_eq!(out.len(), self.probes.len(), "output width must match probe count");
         scratch.clear();
         scratch.resize(self.width, 0.0);
         for (column, value) in x.iter() {
@@ -204,7 +217,7 @@ impl ProbePanel {
     ///
     /// Panics if `out.len() != self.probe_count()`.
     pub fn gemv_into(&self, weights: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), self.count, "output width must match probe count");
+        assert_eq!(out.len(), self.probes.len(), "output width must match probe count");
         out.fill(0.0);
         let cols = self.width.min(weights.len());
         let mut base = 0;
@@ -229,14 +242,9 @@ impl ProbePanel {
 /// `kernel.compute(x, pⱼ)` per probe.
 ///
 /// Allocating wrapper around [`kernel_cross_row_into`].
-pub fn kernel_cross_row(
-    kernel: Kernel,
-    x: &SparseVector,
-    probes: &[&SparseVector],
-    panel: &ProbePanel,
-) -> Vec<f64> {
+pub fn kernel_cross_row(kernel: Kernel, x: &SparseVector, panel: &ProbePanel) -> Vec<f64> {
     let mut out = vec![0.0f64; panel.probe_count()];
-    kernel_cross_row_into(kernel, x, probes, panel, &mut Vec::new(), &mut out);
+    kernel_cross_row_into(kernel, x, panel, &mut Vec::new(), &mut out);
     out
 }
 
@@ -246,10 +254,9 @@ pub fn kernel_cross_row(
 /// Dot-product kernels (linear, polynomial, sigmoid) always use the panel
 /// — the packed walk does strictly less work than the per-probe merges.
 /// The RBF kernel's dense squared-distance walk covers all `width`
-/// columns, so it falls back to the per-probe merge when both operands
-/// are too sparse for the unit-stride walk to pay
-/// ([`SQ_DIST_DENSE_FACTOR`]); `probes` must be the slice the panel was
-/// packed from so the fallback sees identical vectors.
+/// columns, so it falls back to the per-probe merge over
+/// [`ProbePanel::probes`] when both operands are too sparse for the
+/// unit-stride walk to pay ([`SQ_DIST_DENSE_FACTOR`]).
 ///
 /// `scratch` is the reusable dense buffer of [`ProbePanel::sq_dist_into`];
 /// `out`'s previous contents are ignored. Reusing both across rows keeps a
@@ -264,12 +271,10 @@ pub fn kernel_cross_row(
 pub fn kernel_cross_row_into(
     kernel: Kernel,
     x: &SparseVector,
-    probes: &[&SparseVector],
     panel: &ProbePanel,
     scratch: &mut Vec<f64>,
     out: &mut [f64],
 ) {
-    debug_assert_eq!(probes.len(), panel.probe_count());
     assert_eq!(out.len(), panel.probe_count(), "output width must match probe count");
     match kernel {
         Kernel::Linear => panel.dot_into(x, out),
@@ -292,7 +297,7 @@ pub fn kernel_cross_row_into(
                     *v = (-gamma * *v).exp();
                 }
             } else {
-                for (v, p) in out.iter_mut().zip(probes) {
+                for (v, p) in out.iter_mut().zip(panel.probes()) {
                     *v = (-gamma * x.squared_distance(p)).exp();
                 }
             }
@@ -426,7 +431,7 @@ mod tests {
                 Kernel::Sigmoid { gamma: 0.1, coef0: -0.2 },
             ] {
                 let x = random_vector(&mut rng, width, nnz + 2);
-                let row = kernel_cross_row(kernel, &x, &refs, &panel);
+                let row = kernel_cross_row(kernel, &x, &panel);
                 for (j, p) in refs.iter().enumerate() {
                     assert!(
                         row[j].to_bits() == kernel.compute(&x, p).to_bits(),

@@ -379,6 +379,7 @@ mod tests {
         use crate::gram::{CrossGram, GramMatrix};
         let data = training_data();
         let probes: Vec<&SparseVector> = data.iter().take(7).collect();
+        let panel = crate::panel::ProbePanel::pack(&probes);
         for kernel in [Kernel::Linear, Kernel::Rbf { gamma: 0.5 }] {
             let model = NuOcSvm::new(0.2, kernel).train(&data).unwrap();
             let mut bytes = Vec::new();
@@ -389,7 +390,7 @@ mod tests {
                 .training_decision_values(&gram)
                 .expect("restored model keeps shared-row scoring");
             assert_eq!(restored, model.training_decision_values(&gram).unwrap(), "{kernel:?}");
-            let cross = CrossGram::new(kernel, &data, probes.clone());
+            let cross = CrossGram::new(kernel, &data, &panel);
             let restored = loaded
                 .cross_decision_values(&cross)
                 .expect("restored model keeps shared-row scoring");

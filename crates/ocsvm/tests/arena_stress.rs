@@ -1,5 +1,5 @@
-//! Concurrency stress test for the process-wide kernel-row arena: eight
-//! threads hammer an overlapping key set through a tiny byte budget and the
+//! Concurrency stress test for a kernel-row arena shared by many workers:
+//! eight threads hammer an overlapping key set through a tiny byte budget and the
 //! counter invariants must hold at every observation point.
 //!
 //! Loom-free by design (no external deps): instead of exploring

@@ -9,8 +9,8 @@
 //! raise.
 
 use ocsvm::{
-    CrossGram, GramMatrix, Kernel, KernelRowArena, NuOcSvm, OneClassModel, SolverOptions,
-    SparseVector, Svdd, TrainError,
+    CrossGram, GramMatrix, Kernel, KernelRowArena, NuOcSvm, OneClassModel, ProbePanel,
+    SolverOptions, SparseVector, Svdd, TrainError,
 };
 
 /// Two mildly overlapping clusters plus a few stragglers — enough structure
@@ -188,9 +188,11 @@ fn shared_row_scoring_matches_per_point_decisions() {
     // kernel's collapsed fast path must agree to float-association slack.
     let data = training_data();
     let probe_store = probes();
+    let probe_refs: Vec<&SparseVector> = probe_store.iter().collect();
+    let panel = ProbePanel::pack(&probe_refs);
     for kernel in kernels() {
         let gram = GramMatrix::compute(kernel, &data);
-        let cross = CrossGram::new(kernel, &data, probe_store.iter().collect());
+        let cross = CrossGram::new(kernel, &data, &panel);
         let exact = kernel != Kernel::Linear;
         let check = |direct: f64, shared: f64, what: &str| {
             if exact {
@@ -233,7 +235,9 @@ fn shared_row_scoring_rejects_incompatible_matrices() {
     let wrong_size = GramMatrix::compute(kernel, &data[..10]);
     assert!(model.training_decision_values(&wrong_size).is_none());
     let probe_store = probes();
-    let wrong_cross = CrossGram::new(Kernel::Linear, &data, probe_store.iter().collect());
+    let probe_refs: Vec<&SparseVector> = probe_store.iter().collect();
+    let panel = ProbePanel::pack(&probe_refs);
+    let wrong_cross = CrossGram::new(Kernel::Linear, &data, &panel);
     assert!(model.cross_decision_values(&wrong_cross).is_none());
 
     // A deserialized model keeps its training indices (persist v2) — the

@@ -21,10 +21,11 @@ use crate::vocab::Vocabulary;
 use crate::window::WindowConfig;
 use ocsvm::{
     ApproxParams, ArenaStats, CrossGram, GramMatrix, Kernel, KernelKind, KernelRowArena,
-    SolverBackend, SolverOptions, SparseVector,
+    ProbePanel, SolverBackend, SolverOptions, SparseVector, DEFAULT_SWEEP_BUDGET,
 };
 use proxylog::{Dataset, UserId};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -247,9 +248,11 @@ impl Default for SweepBackend {
 /// The sweep is executed by a work-stealing scheduler over *chains*: one
 /// chain per (user, kernel), walking the regularization ladder so each
 /// cell's `α` solution can warm-start the next (opt in with
-/// [`warm_start`](Self::warm_start)). Kernel rows are cached in a
-/// process-wide, memory-budgeted [`KernelRowArena`] shared by training and
-/// scoring (override with [`arena`](Self::arena)).
+/// [`warm_start`](Self::warm_start)). Kernel rows are cached in one
+/// memory-budgeted [`KernelRowArena`] shared by training and scoring: the
+/// one handed to [`arena`](Self::arena), or else one of
+/// [`DEFAULT_SWEEP_BUDGET`] bytes that each sweep creates and drops when it
+/// returns.
 #[derive(Debug, Clone)]
 pub struct ModelGridSearch<'a> {
     vocab: &'a Vocabulary,
@@ -320,9 +323,10 @@ impl<'a> ModelGridSearch<'a> {
         self
     }
 
-    /// Uses a specific kernel-row arena instead of the process-wide
-    /// [`KernelRowArena::global`] default, e.g. one with a custom byte
-    /// budget for this sweep.
+    /// Uses a specific kernel-row arena instead of a fresh
+    /// [`DEFAULT_SWEEP_BUDGET`]-byte arena per sweep, e.g. one with a
+    /// custom byte budget, or one shared by several sweeps so rows survive
+    /// from one to the next.
     pub fn arena(mut self, arena: Arc<KernelRowArena>) -> Self {
         self.arena = Some(arena);
         self
@@ -399,10 +403,10 @@ impl<'a> ModelGridSearch<'a> {
     /// sweep (see [`sweep_all`](Self::sweep_all), whose statistics this
     /// convenience wrapper discards).
     ///
-    /// The `ACCother` window samples are drawn once and shared by reference
-    /// across all users' sweeps. Kernel rows live in the shared
-    /// [`KernelRowArena`], so memory is bounded by the arena budget rather
-    /// than the sum of per-user Gram matrices.
+    /// The `ACCother` window samples are drawn once and packed into one
+    /// probe panel that every user's chains read. Kernel rows live in the
+    /// sweep's [`KernelRowArena`], so cached rows are bounded by the arena
+    /// budget rather than the sum of per-user Gram matrices.
     pub fn optimize_all(&self, windows: &WindowSets) -> BTreeMap<UserId, ProfileParams> {
         self.sweep_all(windows).0
     }
@@ -479,33 +483,34 @@ impl<'a> ModelGridSearch<'a> {
     ) -> (BTreeMap<UserId, Vec<ModelGridCell>>, SweepStats) {
         let swept = |user: &UserId| only.is_none_or(|only| only == *user);
         let samples = self.other_window_samples(windows);
-        let arena = self.arena.clone().unwrap_or_else(|| Arc::clone(KernelRowArena::global()));
+        let arena =
+            self.arena.clone().unwrap_or_else(|| KernelRowArena::with_budget(DEFAULT_SWEEP_BUDGET));
         let arena_before = arena.stats();
         let n_features = self.vocab.n_features();
 
-        // Per-user context shared by the user's chains: own windows and the
-        // flattened `ACCother` probes of every other user, so one cross row
-        // covers them all, with the per-user ranges of the acceptance means.
+        // The sweep's one `ACCother` probe set: every user's sample,
+        // flattened in ascending user order and packed into one panel that
+        // every chain's cross rows read. A user's `ACCother` averages over
+        // every range but its own (its own columns are computed and unused).
+        let mut probes: Vec<&SparseVector> = Vec::new();
+        let mut ranges: Vec<(UserId, Range<usize>)> = Vec::with_capacity(samples.len());
+        for (&user, sample) in &samples {
+            let start = probes.len();
+            probes.extend(sample.iter().copied());
+            ranges.push((user, start..probes.len()));
+        }
+        let panel = ProbePanel::pack(&probes);
+
+        // Per-user context shared by the user's chains.
         struct UserCtx<'w> {
             user: UserId,
             own: &'w [SparseVector],
             own_refs: Vec<&'w SparseVector>,
-            probes: Vec<&'w SparseVector>,
-            ranges: Vec<(usize, usize)>,
         }
         let contexts: Vec<UserCtx<'_>> = windows
             .iter()
             .filter(|&(user, own)| swept(user) && !own.is_empty())
-            .map(|(&user, own)| {
-                let mut probes: Vec<&SparseVector> = Vec::new();
-                let mut ranges: Vec<(usize, usize)> = Vec::new();
-                for (_, w) in samples.iter().filter(|&(&u, _)| u != user) {
-                    let start = probes.len();
-                    probes.extend(w.iter().copied());
-                    ranges.push((start, probes.len()));
-                }
-                UserCtx { user, own, own_refs: own.iter().collect(), probes, ranges }
-            })
+            .map(|(&user, own)| UserCtx { user, own, own_refs: own.iter().collect() })
             .collect();
 
         // One chain per (user, kernel), in user-major / `KernelKind::ALL`
@@ -522,15 +527,14 @@ impl<'a> ModelGridSearch<'a> {
             .iter()
             .enumerate()
             .flat_map(|(ctx_idx, ctx)| {
-                let arena = &arena;
+                let (arena, panel) = (&arena, &panel);
                 KernelKind::ALL.iter().map(move |&kind| {
                     let kernel = Kernel::default_for(kind, n_features);
                     let owner = u64::from(ctx.user.0);
                     // Linear models need no cross rows: their collapsed
                     // weight vector scores each batch as one dense GEMV.
-                    let cross = (kernel != Kernel::Linear).then(|| {
-                        CrossGram::in_arena(kernel, ctx.own, ctx.probes.clone(), arena, owner)
-                    });
+                    let cross = (kernel != Kernel::Linear)
+                        .then(|| CrossGram::in_arena(kernel, ctx.own, panel, arena, owner));
                     Chain {
                         ctx: ctx_idx,
                         kind,
@@ -600,11 +604,12 @@ impl<'a> ModelGridSearch<'a> {
                         let iterations = profile.diagnostics().iterations as u64;
                         let cell = self.evaluate_cell(&profile, chain.kind, regularization, {
                             CellInputs {
+                                user: ctx.user,
                                 gram: &chain.gram,
                                 cross: chain.cross.as_ref(),
                                 own_refs: &ctx.own_refs,
-                                probes: &ctx.probes,
-                                ranges: &ctx.ranges,
+                                probes: &probes,
+                                ranges: &ranges,
                             }
                         });
                         (cell, alpha, iterations)
@@ -707,7 +712,7 @@ impl<'a> ModelGridSearch<'a> {
     }
 
     /// Scores one trained cell: decision values over the user's own windows
-    /// and over the flattened probe set, reduced to `ACCself`/`ACCother`.
+    /// and over the sweep's probe set, reduced to `ACCself`/`ACCother`.
     /// Non-linear kernels read shared (arena-cached) rows; linear models
     /// score through their collapsed weight vector, bit-identical to
     /// per-point decisions.
@@ -736,7 +741,7 @@ impl<'a> ModelGridSearch<'a> {
             regularization,
             summary: acceptance_summary(
                 inputs.own_refs.len(),
-                inputs.ranges,
+                inputs.ranges.iter().filter(|(user, _)| *user != inputs.user),
                 &self_values,
                 &probe_values,
             ),
@@ -746,32 +751,34 @@ impl<'a> ModelGridSearch<'a> {
 
 /// Borrowed inputs of one sweep-cell evaluation.
 struct CellInputs<'c, 'w> {
+    user: UserId,
     gram: &'c GramMatrix<'w>,
     cross: Option<&'c CrossGram<'w>>,
     own_refs: &'c [&'w SparseVector],
+    /// The sweep's `ACCother` probes: every user's sample.
     probes: &'c [&'w SparseVector],
-    ranges: &'c [(usize, usize)],
+    /// Each user's range of `probes`, in ascending user order.
+    ranges: &'c [(UserId, Range<usize>)],
 }
 
 /// `ACCself`/`ACCother` from decision values: acceptance over the user's
 /// own windows, and the mean of the per-user acceptance over each other
 /// user's probe range.
-fn acceptance_summary(
+fn acceptance_summary<'r>(
     own_len: usize,
-    ranges: &[(usize, usize)],
+    other_ranges: impl Iterator<Item = &'r (UserId, Range<usize>)>,
     self_values: &[f64],
     probe_values: &[f64],
 ) -> AcceptanceSummary {
     let accepted = self_values.iter().filter(|&&v| v >= 0.0).count();
     let acc_self = accepted as f64 / own_len as f64;
-    let others: Vec<f64> = ranges
-        .iter()
-        .map(|&(start, end)| {
-            if start == end {
+    let others: Vec<f64> = other_ranges
+        .map(|(_, range)| {
+            if range.is_empty() {
                 return 0.0;
             }
-            let accepted = probe_values[start..end].iter().filter(|&&v| v >= 0.0).count();
-            accepted as f64 / (end - start) as f64
+            let accepted = probe_values[range.clone()].iter().filter(|&&v| v >= 0.0).count();
+            accepted as f64 / range.len() as f64
         })
         .collect();
     AcceptanceSummary { acc_self, acc_other: mean(&others) }
@@ -899,26 +906,29 @@ mod tests {
         let dataset = small_dataset();
         let vocab = Vocabulary::new(dataset.taxonomy().clone());
         let sets = compute_window_sets(&vocab, &dataset, WindowConfig::PAPER_DEFAULT, Some(30));
-        // A budget far below the working set: rows evict constantly, yet
+        let search = |budget: usize| {
+            ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, ModelKind::Svdd)
+                .regularizations(vec![0.5, 0.1])
+                .warm_start(false)
+                .arena(ocsvm::KernelRowArena::with_budget(budget))
+        };
+        let (roomy_cells, _) = search(64 << 20).sweep_cells(&sets);
+        // Budgets far below the working set — down to none at all and to
+        // one row of the largest Gram matrix: rows evict constantly, yet
         // results must match the unconstrained sweep exactly.
-        let tight = ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, ModelKind::Svdd)
-            .regularizations(vec![0.5, 0.1])
-            .warm_start(false)
-            .arena(ocsvm::KernelRowArena::with_budget(16 << 10));
-        let roomy = ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, ModelKind::Svdd)
-            .regularizations(vec![0.5, 0.1])
-            .warm_start(false)
-            .arena(ocsvm::KernelRowArena::with_budget(64 << 20));
-        let (tight_cells, tight_stats) = tight.sweep_cells(&sets);
-        let (roomy_cells, _) = roomy.sweep_cells(&sets);
-        assert!(tight_stats.arena.evictions > 0, "tiny budget must evict");
-        assert!(tight_stats.arena.bytes <= 16 << 10, "budget respected after the sweep");
-        for (user, cells) in &tight_cells {
-            let other = &roomy_cells[user];
-            assert_eq!(cells.len(), other.len());
-            for (a, b) in cells.iter().zip(other) {
-                assert_eq!(a.summary.acc_self, b.summary.acc_self);
-                assert_eq!(a.summary.acc_other, b.summary.acc_other);
+        let one_gram_row = sets.values().map(Vec::len).max().unwrap() * std::mem::size_of::<f64>();
+        for budget in [16 << 10, 0, one_gram_row] {
+            let (tight_cells, tight_stats) = search(budget).sweep_cells(&sets);
+            assert!(tight_stats.arena.evictions > 0, "tiny budget {budget} must evict");
+            assert!(tight_stats.arena.bytes <= budget, "budget {budget} respected after the sweep");
+            assert_eq!(tight_cells.len(), roomy_cells.len());
+            for (user, cells) in &tight_cells {
+                let other = &roomy_cells[user];
+                assert_eq!(cells.len(), other.len());
+                for (a, b) in cells.iter().zip(other) {
+                    assert_eq!(a.summary.acc_self, b.summary.acc_self);
+                    assert_eq!(a.summary.acc_other, b.summary.acc_other);
+                }
             }
         }
     }

@@ -13,13 +13,31 @@ use webprofiler::{
     ProfileTrainer, Vocabulary, WindowConfig, WindowSets,
 };
 
+/// At most `max` of `items`, evenly spaced: stride `len / max`, first kept.
+fn evenly_spaced(items: &[SparseVector], max: usize) -> Vec<&SparseVector> {
+    if items.len() <= max || max == 0 {
+        return items.iter().collect();
+    }
+    let stride = items.len() as f64 / max as f64;
+    let mut picked = Vec::with_capacity(max);
+    let mut next = 0.0f64;
+    for (i, item) in items.iter().enumerate() {
+        if i as f64 >= next && picked.len() < max {
+            picked.push(item);
+            next += stride;
+        }
+    }
+    picked
+}
+
 /// One user's cells, trained and scored cell by cell: `ACCself` over the
 /// user's own windows, `ACCother` as the mean acceptance over each other
-/// user's windows.
+/// user's windows, evenly subsampled to at most `max_other`.
 fn oracle_cells(
     vocab: &Vocabulary,
     kind: ModelKind,
     regularizations: &[f64],
+    max_other: usize,
     sets: &WindowSets,
     user: UserId,
 ) -> Vec<ModelGridCell> {
@@ -28,7 +46,7 @@ fn oracle_cells(
     let others: Vec<Vec<&SparseVector>> = sets
         .iter()
         .filter(|&(&u, _)| u != user)
-        .map(|(_, windows)| windows.iter().collect())
+        .map(|(_, windows)| evenly_spaced(windows, max_other))
         .collect();
     let acceptance =
         |values: &[f64]| values.iter().filter(|&&v| v >= 0.0).count() as f64 / values.len() as f64;
@@ -73,12 +91,15 @@ fn sweep_cells_without_warm_start_is_bit_identical_to_legacy_path() {
     let vocab = Vocabulary::new(dataset.taxonomy().clone());
     let sets = compute_window_sets(&vocab, &dataset, WindowConfig::PAPER_DEFAULT, Some(40));
     let regularizations = vec![0.9, 0.5, 0.1];
-    for kind in ModelKind::ALL {
-        // `usize::MAX` keeps every other user's windows as `ACCother`
-        // probes, as the oracle scores them.
+    // `usize::MAX` keeps every other user's windows as `ACCother` probes;
+    // 7 subsamples them, skipping each user's own range of the sweep's
+    // shared probe set. The oracle samples the same windows.
+    for (kind, max_other) in
+        ModelKind::ALL.into_iter().flat_map(|kind| [(kind, usize::MAX), (kind, 7)])
+    {
         let search = ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, kind)
             .regularizations(regularizations.clone())
-            .max_other_windows(usize::MAX)
+            .max_other_windows(max_other)
             .warm_start(false)
             .arena(KernelRowArena::with_budget(64 << 20));
         let (swept, stats) = search.sweep_cells(&sets);
@@ -90,7 +111,7 @@ fn sweep_cells_without_warm_start_is_bit_identical_to_legacy_path() {
                 assert!(cells.is_empty(), "{kind} {user}");
                 continue;
             }
-            let legacy = oracle_cells(&vocab, kind, &regularizations, &sets, user);
+            let legacy = oracle_cells(&vocab, kind, &regularizations, max_other, &sets, user);
             assert_eq!(cells.len(), legacy.len(), "{kind} {user}");
             for (cell, expected) in cells.iter().zip(&legacy) {
                 assert_eq!(cell.kernel, expected.kernel, "{kind} {user}");
