@@ -11,12 +11,12 @@
 //!   [`NuOcSvm::train_with_gram`](crate::NuOcSvm::train_with_gram) and
 //!   [`Svdd::train_with_gram`](crate::Svdd::train_with_gram) — and by
 //!   training-set scoring via
-//!   [`OcSvmModel::training_decision_values`](crate::OcSvmModel::training_decision_values).
+//!   [`OneClassModel::training_decision_values`](crate::OneClassModel::training_decision_values).
 //! * [`CrossGram`]: the rectangular matrix `k(xᵢ, pⱼ)` between the training
 //!   set and a fixed probe set, consumed by
-//!   [`OcSvmModel::cross_decision_values`](crate::OcSvmModel::cross_decision_values)
-//!   (and the SVDD equivalents) so a sweep scores every model against the
-//!   probes without re-evaluating the kernel per model. It borrows one
+//!   [`OneClassModel::cross_decision_values`](crate::OneClassModel::cross_decision_values)
+//!   so a sweep scores every model against the probes without
+//!   re-evaluating the kernel per model. It borrows one
 //!   [`ProbePanel`] per probe set: the caller packs the probes once and
 //!   every `CrossGram` over them — one per (training set, kernel) — reads
 //!   its rows against that same panel.
@@ -90,7 +90,7 @@ impl RowSlot {
 /// # Examples
 ///
 /// ```
-/// use ocsvm::{GramMatrix, Kernel, NuOcSvm, OneClassModel, SparseVector};
+/// use ocsvm::{GramMatrix, Kernel, NuOcSvm, SparseVector};
 ///
 /// let data: Vec<SparseVector> =
 ///     (0..40).map(|i| SparseVector::from_dense(&[1.0, 0.02 * (i % 5) as f64])).collect();
@@ -111,7 +111,7 @@ impl RowSlot {
 /// concurrent sweep retains:
 ///
 /// ```
-/// use ocsvm::{GramMatrix, Kernel, KernelRowArena, NuOcSvm, OneClassModel, SparseVector};
+/// use ocsvm::{GramMatrix, Kernel, KernelRowArena, NuOcSvm, SparseVector};
 ///
 /// let data: Vec<SparseVector> =
 ///     (0..40).map(|i| SparseVector::from_dense(&[1.0, 0.02 * (i % 5) as f64])).collect();

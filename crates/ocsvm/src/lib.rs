@@ -14,8 +14,11 @@
 //!   controls how many training points may fall outside.
 //!
 //! Both are trained by a shared SMO solver (second-order
-//! working-set selection) over [`SparseVector`] samples, and both expose
-//! their decision function through the [`OneClassModel`] trait.
+//! working-set selection) over [`SparseVector`] samples, and both return
+//! one model type, [`OneClassModel`]: the two families share every scoring
+//! path and differ only in the [`Boundary`] that turns the kernel sum
+//! `Σᵢ αᵢ·k(svᵢ, x)` into a decision (the OC-SVM hyperplane or the SVDD
+//! sphere).
 //!
 //! Every kernel row the crate keeps for reuse lives in one row store, the
 //! byte-budgeted, least-recently-used [`KernelRowArena`]. A plain `train`
@@ -34,7 +37,7 @@
 //! # Quick start
 //!
 //! ```
-//! use ocsvm::{Kernel, NuOcSvm, OneClassModel, SparseVector, Svdd};
+//! use ocsvm::{Kernel, NuOcSvm, SparseVector, Svdd};
 //!
 //! // A user's "normal" samples cluster around (1, 0).
 //! let train: Vec<SparseVector> = (0..100)
@@ -72,14 +75,16 @@ pub use arena::{ArenaStats, KernelRowArena, RowKey, RowSpace, DEFAULT_SWEEP_BUDG
 pub use error::TrainError;
 pub use gram::{content_fingerprint, CrossGram, GramMatrix};
 pub use kernel::{Kernel, KernelKind};
-pub use model::{LinearBatchScorer, LinearDecisionTerms, OneClassModel, TrainDiagnostics};
-pub use ocsvm::{NuOcSvm, OcSvmModel};
+pub use model::{
+    Boundary, LinearBatchScorer, LinearDecisionTerms, OneClassModel, TrainDiagnostics,
+};
+pub use ocsvm::NuOcSvm;
 pub use panel::ProbePanel;
 pub use scale::MinMaxScaler;
 pub use smo::SolverOptions;
 pub use solver::{ApproxParams, SolverBackend};
 pub use sparse::{InvalidPairsError, SparseVector, SparseVectorBuilder};
-pub use svdd::{Svdd, SvddModel};
+pub use svdd::Svdd;
 
 #[cfg(test)]
 mod trait_tests {
@@ -92,21 +97,23 @@ mod trait_tests {
         assert_send_sync::<Kernel>();
         assert_send_sync::<GramMatrix<'static>>();
         assert_send_sync::<CrossGram<'static>>();
-        assert_send_sync::<OcSvmModel>();
-        assert_send_sync::<SvddModel>();
+        assert_send_sync::<OneClassModel>();
         assert_send_sync::<TrainError>();
     }
 
     #[test]
-    fn models_work_as_trait_objects() {
+    fn both_trainers_return_one_model_type() {
         let data: Vec<SparseVector> =
             (0..10).map(|i| SparseVector::from_dense(&[1.0 + 0.01 * i as f64])).collect();
-        let models: Vec<Box<dyn OneClassModel>> = vec![
-            Box::new(NuOcSvm::new(0.5, Kernel::Linear).train(&data).unwrap()),
-            Box::new(Svdd::new(0.5, Kernel::Linear).train(&data).unwrap()),
+        let models: Vec<OneClassModel> = vec![
+            NuOcSvm::new(0.5, Kernel::Linear).train(&data).unwrap(),
+            Svdd::new(0.5, Kernel::Linear).train(&data).unwrap(),
         ];
+        assert!(matches!(models[0].boundary(), Boundary::Hyperplane { .. }));
+        assert!(matches!(models[1].boundary(), Boundary::Sphere { .. }));
         for model in &models {
             assert!(model.support_vector_count() >= 1);
+            assert_eq!(model.regularization(), 0.5);
             let _ = model.decision_value(&data[0]);
         }
     }

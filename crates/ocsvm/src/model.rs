@@ -1,41 +1,319 @@
-//! Shared trained-model machinery.
+//! The trained one-class model.
+//!
+//! Both classifiers of the paper solve the same dual (`Σα = 1`, a box on
+//! every `αᵢ`), so once trained both score a sample through the same kernel
+//! sum `s = Σᵢ αᵢ·k(svᵢ, x)`. They differ only in the [`Boundary`] that
+//! turns `s` into a decision value: the ν-OC-SVM hyperplane (Eq. 6) or the
+//! SVDD sphere (Eq. 12). [`OneClassModel`] builds the sums once per scoring
+//! path — per point, per probe batch or panel, and over shared Gram or
+//! cross-Gram rows — and hands every sum to that one boundary.
 
+use crate::gram::{CrossGram, GramMatrix};
 use crate::kernel::Kernel;
+use crate::panel::ProbePanel;
+use crate::smo::Solution;
+use crate::solver::SolverBackend;
 use crate::sparse::SparseVector;
 
-/// A trained one-class decision function.
+/// How a trained model turns its kernel sum `s = Σᵢ αᵢ·k(svᵢ, x)` into a
+/// decision value (`>= 0` accepts).
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub enum Boundary {
+    /// The ν-OC-SVM hyperplane (Eq. 6): `s − ρ`.
+    Hyperplane {
+        /// The margin offset `ρ`.
+        rho: f64,
+    },
+    /// The SVDD hypersphere (Eq. 12): `R² − ‖Φ(x) − a‖²`, where
+    /// `‖Φ(x) − a‖² = k(x, x) − 2s + αᵀKα`.
+    Sphere {
+        /// The squared radius `R²` (Eq. 11).
+        r_squared: f64,
+        /// The constant `αᵀKα = Σᵢⱼ αᵢαⱼ k(xᵢ, xⱼ)`.
+        alpha_k_alpha: f64,
+    },
+}
+
+impl Boundary {
+    /// The decision value for kernel sum `s`; `k_self` yields `k(x, x)`,
+    /// which only the sphere reads.
+    fn decide(self, s: f64, k_self: impl FnOnce() -> f64) -> f64 {
+        match self {
+            Boundary::Hyperplane { rho } => s - rho,
+            Boundary::Sphere { r_squared, alpha_k_alpha } => {
+                r_squared - (k_self() - 2.0 * s + alpha_k_alpha)
+            }
+        }
+    }
+}
+
+/// A trained one-class model: support vectors with their multipliers and
+/// the [`Boundary`] of the classifier family that trained them.
 ///
-/// Both [`OcSvmModel`](crate::OcSvmModel) and [`SvddModel`](crate::SvddModel)
-/// implement this trait, so profiling code can treat the two classifier
-/// families interchangeably (the paper compares them throughout Sect. V).
+/// [`NuOcSvm`](crate::NuOcSvm) trains a [`Boundary::Hyperplane`] model and
+/// [`Svdd`](crate::Svdd) a [`Boundary::Sphere`] model; every scoring path
+/// is the same for both (the paper compares the two families throughout
+/// Sect. V).
 ///
 /// # Examples
 ///
 /// ```
-/// use ocsvm::{Kernel, NuOcSvm, OneClassModel, SparseVector};
+/// use ocsvm::{Boundary, Kernel, NuOcSvm, SparseVector, Svdd};
 ///
 /// let train: Vec<SparseVector> =
 ///     (0..20).map(|i| SparseVector::from_dense(&[1.0, (i % 3) as f64 * 0.01])).collect();
-/// let model = NuOcSvm::new(0.1, Kernel::Linear).train(&train)?;
-/// assert!(model.accepts(&SparseVector::from_dense(&[1.0, 0.01])));
+/// let ocsvm = NuOcSvm::new(0.1, Kernel::Linear).train(&train)?;
+/// let svdd = Svdd::new(0.5, Kernel::Linear).train(&train)?;
+/// assert!(matches!(ocsvm.boundary(), Boundary::Hyperplane { .. }));
+/// assert!(matches!(svdd.boundary(), Boundary::Sphere { .. }));
+/// for model in [ocsvm, svdd] {
+///     assert!(model.accepts(&SparseVector::from_dense(&[1.0, 0.01])));
+/// }
 /// # Ok::<(), ocsvm::TrainError>(())
 /// ```
-pub trait OneClassModel {
+#[derive(Debug, Clone)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub struct OneClassModel {
+    pub(crate) support: SupportVectorSet,
+    pub(crate) boundary: Boundary,
+    /// `ν` (OC-SVM) or `C` (SVDD).
+    pub(crate) regularization: f64,
+    pub(crate) diagnostics: TrainDiagnostics,
+    #[cfg_attr(feature = "serde", serde(default))]
+    pub(crate) backend: SolverBackend,
+}
+
+impl OneClassModel {
+    /// Assembles a freshly solved model from the full multiplier vector
+    /// over `points`.
+    pub(crate) fn trained(
+        points: &[SparseVector],
+        solution: &Solution,
+        kernel: Kernel,
+        boundary: Boundary,
+        regularization: f64,
+        (cache_hits, cache_misses): (u64, u64),
+        backend: SolverBackend,
+    ) -> Self {
+        let support = SupportVectorSet::from_solution(points, &solution.alpha, kernel);
+        let diagnostics = TrainDiagnostics {
+            iterations: solution.iterations,
+            converged: solution.converged,
+            objective: solution.objective,
+            train_size: points.len(),
+            support_vectors: support.len(),
+            cache_hits,
+            cache_misses,
+        };
+        Self { support, boundary, regularization, diagnostics, backend }
+    }
+
+    /// The decision boundary (and with it the classifier family).
+    pub fn boundary(&self) -> Boundary {
+        self.boundary
+    }
+
+    /// The regularization the model was trained with: `ν` for a
+    /// hyperplane, `C` for a sphere.
+    pub fn regularization(&self) -> f64 {
+        self.regularization
+    }
+
     /// Signed decision value; `>= 0` means the sample is accepted as
     /// belonging to the modeled class.
-    fn decision_value(&self, x: &SparseVector) -> f64;
+    pub fn decision_value(&self, x: &SparseVector) -> f64 {
+        let s = self.support.weighted_kernel_sum(x);
+        self.boundary.decide(s, || self.support.kernel.compute_self(x))
+    }
 
     /// Whether the sample is accepted (decision value `>= 0`), matching the
     /// `sgn` convention of the paper's Eq. (4)/(12).
-    fn accepts(&self, x: &SparseVector) -> bool {
+    pub fn accepts(&self, x: &SparseVector) -> bool {
         self.decision_value(x) >= 0.0
     }
 
     /// Number of support vectors retained by the model.
-    fn support_vector_count(&self) -> usize;
+    pub fn support_vector_count(&self) -> usize {
+        self.support.len()
+    }
 
     /// The kernel the model was trained with.
-    fn kernel(&self) -> Kernel;
+    pub fn kernel(&self) -> Kernel {
+        self.support.kernel
+    }
+
+    /// Training diagnostics (iterations, convergence, cache behaviour).
+    pub fn diagnostics(&self) -> TrainDiagnostics {
+        self.diagnostics
+    }
+
+    /// Which training backend produced this model.
+    pub fn solver_backend(&self) -> SolverBackend {
+        self.backend
+    }
+
+    /// The affine decision terms of a linear-kernel model, or `None` for
+    /// non-linear kernels. With the collapsed `w = Σᵢ αᵢxᵢ`, a hyperplane
+    /// has `weights = w`, `bias = −ρ`; a sphere with center `a = w` expands
+    /// `R² − ‖x − a‖²` to `(2a)·x + (R² − ‖a‖²) − ‖x‖²`, so
+    /// `weights = 2a`, `bias = R² − αᵀKα` and
+    /// [`subtracts_probe_norm`](LinearDecisionTerms::subtracts_probe_norm)
+    /// is set. See [`LinearDecisionTerms`].
+    pub fn linear_decision_terms(&self) -> Option<LinearDecisionTerms> {
+        let w = self.support.collapsed.as_ref()?;
+        Some(match self.boundary {
+            Boundary::Hyperplane { rho } => {
+                LinearDecisionTerms { weights: w.clone(), bias: -rho, subtracts_probe_norm: false }
+            }
+            Boundary::Sphere { r_squared, alpha_k_alpha } => LinearDecisionTerms {
+                weights: w.scaled(2.0),
+                bias: r_squared - alpha_k_alpha,
+                subtracts_probe_norm: true,
+            },
+        })
+    }
+
+    /// Sorted union of the feature columns the decision function reads
+    /// (support-vector columns; for the linear kernel, the collapsed
+    /// weight vector's columns).
+    pub fn support_column_union(&self) -> Vec<u32> {
+        self.support.column_union()
+    }
+
+    /// Serializes the model in the crate's binary format (OCSV).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from the writer.
+    pub fn write_to<W: std::io::Write>(&self, writer: &mut W) -> std::io::Result<()> {
+        crate::persist::write_model(writer, self)
+    }
+
+    /// Deserializes a model written by [`OneClassModel::write_to`]; the
+    /// stream's kind byte selects the boundary.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` for wrong magic/version/kind or a corrupt stream;
+    /// other I/O errors from the reader.
+    pub fn read_from<R: std::io::Read>(reader: &mut R) -> std::io::Result<OneClassModel> {
+        crate::persist::read_model(reader)
+    }
+
+    /// Decision values for a whole probe micro-batch, amortizing kernel
+    /// work over the batch: non-linear kernels pack the probes once into a
+    /// [`ProbePanel`] and score it like
+    /// [`panel_decision_values`](Self::panel_decision_values); the linear
+    /// kernel collapses into one dense-weight pass
+    /// ([`LinearBatchScorer::weighted_sums`]).
+    ///
+    /// Every value is bit-identical to
+    /// [`decision_value`](Self::decision_value) on the same probe. Unlike
+    /// [`cross_decision_values`](Self::cross_decision_values) this needs no
+    /// training-set indices, so it also works for deserialized models.
+    pub fn batch_decision_values(&self, probes: &[&SparseVector]) -> Vec<f64> {
+        self.decide_all(probes, self.support.batch_weighted_kernel_sums(probes))
+    }
+
+    /// Decision values for every probe of an already-packed panel, in
+    /// packing order, bit-identical to
+    /// [`decision_value`](Self::decision_value) per probe. The linear
+    /// kernel runs one dense GEMV over the panel
+    /// ([`LinearBatchScorer::weighted_sums_panel`]); the others add
+    /// `αᵢ·k(svᵢ, ·)` one support vector at a time.
+    pub fn panel_decision_values(&self, panel: &ProbePanel) -> Vec<f64> {
+        self.decide_all(panel.probes(), self.support.panel_weighted_kernel_sums(panel))
+    }
+
+    fn decide_all(&self, probes: &[&SparseVector], sums: Vec<f64>) -> Vec<f64> {
+        let kernel = self.support.kernel;
+        probes
+            .iter()
+            .zip(sums)
+            .map(|(p, s)| self.boundary.decide(s, || kernel.compute_self(p)))
+            .collect()
+    }
+
+    /// Decision values over the *training set*, read from the shared
+    /// [`GramMatrix`] the model was (or could have been) trained with —
+    /// no kernel evaluations are performed beyond the matrix's lazily
+    /// materialized rows (a sphere's probe self-kernels come from the
+    /// matrix diagonal).
+    ///
+    /// For non-linear kernels the values are bit-identical to calling
+    /// [`decision_value`](Self::decision_value) on each training point;
+    /// for the linear kernel they agree up to floating-point association
+    /// (the on-the-fly path uses a collapsed weight vector).
+    ///
+    /// Returns `None` when the model was deserialized without its training
+    /// indices or `gram` does not match the model's kernel and
+    /// training-set size.
+    pub fn training_decision_values(&self, gram: &GramMatrix) -> Option<Vec<f64>> {
+        self.row_decision_values(
+            gram.kernel(),
+            gram.len(),
+            gram.len(),
+            |i| gram.row(i),
+            |j| gram.diag_value(j),
+        )
+    }
+
+    /// Decision values over a fixed probe set, read from a shared
+    /// [`CrossGram`] between the model's training set and the probes.
+    ///
+    /// Same exactness and availability rules as
+    /// [`training_decision_values`](Self::training_decision_values).
+    pub fn cross_decision_values(&self, cross: &CrossGram) -> Option<Vec<f64>> {
+        self.row_decision_values(
+            cross.kernel(),
+            cross.train_len(),
+            cross.probe_count(),
+            |i| cross.row(i),
+            |j| cross.probe_diag(j),
+        )
+    }
+
+    /// Scores `width` probes from precomputed kernel rows over the
+    /// training set (`row(i)` for training point `i`, `k_self(j)` for
+    /// probe `j`); `None` unless the rows were computed with the model's
+    /// kernel over a training set of its size.
+    fn row_decision_values<R: AsRef<[f64]>>(
+        &self,
+        kernel: Kernel,
+        train_len: usize,
+        width: usize,
+        row: impl Fn(usize) -> R,
+        k_self: impl Fn(usize) -> f64,
+    ) -> Option<Vec<f64>> {
+        let indices = self.support.indices()?;
+        if kernel != self.support.kernel || train_len != self.diagnostics.train_size {
+            return None;
+        }
+        let rows: Vec<R> = indices.iter().map(|&i| row(i)).collect();
+        let sums = self.support.weighted_row_sums(&rows, width);
+        Some(
+            sums.into_iter()
+                .enumerate()
+                .map(|(j, s)| self.boundary.decide(s, || k_self(j)))
+                .collect(),
+        )
+    }
+
+    /// The full training multiplier vector `α` (zeros for non-support
+    /// points), reconstructed from the support vectors' training indices —
+    /// the warm-start seed for an adjacent regularization value.
+    ///
+    /// `None` for deserialized models trained by a pre-v2 binary (their
+    /// training indices are unknown).
+    pub fn training_alpha(&self) -> Option<Vec<f64>> {
+        let indices = self.support.indices()?;
+        let mut alpha = vec![0.0; self.diagnostics.train_size];
+        for (&i, &a) in indices.iter().zip(&self.support.alpha) {
+            alpha[i] = a;
+        }
+        Some(alpha)
+    }
 }
 
 /// Support vectors with their multipliers; evaluates
@@ -128,35 +406,43 @@ impl SupportVectorSet {
     }
 
     /// `Σᵢ αᵢ·k(svᵢ, pⱼ)` for every probe `pⱼ`, amortizing kernel work over
-    /// the whole batch.
-    ///
-    /// Non-linear kernels pack the batch once into a
-    /// [`ProbePanel`](crate::ProbePanel), the one panel of this probe set:
-    /// it borrows the batch, so every support vector's row reads nothing
-    /// else. The sums then add `αᵢ·k(svᵢ, ·)` one support vector at a
-    /// time, reusing one row buffer and one squared-distance scratch — no
-    /// per-row allocation, no row cache (each batch is a fresh probe set,
-    /// so no row would ever be reused). The sums start at the identity
-    /// `Iterator::sum` folds from and add the same terms in the same
-    /// (support-vector) order as [`Self::weighted_kernel_sum`], so every
-    /// value is bit-identical to it. The linear kernel goes through a
-    /// dense [`LinearBatchScorer`] built from the collapsed weight vector,
-    /// which adds exactly the same products in the same (column-ascending)
-    /// order as the sparse merge dot and is therefore also bit-identical.
+    /// the whole batch: the linear kernel goes through a
+    /// [`LinearBatchScorer`] built from the collapsed weight vector, which
+    /// picks the sparse walk or a packed GEMV by batch density; the others
+    /// pack the batch once into a [`ProbePanel`] and run
+    /// [`panel_weighted_kernel_sums`](Self::panel_weighted_kernel_sums).
+    /// Every value is bit-identical to [`Self::weighted_kernel_sum`].
     ///
     /// Unlike the training-set row paths this needs no training indices, so
     /// it works for deserialized models too.
     pub(crate) fn batch_weighted_kernel_sums(&self, probes: &[&SparseVector]) -> Vec<f64> {
-        if let Some(w) = &self.collapsed {
-            return LinearBatchScorer::from_collapsed(w).weighted_sums(probes);
+        match &self.collapsed {
+            Some(w) => LinearBatchScorer::from_collapsed(w).weighted_sums(probes),
+            None => self.panel_weighted_kernel_sums(&ProbePanel::pack(probes)),
         }
-        let panel = crate::panel::ProbePanel::pack(probes);
+    }
+
+    /// `Σᵢ αᵢ·k(svᵢ, pⱼ)` for every probe of `panel`, bit-identical to
+    /// [`Self::weighted_kernel_sum`] per probe.
+    ///
+    /// The linear kernel runs one dense GEMV of the collapsed weight vector
+    /// over the panel ([`LinearBatchScorer::weighted_sums_panel`]), which
+    /// adds exactly the products the sparse merge dot adds, in the same
+    /// (column-ascending) order. The other kernels add `αᵢ·k(svᵢ, ·)` one
+    /// support vector at a time, reusing one row buffer and one
+    /// squared-distance scratch — no per-row allocation, no row cache. The
+    /// sums start at the identity `Iterator::sum` folds from and add the
+    /// same terms in the same (support-vector) order as the per-point sum.
+    pub(crate) fn panel_weighted_kernel_sums(&self, panel: &ProbePanel) -> Vec<f64> {
+        if let Some(w) = &self.collapsed {
+            return LinearBatchScorer::from_collapsed(w).weighted_sums_panel(panel);
+        }
         let identity: f64 = std::iter::empty::<f64>().sum();
-        let mut sums = vec![identity; probes.len()];
-        let mut row = vec![0.0; probes.len()];
+        let mut sums = vec![identity; panel.probe_count()];
+        let mut row = vec![0.0; panel.probe_count()];
         let mut scratch = Vec::new();
         for (sv, &a) in self.vectors.iter().zip(&self.alpha) {
-            crate::panel::kernel_cross_row_into(self.kernel, sv, &panel, &mut scratch, &mut row);
+            crate::panel::kernel_cross_row_into(self.kernel, sv, panel, &mut scratch, &mut row);
             for (s, &k) in sums.iter_mut().zip(&row) {
                 *s += a * k;
             }
@@ -166,12 +452,6 @@ impl SupportVectorSet {
 
     pub(crate) fn len(&self) -> usize {
         self.vectors.len()
-    }
-
-    /// The collapsed linear weight vector `w = Σᵢ αᵢxᵢ`, present iff the
-    /// kernel is linear.
-    pub(crate) fn collapsed(&self) -> Option<&SparseVector> {
-        self.collapsed.as_ref()
     }
 
     /// Sorted union of the columns touched by any support vector (for a
@@ -292,7 +572,7 @@ impl LinearBatchScorer {
             let total_nnz: usize = probes.iter().map(|p| p.nnz()).sum();
             let mean_nnz = total_nnz / probes.len();
             if mean_nnz * GEMV_DENSE_FACTOR >= self.nnz {
-                return self.weighted_sums_panel(&crate::panel::ProbePanel::pack(probes));
+                return self.weighted_sums_panel(&ProbePanel::pack(probes));
             }
         }
         probes.iter().map(|p| self.weighted_sum(p)).collect()
@@ -301,7 +581,7 @@ impl LinearBatchScorer {
     /// The panel GEMV: `Σ_c w[c]·pⱼ[c]` over an already-packed probe
     /// panel, bit-identical to [`weighted_sum`](Self::weighted_sum) per
     /// probe (see [`crate::ProbePanel::gemv_into`]).
-    pub fn weighted_sums_panel(&self, panel: &crate::panel::ProbePanel) -> Vec<f64> {
+    pub fn weighted_sums_panel(&self, panel: &ProbePanel) -> Vec<f64> {
         let mut out = vec![0.0; panel.probe_count()];
         panel.gemv_into(&self.weights, &mut out);
         out

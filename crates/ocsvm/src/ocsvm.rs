@@ -7,17 +7,18 @@
 //! subject to  0 ≤ αᵢ ≤ 1/(νl),  Σᵢ αᵢ = 1
 //! ```
 //!
-//! with decision function (Eq. 6) `f(x) = sgn(Σᵢ αᵢ k(xᵢ, x) − ρ)`.
+//! with decision function (Eq. 6) `f(x) = sgn(Σᵢ αᵢ k(xᵢ, x) − ρ)`: the
+//! trainer returns a [`OneClassModel`] with a [`Boundary::Hyperplane`].
 //! `ν` is simultaneously an upper bound on the fraction of training
 //! outliers and a lower bound on the fraction of support vectors
 //! (Schölkopf et al. 2001).
 
 use crate::error::TrainError;
-use crate::gram::{CrossGram, GramMatrix};
+use crate::gram::GramMatrix;
 use crate::kernel::Kernel;
-use crate::model::{OneClassModel, SupportVectorSet, TrainDiagnostics};
+use crate::model::{Boundary, OneClassModel};
 use crate::smo::{PrecomputedQ, SolverOptions};
-use crate::solver::{self, SolverBackend};
+use crate::solver;
 use crate::sparse::SparseVector;
 
 /// Trainer configuration for a ν-OC-SVM.
@@ -25,7 +26,7 @@ use crate::sparse::SparseVector;
 /// # Examples
 ///
 /// ```
-/// use ocsvm::{Kernel, NuOcSvm, OneClassModel, SparseVector};
+/// use ocsvm::{Kernel, NuOcSvm, SparseVector};
 ///
 /// let data: Vec<SparseVector> =
 ///     (0..50).map(|i| SparseVector::from_dense(&[1.0, 0.05 * (i % 4) as f64])).collect();
@@ -76,7 +77,7 @@ impl NuOcSvm {
     ///
     /// * [`TrainError::EmptyTrainingSet`] if `points` is empty.
     /// * [`TrainError::InvalidNu`] if `ν ∉ (0, 1]` or is not finite.
-    pub fn train(&self, points: &[SparseVector]) -> Result<OcSvmModel, TrainError> {
+    pub fn train(&self, points: &[SparseVector]) -> Result<OneClassModel, TrainError> {
         self.validate(points)?;
         let gram = GramMatrix::for_solver(self.kernel, points, self.options.cache_bytes);
         Ok(self.train_on(points, &mut PrecomputedQ::unpinned(&gram, 1.0), None).0)
@@ -103,7 +104,7 @@ impl NuOcSvm {
         &self,
         points: &[SparseVector],
         gram: &GramMatrix,
-    ) -> Result<OcSvmModel, TrainError> {
+    ) -> Result<OneClassModel, TrainError> {
         Ok(self.train_with_gram_seeded(points, gram, None)?.0)
     }
 
@@ -125,7 +126,7 @@ impl NuOcSvm {
         points: &[SparseVector],
         gram: &GramMatrix,
         seed: Option<&[f64]>,
-    ) -> Result<(OcSvmModel, Vec<f64>), TrainError> {
+    ) -> Result<(OneClassModel, Vec<f64>), TrainError> {
         self.validate(points)?;
         gram.check_compatible(points.len(), self.kernel)?;
         Ok(self.train_on(points, &mut PrecomputedQ::pinned(gram, 1.0), seed))
@@ -146,7 +147,7 @@ impl NuOcSvm {
         points: &[SparseVector],
         q: &mut PrecomputedQ,
         seed: Option<&[f64]>,
-    ) -> (OcSvmModel, Vec<f64>) {
+    ) -> (OneClassModel, Vec<f64>) {
         let l = points.len();
         let upper = 1.0 / (self.nu * l as f64);
         let p = vec![0.0; l];
@@ -157,19 +158,16 @@ impl NuOcSvm {
         let rho = outcome
             .threshold_override
             .unwrap_or_else(|| recover_rho(&solution.alpha, &solution.gradient, upper));
-        let (cache_hits, cache_misses) = q.cache_stats();
-        let support = SupportVectorSet::from_solution(points, &solution.alpha, self.kernel);
-        let diagnostics = TrainDiagnostics {
-            iterations: solution.iterations,
-            converged: solution.converged,
-            objective: solution.objective,
-            train_size: l,
-            support_vectors: support.len(),
-            cache_hits,
-            cache_misses,
-        };
-        let backend = self.options.backend;
-        (OcSvmModel { support, rho, nu: self.nu, diagnostics, backend }, solution.alpha)
+        let model = OneClassModel::trained(
+            points,
+            &solution,
+            self.kernel,
+            Boundary::Hyperplane { rho },
+            self.nu,
+            q.cache_stats(),
+            self.options.backend,
+        );
+        (model, solution.alpha)
     }
 }
 
@@ -203,178 +201,6 @@ pub(crate) fn recover_rho(alpha: &[f64], gradient: &[f64], upper: f64) -> f64 {
         (true, false) => lower,
         (false, true) => upper_bound,
         (false, false) => 0.0,
-    }
-}
-
-/// A trained ν-OC-SVM model.
-///
-/// Produced by [`NuOcSvm::train`]; see [`OneClassModel`] for the decision
-/// interface.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct OcSvmModel {
-    support: SupportVectorSet,
-    rho: f64,
-    nu: f64,
-    diagnostics: TrainDiagnostics,
-    #[cfg_attr(feature = "serde", serde(default))]
-    backend: SolverBackend,
-}
-
-impl OcSvmModel {
-    /// The margin offset `ρ` of Eq. (6).
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
-
-    /// The `ν` the model was trained with.
-    pub fn nu(&self) -> f64 {
-        self.nu
-    }
-
-    /// The affine decision terms of a linear-kernel model
-    /// (`weights = Σᵢ αᵢxᵢ`, `bias = −ρ`), or `None` for non-linear
-    /// kernels. See [`LinearDecisionTerms`](crate::LinearDecisionTerms)
-    /// for the exact/affine relationship.
-    pub fn linear_decision_terms(&self) -> Option<crate::LinearDecisionTerms> {
-        self.support.collapsed().map(|w| crate::LinearDecisionTerms {
-            weights: w.clone(),
-            bias: -self.rho,
-            subtracts_probe_norm: false,
-        })
-    }
-
-    /// Sorted union of the feature columns the decision function reads
-    /// (support-vector columns; for the linear kernel, the collapsed
-    /// weight vector's columns).
-    pub fn support_column_union(&self) -> Vec<u32> {
-        self.support.column_union()
-    }
-
-    /// Training diagnostics (iterations, convergence, cache behaviour).
-    pub fn diagnostics(&self) -> TrainDiagnostics {
-        self.diagnostics
-    }
-
-    /// Which training backend produced this model.
-    pub fn solver_backend(&self) -> SolverBackend {
-        self.backend
-    }
-
-    /// Serializes the model in the crate's binary format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_to<W: std::io::Write>(&self, writer: &mut W) -> std::io::Result<()> {
-        crate::persist::write_ocsvm(writer, self)
-    }
-
-    /// Deserializes a model written by [`OcSvmModel::write_to`].
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for wrong magic/version/kind or a corrupt stream;
-    /// other I/O errors from the reader.
-    pub fn read_from<R: std::io::Read>(reader: &mut R) -> std::io::Result<OcSvmModel> {
-        crate::persist::read_ocsvm(reader)
-    }
-
-    /// Decision values over the *training set*, read from the shared
-    /// [`GramMatrix`] the model was (or could have been) trained with —
-    /// no kernel evaluations are performed beyond the matrix's lazily
-    /// materialized rows.
-    ///
-    /// For non-linear kernels the values are bit-identical to calling
-    /// [`decision_value`](OneClassModel::decision_value) on each training
-    /// point; for the linear kernel they agree up to floating-point
-    /// association (the on-the-fly path uses a collapsed weight vector).
-    ///
-    /// Returns `None` when the model was deserialized (its training indices
-    /// are unknown) or `gram` does not match the model's kernel and
-    /// training-set size.
-    pub fn training_decision_values(&self, gram: &GramMatrix) -> Option<Vec<f64>> {
-        let indices = self.support.indices()?;
-        if gram.kernel() != self.support.kernel || gram.len() != self.diagnostics.train_size {
-            return None;
-        }
-        let rows: Vec<_> = indices.iter().map(|&i| gram.row(i)).collect();
-        let sums = self.support.weighted_row_sums(&rows, gram.len());
-        Some(sums.into_iter().map(|s| s - self.rho).collect())
-    }
-
-    /// Decision values over a fixed probe set, read from a shared
-    /// [`CrossGram`] between the model's training set and the probes.
-    ///
-    /// Same exactness and availability rules as
-    /// [`training_decision_values`](Self::training_decision_values).
-    pub fn cross_decision_values(&self, cross: &CrossGram) -> Option<Vec<f64>> {
-        let indices = self.support.indices()?;
-        if cross.kernel() != self.support.kernel || cross.train_len() != self.diagnostics.train_size
-        {
-            return None;
-        }
-        let rows: Vec<_> = indices.iter().map(|&i| cross.row(i)).collect();
-        let sums = self.support.weighted_row_sums(&rows, cross.probe_count());
-        Some(sums.into_iter().map(|s| s - self.rho).collect())
-    }
-
-    /// The full training multiplier vector `α` (zeros for non-support
-    /// points), reconstructed from the support vectors' training indices —
-    /// the warm-start seed for an adjacent regularization value.
-    ///
-    /// `None` for deserialized models trained by a pre-v2 binary (their
-    /// training indices are unknown).
-    pub fn training_alpha(&self) -> Option<Vec<f64>> {
-        let indices = self.support.indices()?;
-        let mut alpha = vec![0.0; self.diagnostics.train_size];
-        for (&i, &a) in indices.iter().zip(&self.support.alpha) {
-            alpha[i] = a;
-        }
-        Some(alpha)
-    }
-
-    /// Decision values for a whole probe micro-batch, amortizing kernel
-    /// work over the batch: non-linear kernels compute one kernel row per
-    /// support vector against the probes packed once into a
-    /// [`ProbePanel`](crate::ProbePanel), the linear kernel collapses into
-    /// one dense-weight GEMV ([`crate::LinearBatchScorer`]).
-    ///
-    /// Every value is bit-identical to calling
-    /// [`decision_value`](OneClassModel::decision_value) on the same probe.
-    /// Unlike [`cross_decision_values`](Self::cross_decision_values) this
-    /// needs no training-set indices, so it also works for deserialized
-    /// models.
-    pub fn batch_decision_values(&self, probes: &[&SparseVector]) -> Vec<f64> {
-        self.support.batch_weighted_kernel_sums(probes).into_iter().map(|s| s - self.rho).collect()
-    }
-
-    pub(crate) fn support(&self) -> &SupportVectorSet {
-        &self.support
-    }
-
-    pub(crate) fn from_parts(
-        support: SupportVectorSet,
-        rho: f64,
-        nu: f64,
-        diagnostics: TrainDiagnostics,
-        backend: SolverBackend,
-    ) -> Self {
-        Self { support, rho, nu, diagnostics, backend }
-    }
-}
-
-impl OneClassModel for OcSvmModel {
-    fn decision_value(&self, x: &SparseVector) -> f64 {
-        self.support.weighted_kernel_sum(x) - self.rho
-    }
-
-    fn support_vector_count(&self) -> usize {
-        self.support.len()
-    }
-
-    fn kernel(&self) -> Kernel {
-        self.support.kernel
     }
 }
 
@@ -522,6 +348,6 @@ mod tests {
     #[test]
     fn model_implements_serde_traits() {
         fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<OcSvmModel>();
+        assert_serde::<OneClassModel>();
     }
 }

@@ -1,77 +1,81 @@
-//! Binary model persistence.
+//! Binary model persistence (the OCSV format).
 //!
 //! Trained models must outlive the training process (the monitoring
 //! deployment trains offline and loads profiles at the proxy), and the
 //! crate's dependency budget has no serde *format* backend — so models get
-//! a small self-contained binary format: a magic/version header, the
-//! kernel and offsets, then the support vectors as varint-length sparse
-//! rows. Everything is little-endian; floats are IEEE-754 bit patterns.
+//! a small self-contained binary format. Everything is little-endian;
+//! floats are IEEE-754 bit patterns. In order:
 //!
-//! Version 2 appends the support vectors' training-set indices (when the
-//! model knows them), so a deserialized model keeps the shared-row scoring
-//! paths (`training_decision_values` / `cross_decision_values`) instead of
-//! falling back to per-point kernel evaluation. Version 3 appends one
-//! trailing byte recording the [`SolverBackend`] that trained the model.
-//! Version-1/-2 streams are still read; their models have no indices
-//! (v1 only) and report the exact backend.
+//! 1. the header: magic `OCSV`, the version byte, the kind byte (`0` for a
+//!    [`Boundary::Hyperplane`], `1` for a [`Boundary::Sphere`]) and two
+//!    zero bytes;
+//! 2. the boundary's constants: `ρ`, or `R²` then `αᵀKα`;
+//! 3. the regularization (`ν` or `C`);
+//! 4. the kernel, then the support vectors as varint-length sparse rows;
+//! 5. the training-diagnostics block.
+//!
+//! One writer and one reader serve both families: the kind byte is the only
+//! place the boundary shows.
+//!
+//! Version 2 appends the support vectors' training-set indices to the
+//! support block (when the model knows them), so a deserialized model
+//! keeps the shared-row scoring paths (`training_decision_values` /
+//! `cross_decision_values`) instead of falling back to per-point kernel
+//! evaluation. Version 3 appends one trailing byte recording the
+//! [`SolverBackend`] that trained the model. Version-1/-2 streams are still
+//! read; their models have no indices (v1 only) and report the exact
+//! backend.
 
 use crate::kernel::Kernel;
-use crate::model::{SupportVectorSet, TrainDiagnostics};
-use crate::ocsvm::OcSvmModel;
+use crate::model::{Boundary, OneClassModel, SupportVectorSet, TrainDiagnostics};
 use crate::solver::SolverBackend;
 use crate::sparse::SparseVector;
-use crate::svdd::SvddModel;
 use std::io::{self, Read, Write};
 
 const MAGIC: [u8; 4] = *b"OCSV";
 const VERSION: u8 = 3;
 /// Oldest version still readable (v1 lacks the training-index block).
 const MIN_VERSION: u8 = 1;
-const KIND_OCSVM: u8 = 0;
-const KIND_SVDD: u8 = 1;
+const KIND_HYPERPLANE: u8 = 0;
+const KIND_SPHERE: u8 = 1;
 
-/// Writes any supported model; dispatched by the callers in `ocsvm.rs` /
-/// `svdd.rs`.
-pub(crate) fn write_ocsvm<W: Write>(writer: &mut W, model: &OcSvmModel) -> io::Result<()> {
-    write_header(writer, KIND_OCSVM)?;
-    write_f64(writer, model.rho())?;
-    write_f64(writer, model.nu())?;
-    write_support(writer, model.support())?;
-    write_diagnostics(writer, model.diagnostics())?;
-    write_backend(writer, model.solver_backend())
+/// Writes the header, the boundary's constants (`ρ`, or `R²` then
+/// `αᵀKα`), the regularization, the support vectors, the diagnostics and
+/// the backend tag.
+pub(crate) fn write_model<W: Write>(writer: &mut W, model: &OneClassModel) -> io::Result<()> {
+    match model.boundary {
+        Boundary::Hyperplane { rho } => {
+            write_header(writer, KIND_HYPERPLANE)?;
+            write_f64(writer, rho)?;
+        }
+        Boundary::Sphere { r_squared, alpha_k_alpha } => {
+            write_header(writer, KIND_SPHERE)?;
+            write_f64(writer, r_squared)?;
+            write_f64(writer, alpha_k_alpha)?;
+        }
+    }
+    write_f64(writer, model.regularization)?;
+    write_support(writer, &model.support)?;
+    write_diagnostics(writer, model.diagnostics)?;
+    write_backend(writer, model.backend)
 }
 
-pub(crate) fn read_ocsvm<R: Read>(reader: &mut R) -> io::Result<OcSvmModel> {
-    let version = read_header(reader, KIND_OCSVM)?;
-    let rho = read_f64(reader)?;
-    let nu = read_f64(reader)?;
+pub(crate) fn read_model<R: Read>(reader: &mut R) -> io::Result<OneClassModel> {
+    let (version, kind) = read_header(reader)?;
+    let boundary = match kind {
+        KIND_HYPERPLANE => Boundary::Hyperplane { rho: read_f64(reader)? },
+        KIND_SPHERE => {
+            let r_squared = read_f64(reader)?;
+            Boundary::Sphere { r_squared, alpha_k_alpha: read_f64(reader)? }
+        }
+        other => return Err(invalid(format!("unknown model kind {other}"))),
+    };
+    let regularization = read_f64(reader)?;
     let support = read_support(reader, version)?;
     let diagnostics = read_diagnostics(reader)?;
     let backend = read_backend(reader, version)?;
     validate_indices(&support, diagnostics.train_size)?;
-    Ok(OcSvmModel::from_parts(support, rho, nu, diagnostics, backend))
-}
-
-pub(crate) fn write_svdd<W: Write>(writer: &mut W, model: &SvddModel) -> io::Result<()> {
-    write_header(writer, KIND_SVDD)?;
-    write_f64(writer, model.r_squared())?;
-    write_f64(writer, model.alpha_k_alpha())?;
-    write_f64(writer, model.c())?;
-    write_support(writer, model.support())?;
-    write_diagnostics(writer, model.diagnostics())?;
-    write_backend(writer, model.solver_backend())
-}
-
-pub(crate) fn read_svdd<R: Read>(reader: &mut R) -> io::Result<SvddModel> {
-    let version = read_header(reader, KIND_SVDD)?;
-    let r_squared = read_f64(reader)?;
-    let alpha_k_alpha = read_f64(reader)?;
-    let c = read_f64(reader)?;
-    let support = read_support(reader, version)?;
-    let diagnostics = read_diagnostics(reader)?;
-    let backend = read_backend(reader, version)?;
-    validate_indices(&support, diagnostics.train_size)?;
-    Ok(SvddModel::from_parts(support, r_squared, alpha_k_alpha, c, diagnostics, backend))
+    Ok(OneClassModel { support, boundary, regularization, diagnostics, backend })
 }
 
 /// v3 trailing byte: which [`SolverBackend`] trained the model.
@@ -96,8 +100,9 @@ fn write_header<W: Write>(writer: &mut W, kind: u8) -> io::Result<()> {
     writer.write_all(&[VERSION, kind, 0, 0])
 }
 
-/// Returns the stored format version (within `MIN_VERSION..=VERSION`).
-fn read_header<R: Read>(reader: &mut R, expected_kind: u8) -> io::Result<u8> {
+/// Returns the stored format version (within `MIN_VERSION..=VERSION`) and
+/// the kind byte.
+fn read_header<R: Read>(reader: &mut R) -> io::Result<(u8, u8)> {
     let mut header = [0u8; 8];
     reader.read_exact(&mut header)?;
     if header[0..4] != MAGIC {
@@ -106,13 +111,7 @@ fn read_header<R: Read>(reader: &mut R, expected_kind: u8) -> io::Result<u8> {
     if !(MIN_VERSION..=VERSION).contains(&header[4]) {
         return Err(invalid(format!("unsupported model version {}", header[4])));
     }
-    if header[5] != expected_kind {
-        return Err(invalid(format!(
-            "model kind mismatch: stored {}, expected {expected_kind}",
-            header[5]
-        )));
-    }
-    Ok(header[4])
+    Ok((header[4], header[5]))
 }
 
 /// The training indices are only trustworthy against the recorded training
@@ -310,7 +309,6 @@ pub(crate) fn read_varint<R: Read>(reader: &mut R) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::OneClassModel;
     use crate::{NuOcSvm, Svdd};
 
     fn training_data() -> Vec<SparseVector> {
@@ -332,9 +330,9 @@ mod tests {
         let model = NuOcSvm::new(0.2, Kernel::Rbf { gamma: 0.5 }).train(&data).unwrap();
         let mut bytes = Vec::new();
         model.write_to(&mut bytes).unwrap();
-        let loaded = OcSvmModel::read_from(&mut bytes.as_slice()).unwrap();
-        assert_eq!(loaded.rho(), model.rho());
-        assert_eq!(loaded.nu(), model.nu());
+        let loaded = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
+        assert_eq!(loaded.boundary(), model.boundary());
+        assert_eq!(loaded.regularization(), model.regularization());
         assert_eq!(loaded.support_vector_count(), model.support_vector_count());
         for probe in &data {
             assert_eq!(loaded.decision_value(probe), model.decision_value(probe));
@@ -347,9 +345,9 @@ mod tests {
         let model = Svdd::new(0.4, Kernel::Linear).train(&data).unwrap();
         let mut bytes = Vec::new();
         model.write_to(&mut bytes).unwrap();
-        let loaded = SvddModel::read_from(&mut bytes.as_slice()).unwrap();
-        assert_eq!(loaded.r_squared(), model.r_squared());
-        assert_eq!(loaded.c(), model.c());
+        let loaded = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
+        assert_eq!(loaded.boundary(), model.boundary());
+        assert_eq!(loaded.regularization(), model.regularization());
         for probe in &data {
             assert_eq!(loaded.decision_value(probe), model.decision_value(probe));
         }
@@ -384,7 +382,7 @@ mod tests {
             let model = NuOcSvm::new(0.2, kernel).train(&data).unwrap();
             let mut bytes = Vec::new();
             model.write_to(&mut bytes).unwrap();
-            let loaded = OcSvmModel::read_from(&mut bytes.as_slice()).unwrap();
+            let loaded = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
             let gram = GramMatrix::compute(kernel, &data);
             let restored = loaded
                 .training_decision_values(&gram)
@@ -399,7 +397,7 @@ mod tests {
             let svdd = Svdd::new(0.4, kernel).train(&data).unwrap();
             let mut bytes = Vec::new();
             svdd.write_to(&mut bytes).unwrap();
-            let loaded = SvddModel::read_from(&mut bytes.as_slice()).unwrap();
+            let loaded = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
             let restored = loaded
                 .training_decision_values(&gram)
                 .expect("restored model keeps shared-row scoring");
@@ -418,21 +416,15 @@ mod tests {
         let data = training_data();
         let trained = NuOcSvm::new(0.2, Kernel::Linear).train(&data).unwrap();
         let support = SupportVectorSet::from_parts(
-            trained.support().vectors.clone(),
-            trained.support().alpha.clone(),
+            trained.support.vectors.clone(),
+            trained.support.alpha.clone(),
             Kernel::Linear,
         );
-        let indexless = OcSvmModel::from_parts(
-            support,
-            trained.rho(),
-            trained.nu(),
-            trained.diagnostics(),
-            SolverBackend::ExactSmo,
-        );
+        let indexless = OneClassModel { support, backend: SolverBackend::ExactSmo, ..trained };
         let mut bytes = Vec::new();
         indexless.write_to(&mut bytes).unwrap();
-        let loaded = OcSvmModel::read_from(&mut bytes.as_slice()).unwrap();
-        assert!(loaded.support().indices().is_none());
+        let loaded = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
+        assert!(loaded.support.indices().is_none());
         for probe in &data {
             assert_eq!(loaded.decision_value(probe), indexless.decision_value(probe));
         }
@@ -449,7 +441,7 @@ mod tests {
         let flag_pos = locate_index_flag(&bytes);
         let mut bad = bytes.clone();
         bad[flag_pos] = 7;
-        let err = OcSvmModel::read_from(&mut bad.as_slice()).unwrap_err();
+        let err = OneClassModel::read_from(&mut bad.as_slice()).unwrap_err();
         assert!(err.to_string().contains("index-block flag"), "{err}");
     }
 
@@ -457,7 +449,7 @@ mod tests {
     /// found by re-walking the layout.
     fn locate_index_flag(bytes: &[u8]) -> usize {
         let mut reader = bytes;
-        read_header(&mut reader, KIND_OCSVM).unwrap();
+        read_header(&mut reader).unwrap();
         read_f64(&mut reader).unwrap();
         read_f64(&mut reader).unwrap();
         read_kernel(&mut reader).unwrap();
@@ -486,7 +478,7 @@ mod tests {
             let mut bytes = Vec::new();
             model.write_to(&mut bytes).unwrap();
             assert_eq!(*bytes.last().unwrap(), backend.tag());
-            let loaded = OcSvmModel::read_from(&mut bytes.as_slice()).unwrap();
+            let loaded = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
             assert_eq!(loaded.solver_backend(), backend);
             for probe in &data {
                 assert_eq!(loaded.decision_value(probe), model.decision_value(probe));
@@ -495,9 +487,9 @@ mod tests {
             let svdd = Svdd::new(0.4, Kernel::Linear).with_options(options).train(&data).unwrap();
             let mut bytes = Vec::new();
             svdd.write_to(&mut bytes).unwrap();
-            let loaded = SvddModel::read_from(&mut bytes.as_slice()).unwrap();
+            let loaded = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
             assert_eq!(loaded.solver_backend(), backend);
-            assert_eq!(loaded.r_squared(), svdd.r_squared());
+            assert_eq!(loaded.boundary(), svdd.boundary());
         }
     }
 
@@ -511,7 +503,7 @@ mod tests {
         model.write_to(&mut bytes).unwrap();
         bytes.pop();
         bytes[4] = 2;
-        let loaded = OcSvmModel::read_from(&mut bytes.as_slice()).unwrap();
+        let loaded = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
         assert_eq!(loaded.solver_backend(), SolverBackend::ExactSmo);
         for probe in &data {
             assert_eq!(loaded.decision_value(probe), model.decision_value(probe));
@@ -528,7 +520,7 @@ mod tests {
         model.write_to(&mut bytes).unwrap();
         for (tag, needle) in [(9, "unknown solver-backend tag 9"), (1, "one-data ensemble")] {
             *bytes.last_mut().unwrap() = tag;
-            let err = OcSvmModel::read_from(&mut bytes.as_slice()).unwrap_err();
+            let err = OneClassModel::read_from(&mut bytes.as_slice()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "tag {tag}");
             assert!(err.to_string().contains("solver-backend"), "{err}");
             assert!(err.to_string().contains(needle), "{err}");
@@ -544,22 +536,12 @@ mod tests {
         let mut bytes = Vec::new();
         model.write_to(&mut bytes).unwrap();
         bytes.pop();
-        assert!(OcSvmModel::read_from(&mut bytes.as_slice()).is_err());
-    }
-
-    #[test]
-    fn kind_mismatch_is_rejected() {
-        let data = training_data();
-        let model = NuOcSvm::new(0.2, Kernel::Linear).train(&data).unwrap();
-        let mut bytes = Vec::new();
-        model.write_to(&mut bytes).unwrap();
-        let err = SvddModel::read_from(&mut bytes.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("kind mismatch"), "{err}");
+        assert!(OneClassModel::read_from(&mut bytes.as_slice()).is_err());
     }
 
     #[test]
     fn garbage_is_rejected() {
-        assert!(OcSvmModel::read_from(&mut &b"garbage!"[..]).is_err());
+        assert!(OneClassModel::read_from(&mut &b"garbage!"[..]).is_err());
         let truncated = {
             let data = training_data();
             let model = NuOcSvm::new(0.2, Kernel::Linear).train(&data).unwrap();
@@ -568,6 +550,11 @@ mod tests {
             bytes.truncate(bytes.len() / 2);
             bytes
         };
-        assert!(OcSvmModel::read_from(&mut truncated.as_slice()).is_err());
+        assert!(OneClassModel::read_from(&mut truncated.as_slice()).is_err());
+        let mut unknown_kind = truncated;
+        unknown_kind[5] = 2;
+        let err = OneClassModel::read_from(&mut unknown_kind.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unknown model kind 2"), "{err}");
     }
 }

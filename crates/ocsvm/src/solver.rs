@@ -351,7 +351,6 @@ impl QMatrix for SubsetQ<'_> {
 mod tests {
     use super::*;
     use crate::kernel::Kernel;
-    use crate::model::OneClassModel;
     use crate::smo::PrecomputedQ;
     use crate::sparse::SparseVector;
     use crate::{NuOcSvm, Svdd};
@@ -426,7 +425,7 @@ mod tests {
             .with_options(options(SolverBackend::SampledFw));
         let a = trainer.train(&points).unwrap();
         let b = trainer.train(&points).unwrap();
-        assert_eq!(a.rho(), b.rho());
+        assert_eq!(a.boundary(), b.boundary());
         let refs: Vec<&SparseVector> = points.iter().collect();
         assert_eq!(a.batch_decision_values(&refs), b.batch_decision_values(&refs));
         assert_eq!(a.diagnostics(), b.diagnostics());
@@ -445,7 +444,7 @@ mod tests {
         let (seeded, seeded_alpha) =
             trainer.train_with_gram_seeded(&points, &gram, Some(&skewed_seed)).unwrap();
         assert_eq!(cold_alpha, seeded_alpha);
-        assert_eq!(cold.rho(), seeded.rho());
+        assert_eq!(cold.boundary(), seeded.boundary());
     }
 
     #[test]
@@ -501,7 +500,9 @@ mod tests {
             .with_options(options(SolverBackend::SampledFw))
             .train(&points)
             .unwrap();
-        assert!(model.r_squared() > 0.0);
+        assert!(
+            matches!(model.boundary(), crate::Boundary::Sphere { r_squared, .. } if r_squared > 0.0)
+        );
         let inside = points.iter().filter(|x| model.accepts(x)).count();
         assert!(inside as f64 >= 0.6 * points.len() as f64, "inside {inside}/{}", points.len());
 
@@ -516,7 +517,7 @@ mod tests {
             .with_options(options(SolverBackend::SampledFw))
             .train(&points)
             .unwrap();
-        let support = model.support();
+        let support = &model.support;
         let free: Vec<&SparseVector> = support
             .vectors
             .iter()

@@ -13,14 +13,15 @@
 //! solved here as the equivalent minimization with `Q = 2K`,
 //! `pᵢ = −k(xᵢ,xᵢ)`. The squared radius follows Eq. (11) and the decision
 //! function Eq. (12): a sample is accepted when its squared feature-space
-//! distance to the center does not exceed `R²`.
+//! distance to the center does not exceed `R²`. The trainer returns a
+//! [`OneClassModel`] with a [`Boundary::Sphere`].
 
 use crate::error::TrainError;
-use crate::gram::{CrossGram, GramMatrix};
+use crate::gram::GramMatrix;
 use crate::kernel::Kernel;
-use crate::model::{OneClassModel, SupportVectorSet, TrainDiagnostics};
+use crate::model::{Boundary, OneClassModel};
 use crate::smo::{PrecomputedQ, SolverOptions};
-use crate::solver::{self, SolverBackend};
+use crate::solver;
 use crate::sparse::SparseVector;
 
 /// Trainer configuration for SVDD.
@@ -28,7 +29,7 @@ use crate::sparse::SparseVector;
 /// # Examples
 ///
 /// ```
-/// use ocsvm::{Kernel, OneClassModel, SparseVector, Svdd};
+/// use ocsvm::{Kernel, SparseVector, Svdd};
 ///
 /// let data: Vec<SparseVector> =
 ///     (0..40).map(|i| SparseVector::from_dense(&[1.0, 0.02 * (i % 5) as f64])).collect();
@@ -77,7 +78,7 @@ impl Svdd {
     /// * [`TrainError::InvalidC`] if `C` is not finite and positive.
     /// * [`TrainError::InfeasibleC`] if `C < 1/l`, which makes the dual
     ///   constraint set empty.
-    pub fn train(&self, points: &[SparseVector]) -> Result<SvddModel, TrainError> {
+    pub fn train(&self, points: &[SparseVector]) -> Result<OneClassModel, TrainError> {
         self.validate(points)?;
         let gram = GramMatrix::for_solver(self.kernel, points, self.options.cache_bytes);
         Ok(self.train_on(points, &mut PrecomputedQ::unpinned(&gram, 2.0), None).0)
@@ -105,7 +106,7 @@ impl Svdd {
         &self,
         points: &[SparseVector],
         gram: &GramMatrix,
-    ) -> Result<SvddModel, TrainError> {
+    ) -> Result<OneClassModel, TrainError> {
         Ok(self.train_with_gram_seeded(points, gram, None)?.0)
     }
 
@@ -127,7 +128,7 @@ impl Svdd {
         points: &[SparseVector],
         gram: &GramMatrix,
         seed: Option<&[f64]>,
-    ) -> Result<(SvddModel, Vec<f64>), TrainError> {
+    ) -> Result<(OneClassModel, Vec<f64>), TrainError> {
         self.validate(points)?;
         gram.check_compatible(points.len(), self.kernel)?;
         Ok(self.train_on(points, &mut PrecomputedQ::pinned(gram, 2.0), seed))
@@ -152,7 +153,7 @@ impl Svdd {
         points: &[SparseVector],
         q: &mut PrecomputedQ,
         seed: Option<&[f64]>,
-    ) -> (SvddModel, Vec<f64>) {
+    ) -> (OneClassModel, Vec<f64>) {
         let l = points.len();
         let upper = self.c;
         let p: Vec<f64> = (0..l).map(|i| -q.kernel_diag(i)).collect();
@@ -174,20 +175,15 @@ impl Svdd {
             .threshold_override
             .unwrap_or_else(|| recover_r_squared(&solution.alpha, upper, dist_sq));
 
-        let (cache_hits, cache_misses) = q.cache_stats();
-        let support = SupportVectorSet::from_solution(points, &solution.alpha, self.kernel);
-        let diagnostics = TrainDiagnostics {
-            iterations: solution.iterations,
-            converged: solution.converged,
-            objective: solution.objective,
-            train_size: l,
-            support_vectors: support.len(),
-            cache_hits,
-            cache_misses,
-        };
-        let backend = self.options.backend;
-        let model =
-            SvddModel { support, r_squared, alpha_k_alpha, c: self.c, diagnostics, backend };
+        let model = OneClassModel::trained(
+            points,
+            &solution,
+            self.kernel,
+            Boundary::Sphere { r_squared, alpha_k_alpha },
+            self.c,
+            q.cache_stats(),
+            self.options.backend,
+        );
         (model, solution.alpha)
     }
 }
@@ -224,223 +220,21 @@ pub(crate) fn recover_r_squared(alpha: &[f64], upper: f64, dist_sq: impl Fn(usiz
     }
 }
 
-/// A trained SVDD model.
-///
-/// Produced by [`Svdd::train`]; see [`OneClassModel`] for the decision
-/// interface.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct SvddModel {
-    support: SupportVectorSet,
-    r_squared: f64,
-    /// Constant `Σᵢⱼ αᵢαⱼ k(xᵢ,xⱼ)` appearing in the decision function.
-    alpha_k_alpha: f64,
-    c: f64,
-    diagnostics: TrainDiagnostics,
-    #[cfg_attr(feature = "serde", serde(default))]
-    backend: SolverBackend,
-}
-
-impl SvddModel {
-    /// The squared radius `R²` of the hypersphere (Eq. 11).
-    pub fn r_squared(&self) -> f64 {
-        self.r_squared
-    }
-
-    /// The `C` the model was trained with.
-    pub fn c(&self) -> f64 {
-        self.c
-    }
-
-    /// The affine decision terms of a linear-kernel model, or `None` for
-    /// non-linear kernels. With a linear kernel and center `a = Σᵢ αᵢxᵢ`
-    /// the decision `R² − ‖x − a‖²` expands to
-    /// `(2a)·x + (R² − ‖a‖²) − ‖x‖²`, so `weights = 2a`,
-    /// `bias = R² − αᵀKα` and
-    /// [`subtracts_probe_norm`](crate::LinearDecisionTerms::subtracts_probe_norm)
-    /// is set. See [`LinearDecisionTerms`](crate::LinearDecisionTerms).
-    pub fn linear_decision_terms(&self) -> Option<crate::LinearDecisionTerms> {
-        self.support.collapsed().map(|a| crate::LinearDecisionTerms {
-            weights: a.scaled(2.0),
-            bias: self.r_squared - self.alpha_k_alpha,
-            subtracts_probe_norm: true,
-        })
-    }
-
-    /// Sorted union of the feature columns the decision function reads
-    /// (support-vector columns; for the linear kernel, the collapsed
-    /// weight vector's columns).
-    pub fn support_column_union(&self) -> Vec<u32> {
-        self.support.column_union()
-    }
-
-    /// Squared feature-space distance from `x` to the sphere center.
-    pub fn squared_distance_to_center(&self, x: &SparseVector) -> f64 {
-        self.support.kernel.compute_self(x) - 2.0 * self.support.weighted_kernel_sum(x)
-            + self.alpha_k_alpha
-    }
-
-    /// Training diagnostics (iterations, convergence, cache behaviour).
-    pub fn diagnostics(&self) -> TrainDiagnostics {
-        self.diagnostics
-    }
-
-    /// Which training backend produced this model.
-    pub fn solver_backend(&self) -> SolverBackend {
-        self.backend
-    }
-
-    /// Serializes the model in the crate's binary format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_to<W: std::io::Write>(&self, writer: &mut W) -> std::io::Result<()> {
-        crate::persist::write_svdd(writer, self)
-    }
-
-    /// Deserializes a model written by [`SvddModel::write_to`].
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for wrong magic/version/kind or a corrupt stream;
-    /// other I/O errors from the reader.
-    pub fn read_from<R: std::io::Read>(reader: &mut R) -> std::io::Result<SvddModel> {
-        crate::persist::read_svdd(reader)
-    }
-
-    /// Decision values over the *training set*, read from the shared
-    /// [`GramMatrix`] the model was (or could have been) trained with —
-    /// no kernel evaluations are performed beyond the matrix's lazily
-    /// materialized rows (the probe self-kernels come from the matrix
-    /// diagonal).
-    ///
-    /// For non-linear kernels the values are bit-identical to calling
-    /// [`decision_value`](OneClassModel::decision_value) on each training
-    /// point; for the linear kernel they agree up to floating-point
-    /// association (the on-the-fly path uses a collapsed weight vector).
-    ///
-    /// Returns `None` when the model was deserialized (its training indices
-    /// are unknown) or `gram` does not match the model's kernel and
-    /// training-set size.
-    pub fn training_decision_values(&self, gram: &GramMatrix) -> Option<Vec<f64>> {
-        let indices = self.support.indices()?;
-        if gram.kernel() != self.support.kernel || gram.len() != self.diagnostics.train_size {
-            return None;
-        }
-        let rows: Vec<_> = indices.iter().map(|&i| gram.row(i)).collect();
-        let sums = self.support.weighted_row_sums(&rows, gram.len());
-        Some(
-            sums.into_iter()
-                .enumerate()
-                .map(|(j, s)| {
-                    let squared = gram.diag_value(j) - 2.0 * s + self.alpha_k_alpha;
-                    self.r_squared - squared
-                })
-                .collect(),
-        )
-    }
-
-    /// Decision values over a fixed probe set, read from a shared
-    /// [`CrossGram`] between the model's training set and the probes.
-    ///
-    /// Same exactness and availability rules as
-    /// [`training_decision_values`](Self::training_decision_values).
-    pub fn cross_decision_values(&self, cross: &CrossGram) -> Option<Vec<f64>> {
-        let indices = self.support.indices()?;
-        if cross.kernel() != self.support.kernel || cross.train_len() != self.diagnostics.train_size
-        {
-            return None;
-        }
-        let rows: Vec<_> = indices.iter().map(|&i| cross.row(i)).collect();
-        let sums = self.support.weighted_row_sums(&rows, cross.probe_count());
-        Some(
-            sums.into_iter()
-                .enumerate()
-                .map(|(j, s)| {
-                    let squared = cross.probe_diag(j) - 2.0 * s + self.alpha_k_alpha;
-                    self.r_squared - squared
-                })
-                .collect(),
-        )
-    }
-
-    /// Decision values for a whole probe micro-batch, amortizing kernel
-    /// work over the batch: non-linear kernels compute one kernel row per
-    /// support vector against the probes packed once into a
-    /// [`ProbePanel`](crate::ProbePanel), the linear kernel collapses into
-    /// one dense-weight GEMV ([`crate::LinearBatchScorer`]).
-    ///
-    /// Every value is bit-identical to calling
-    /// [`decision_value`](OneClassModel::decision_value) on the same probe.
-    /// Unlike [`cross_decision_values`](Self::cross_decision_values) this
-    /// needs no training-set indices, so it also works for deserialized
-    /// models.
-    pub fn batch_decision_values(&self, probes: &[&SparseVector]) -> Vec<f64> {
-        let sums = self.support.batch_weighted_kernel_sums(probes);
-        probes
-            .iter()
-            .zip(sums)
-            .map(|(p, s)| {
-                let squared = self.support.kernel.compute_self(p) - 2.0 * s + self.alpha_k_alpha;
-                self.r_squared - squared
-            })
-            .collect()
-    }
-
-    /// The full training multiplier vector `α` (zeros for non-support
-    /// points), reconstructed from the support vectors' training indices —
-    /// the warm-start seed for an adjacent regularization value.
-    ///
-    /// `None` for deserialized models trained by a pre-v2 binary (their
-    /// training indices are unknown).
-    pub fn training_alpha(&self) -> Option<Vec<f64>> {
-        let indices = self.support.indices()?;
-        let mut alpha = vec![0.0; self.diagnostics.train_size];
-        for (&i, &a) in indices.iter().zip(&self.support.alpha) {
-            alpha[i] = a;
-        }
-        Some(alpha)
-    }
-
-    pub(crate) fn support(&self) -> &SupportVectorSet {
-        &self.support
-    }
-
-    pub(crate) fn alpha_k_alpha(&self) -> f64 {
-        self.alpha_k_alpha
-    }
-
-    pub(crate) fn from_parts(
-        support: SupportVectorSet,
-        r_squared: f64,
-        alpha_k_alpha: f64,
-        c: f64,
-        diagnostics: TrainDiagnostics,
-        backend: SolverBackend,
-    ) -> Self {
-        Self { support, r_squared, alpha_k_alpha, c, diagnostics, backend }
-    }
-}
-
-impl OneClassModel for SvddModel {
-    /// Eq. (12): `R² − ‖Φ(x) − a‖²`; non-negative inside the sphere.
-    fn decision_value(&self, x: &SparseVector) -> f64 {
-        self.r_squared - self.squared_distance_to_center(x)
-    }
-
-    fn support_vector_count(&self) -> usize {
-        self.support.len()
-    }
-
-    fn kernel(&self) -> Kernel {
-        self.support.kernel
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn r_squared(model: &OneClassModel) -> f64 {
+        let Boundary::Sphere { r_squared, .. } = model.boundary() else {
+            panic!("an SVDD model has a sphere boundary");
+        };
+        r_squared
+    }
+
+    /// `‖Φ(x) − a‖² = R² − f(x)` (Eq. 12).
+    fn squared_distance_to_center(model: &OneClassModel, x: &SparseVector) -> f64 {
+        r_squared(model) - model.decision_value(x)
+    }
 
     fn cluster(center: &[f64], spread: f64, n: usize) -> Vec<SparseVector> {
         (0..n)
@@ -511,10 +305,10 @@ mod tests {
         let data =
             vec![SparseVector::from_dense(&[1.0, 0.0]), SparseVector::from_dense(&[-1.0, 0.0])];
         let model = Svdd::new(1.0, Kernel::Linear).train(&data).unwrap();
-        assert!((model.r_squared() - 1.0).abs() < 1e-6, "R² = {}", model.r_squared());
+        assert!((r_squared(&model) - 1.0).abs() < 1e-6, "R² = {}", r_squared(&model));
         // The midpoint (origin) has distance² 0.
         let origin = SparseVector::new();
-        assert!(model.squared_distance_to_center(&origin).abs() < 1e-6);
+        assert!(squared_distance_to_center(&model, &origin).abs() < 1e-6);
         // A point at distance exactly R from the center is on the margin.
         let on_margin = SparseVector::from_dense(&[0.0, 1.0]);
         assert!(model.decision_value(&on_margin).abs() < 1e-6);
@@ -529,10 +323,10 @@ mod tests {
         let big = Svdd::new(1.0, Kernel::Linear).train(&data).unwrap();
         let small = Svdd::new(0.1, Kernel::Linear).train(&data).unwrap();
         assert!(
-            small.r_squared() < big.r_squared(),
+            r_squared(&small) < r_squared(&big),
             "small-C sphere not smaller: {} vs {}",
-            small.r_squared(),
-            big.r_squared()
+            r_squared(&small),
+            r_squared(&big)
         );
         assert!(!small.accepts(&data[29]), "outlier must fall outside the small-C sphere");
     }
@@ -544,7 +338,7 @@ mod tests {
         let data = cluster(&[5.0], 1.0, 20);
         let model = Svdd::new(0.3, Kernel::Rbf { gamma: 0.5 }).train(&data).unwrap();
         let probe = SparseVector::from_dense(&[-100.0]);
-        let d2 = model.squared_distance_to_center(&probe);
+        let d2 = squared_distance_to_center(&model, &probe);
         assert!(d2 > 0.0 && d2 <= 4.0 + 1e-9, "d² = {d2}");
     }
 
@@ -571,12 +365,5 @@ mod tests {
                 assert_eq!(value, model.decision_value(probe), "{kernel:?}");
             }
         }
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn model_implements_serde_traits() {
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<SvddModel>();
     }
 }

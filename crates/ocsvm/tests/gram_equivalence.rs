@@ -100,7 +100,7 @@ fn ocsvm_gram_path_reproduces_train_at_every_budget() {
             );
             for (path, direct) in models {
                 let nu = format!("{nu} ({path})");
-                assert_eq!(direct.rho(), via_gram.rho(), "rho for {kernel:?} nu={nu}");
+                assert_eq!(direct.boundary(), via_gram.boundary(), "ρ for {kernel:?} nu={nu}");
                 assert_eq!(
                     direct.support_vector_count(),
                     via_gram.support_vector_count(),
@@ -139,7 +139,7 @@ fn svdd_gram_path_reproduces_train_at_every_budget() {
             );
             for (path, direct) in models {
                 let c = format!("{c} ({path})");
-                assert_eq!(direct.r_squared(), via_gram.r_squared(), "R² for {kernel:?} C={c}");
+                assert_eq!(direct.boundary(), via_gram.boundary(), "R² for {kernel:?} C={c}");
                 assert_eq!(
                     direct.support_vector_count(),
                     via_gram.support_vector_count(),
@@ -244,7 +244,7 @@ fn shared_row_scoring_rejects_incompatible_matrices() {
     // shared-row paths stay available and agree with the in-process model.
     let mut buffer = Vec::new();
     model.write_to(&mut buffer).expect("serializes");
-    let restored = ocsvm::OcSvmModel::read_from(&mut buffer.as_slice()).expect("deserializes");
+    let restored = OneClassModel::read_from(&mut buffer.as_slice()).expect("deserializes");
     assert_eq!(
         restored.training_decision_values(&gram).expect("indices survive the round trip"),
         model.training_decision_values(&gram).unwrap()

@@ -2,7 +2,7 @@
 //! kernel identities, and solver invariants (feasibility, ν-property,
 //! SVDD geometry) over randomized inputs.
 
-use ocsvm::{Kernel, NuOcSvm, OneClassModel, SolverOptions, SparseVector, Svdd};
+use ocsvm::{Boundary, Kernel, NuOcSvm, OneClassModel, SolverOptions, SparseVector, Svdd};
 use proptest::prelude::*;
 
 /// Dense vectors with small dimension and bounded values so kernel values
@@ -133,10 +133,15 @@ proptest! {
         probe in sparse(4),
     ) {
         let model = Svdd::new(c, Kernel::Rbf { gamma: 0.5 }).train(&data).unwrap();
-        prop_assert!(model.r_squared() >= -1e-9, "R² = {}", model.r_squared());
+        let Boundary::Sphere { r_squared, .. } = model.boundary() else {
+            panic!("an SVDD model has a sphere boundary");
+        };
+        prop_assert!(r_squared >= -1e-9, "R² = {}", r_squared);
         let decision = model.decision_value(&probe);
-        let reconstructed = model.r_squared() - model.squared_distance_to_center(&probe);
-        prop_assert!((decision - reconstructed).abs() < 1e-12);
+        // f(x) = R² − ‖Φ(x) − a‖², and in RBF feature space every point and
+        // the center lie in the unit ball, so the distance is within [0, 4].
+        let squared_distance = r_squared - decision;
+        prop_assert!((-1e-9..=4.0 + 1e-9).contains(&squared_distance), "d² = {}", squared_distance);
         prop_assert_eq!(model.accepts(&probe), decision >= 0.0);
     }
 
@@ -213,7 +218,7 @@ proptest! {
     fn training_is_deterministic(data in clustered_training_set()) {
         let a = NuOcSvm::new(0.2, Kernel::Rbf { gamma: 1.0 }).train(&data).unwrap();
         let b = NuOcSvm::new(0.2, Kernel::Rbf { gamma: 1.0 }).train(&data).unwrap();
-        prop_assert_eq!(a.rho(), b.rho());
+        prop_assert_eq!(a.boundary(), b.boundary());
         prop_assert_eq!(a.support_vector_count(), b.support_vector_count());
     }
 }
@@ -341,9 +346,9 @@ proptest! {
     /// Batch scoring adds every support vector's kernel row into the sums
     /// through one reused row buffer and one reused squared-distance
     /// scratch. Whatever batch a probe sits in — the whole batch, the
-    /// empty batch, a one-probe batch — its batch value must equal the
-    /// per-point decision value bit for bit, for both families and all
-    /// four kernels.
+    /// empty batch, a one-probe batch — its batch and packed-panel values
+    /// must equal the per-point decision value bit for bit, for both
+    /// families and all four kernels.
     #[test]
     fn batch_decision_values_match_per_point_bitwise_over_generated_inputs(
         kernel in every_kernel(),
@@ -371,11 +376,16 @@ proptest! {
         prop_assert_eq!(svdd.support_vector_count(), data.len());
 
         for batch in [&refs[..], &refs[..0]].into_iter().chain(refs.chunks(1)) {
-            let per_point = |model: &dyn OneClassModel| {
+            let per_point = |model: &OneClassModel| {
                 bits(&batch.iter().map(|p| model.decision_value(p)).collect::<Vec<_>>())
             };
             prop_assert_eq!(bits(&ocsvm.batch_decision_values(batch)), per_point(&ocsvm));
             prop_assert_eq!(bits(&svdd.batch_decision_values(batch)), per_point(&svdd));
+            // A packed panel scores like the batch, the linear kernel
+            // included (its GEMV runs over the panel here).
+            let packed = ocsvm::ProbePanel::pack(batch);
+            prop_assert_eq!(bits(&ocsvm.panel_decision_values(&packed)), per_point(&ocsvm));
+            prop_assert_eq!(bits(&svdd.panel_decision_values(&packed)), per_point(&svdd));
         }
     }
 }

@@ -608,7 +608,7 @@ impl<'a> ModelGridSearch<'a> {
                                 gram: &chain.gram,
                                 cross: chain.cross.as_ref(),
                                 own_refs: &ctx.own_refs,
-                                probes: &probes,
+                                panel: &panel,
                                 ranges: &ranges,
                             }
                         });
@@ -714,8 +714,8 @@ impl<'a> ModelGridSearch<'a> {
     /// Scores one trained cell: decision values over the user's own windows
     /// and over the sweep's probe set, reduced to `ACCself`/`ACCother`.
     /// Non-linear kernels read shared (arena-cached) rows; linear models
-    /// score through their collapsed weight vector, bit-identical to
-    /// per-point decisions.
+    /// score through their collapsed weight vector — over the sweep's one
+    /// probe panel for `ACCother` — bit-identical to per-point decisions.
     fn evaluate_cell(
         &self,
         profile: &UserProfile,
@@ -733,7 +733,7 @@ impl<'a> ModelGridSearch<'a> {
             Some(values) => values,
             None => (
                 profile.batch_decision_values(inputs.own_refs),
-                profile.batch_decision_values(inputs.probes),
+                profile.panel_decision_values(inputs.panel),
             ),
         };
         ModelGridCell {
@@ -755,9 +755,9 @@ struct CellInputs<'c, 'w> {
     gram: &'c GramMatrix<'w>,
     cross: Option<&'c CrossGram<'w>>,
     own_refs: &'c [&'w SparseVector],
-    /// The sweep's `ACCother` probes: every user's sample.
-    probes: &'c [&'w SparseVector],
-    /// Each user's range of `probes`, in ascending user order.
+    /// The sweep's `ACCother` probes (every user's sample), packed once.
+    panel: &'c ProbePanel<'c>,
+    /// Each user's range of the panel's probes, in ascending user order.
     ranges: &'c [(UserId, Range<usize>)],
 }
 

@@ -234,14 +234,11 @@ impl<'a> OnlineIdentifier<'a> {
     }
 
     /// Feeds one transaction; returns the windows completed by it (already
-    /// folded into the running vote).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-order transactions (see
-    /// [`WindowStream::push`](crate::WindowStream::push)).
+    /// folded into the running vote). A transaction whose windows have all
+    /// been emitted is dropped (see
+    /// [`WindowStream::offer`](crate::WindowStream::offer)).
     pub fn observe(&mut self, tx: proxylog::Transaction) -> Vec<IdentifiedWindow> {
-        let windows = self.stream.push(tx);
+        let windows = self.stream.offer(tx);
         self.fold(windows)
     }
 

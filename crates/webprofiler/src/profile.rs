@@ -1,6 +1,6 @@
 //! User profiles: one trained one-class model per user.
 
-use ocsvm::{Kernel, OcSvmModel, OneClassModel, SparseVector, SvddModel, TrainDiagnostics};
+use ocsvm::{Boundary, Kernel, OneClassModel, ProbePanel, SparseVector, TrainDiagnostics};
 use proxylog::UserId;
 use std::fmt;
 
@@ -55,13 +55,6 @@ impl fmt::Display for ProfileParams {
     }
 }
 
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub(crate) enum ProfileModel {
-    OcSvm(OcSvmModel),
-    Svdd(SvddModel),
-}
-
 /// A trained profile of one user: apply it to transaction-window feature
 /// vectors with [`UserProfile::accepts`].
 ///
@@ -72,7 +65,7 @@ pub struct UserProfile {
     pub(crate) user: UserId,
     pub(crate) params: ProfileParams,
     pub(crate) window: WindowConfig,
-    pub(crate) model: ProfileModel,
+    pub(crate) model: OneClassModel,
     pub(crate) training_windows: usize,
 }
 
@@ -99,36 +92,35 @@ impl UserProfile {
 
     /// Signed decision value for a window feature vector (`>= 0` accepts).
     pub fn decision_value(&self, features: &SparseVector) -> f64 {
-        match &self.model {
-            ProfileModel::OcSvm(m) => m.decision_value(features),
-            ProfileModel::Svdd(m) => m.decision_value(features),
-        }
+        self.model.decision_value(features)
     }
 
     /// Whether the profile accepts the window as behavior of its user.
     pub fn accepts(&self, features: &SparseVector) -> bool {
-        self.decision_value(features) >= 0.0
+        self.model.accepts(features)
     }
 
     /// Decision values for a whole window micro-batch, amortizing kernel
-    /// work across the batch (see [`OcSvmModel::batch_decision_values`]):
-    /// non-linear kernels materialize one kernel row per support vector,
-    /// the linear kernel runs one dense-weight GEMV. Every value is
-    /// bit-identical to [`decision_value`](Self::decision_value) on the
-    /// same window, and the path works for deserialized profiles too.
+    /// work across the batch (see [`OneClassModel::batch_decision_values`]):
+    /// non-linear kernels evaluate one kernel row per support vector
+    /// against the packed windows, the linear kernel runs one dense-weight
+    /// pass. Every value is bit-identical to
+    /// [`decision_value`](Self::decision_value) on the same window, and the
+    /// path works for deserialized profiles too.
     pub fn batch_decision_values(&self, features: &[&SparseVector]) -> Vec<f64> {
-        match &self.model {
-            ProfileModel::OcSvm(m) => m.batch_decision_values(features),
-            ProfileModel::Svdd(m) => m.batch_decision_values(features),
-        }
+        self.model.batch_decision_values(features)
+    }
+
+    /// Decision values for every window of an already-packed panel (see
+    /// [`OneClassModel::panel_decision_values`]), bit-identical to
+    /// [`decision_value`](Self::decision_value) per window.
+    pub(crate) fn panel_decision_values(&self, panel: &ProbePanel) -> Vec<f64> {
+        self.model.panel_decision_values(panel)
     }
 
     /// Support-vector count of the underlying model.
     pub fn support_vector_count(&self) -> usize {
-        match &self.model {
-            ProfileModel::OcSvm(m) => m.support_vector_count(),
-            ProfileModel::Svdd(m) => m.support_vector_count(),
-        }
+        self.model.support_vector_count()
     }
 
     /// The affine decision terms of a linear-kernel profile (`None` for
@@ -136,57 +128,39 @@ impl UserProfile {
     /// prefilter indexes (see [`CandidateIndex`](crate::CandidateIndex)
     /// and [`ocsvm::LinearDecisionTerms`]).
     pub fn linear_decision_terms(&self) -> Option<ocsvm::LinearDecisionTerms> {
-        match &self.model {
-            ProfileModel::OcSvm(m) => m.linear_decision_terms(),
-            ProfileModel::Svdd(m) => m.linear_decision_terms(),
-        }
+        self.model.linear_decision_terms()
     }
 
     /// Sorted union of the feature columns the profile's decision
     /// function reads — the category-coverage set behind
     /// [`ProfileSketch`](crate::ProfileSketch).
     pub fn support_column_union(&self) -> Vec<u32> {
-        match &self.model {
-            ProfileModel::OcSvm(m) => m.support_column_union(),
-            ProfileModel::Svdd(m) => m.support_column_union(),
-        }
+        self.model.support_column_union()
     }
 
     /// Solver diagnostics recorded at training time.
     pub fn diagnostics(&self) -> TrainDiagnostics {
-        match &self.model {
-            ProfileModel::OcSvm(m) => m.diagnostics(),
-            ProfileModel::Svdd(m) => m.diagnostics(),
-        }
+        self.model.diagnostics()
     }
 
     /// Solver backend the underlying model was trained with (recorded in
     /// the profile and preserved across serialization).
     pub fn solver_backend(&self) -> ocsvm::SolverBackend {
-        match &self.model {
-            ProfileModel::OcSvm(m) => m.solver_backend(),
-            ProfileModel::Svdd(m) => m.solver_backend(),
-        }
+        self.model.solver_backend()
     }
 
     /// Decision values over the profile's training set, read from the
     /// shared [`ocsvm::GramMatrix`] the profile was trained with (see
-    /// [`OcSvmModel::training_decision_values`]). `None` when the rows do
-    /// not match or the model was deserialized.
+    /// [`OneClassModel::training_decision_values`]). `None` when the rows
+    /// do not match or the model was deserialized.
     pub(crate) fn training_decision_values(&self, gram: &ocsvm::GramMatrix) -> Option<Vec<f64>> {
-        match &self.model {
-            ProfileModel::OcSvm(m) => m.training_decision_values(gram),
-            ProfileModel::Svdd(m) => m.training_decision_values(gram),
-        }
+        self.model.training_decision_values(gram)
     }
 
     /// Decision values over a fixed probe set via a shared
-    /// [`ocsvm::CrossGram`] (see [`OcSvmModel::cross_decision_values`]).
+    /// [`ocsvm::CrossGram`] (see [`OneClassModel::cross_decision_values`]).
     pub(crate) fn cross_decision_values(&self, cross: &ocsvm::CrossGram) -> Option<Vec<f64>> {
-        match &self.model {
-            ProfileModel::OcSvm(m) => m.cross_decision_values(cross),
-            ProfileModel::Svdd(m) => m.cross_decision_values(cross),
-        }
+        self.model.cross_decision_values(cross)
     }
 
     /// Forwards to [`batch_decision_values`](Self::batch_decision_values)
@@ -226,18 +200,16 @@ impl UserProfile {
         write_varint(writer, u64::from(self.window.shift_secs()))?;
         write_varint(writer, self.training_windows as u64)?;
         writer.write_all(&self.params.regularization.to_le_bytes())?;
-        match &self.model {
-            ProfileModel::OcSvm(m) => m.write_to(writer),
-            ProfileModel::Svdd(m) => m.write_to(writer),
-        }
+        self.model.write_to(writer)
     }
 
     /// Deserializes a profile written by [`UserProfile::write_to`].
     ///
     /// # Errors
     ///
-    /// `InvalidData` for a bad header or corrupt stream; other I/O errors
-    /// from the reader.
+    /// `InvalidData` for a bad header, a corrupt stream, or a header whose
+    /// model kind disagrees with the stored model's boundary; other I/O
+    /// errors from the reader.
     pub fn read_from<R: std::io::Read>(reader: &mut R) -> std::io::Result<UserProfile> {
         use std::io::{Error, ErrorKind};
         let mut header = [0u8; 6];
@@ -270,17 +242,22 @@ impl UserProfile {
         let regularization = f64::from_le_bytes(reg);
         let window = WindowConfig::new(duration, shift)
             .map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()))?;
-        let model = match kind {
-            ModelKind::OcSvm => ProfileModel::OcSvm(OcSvmModel::read_from(reader)?),
-            ModelKind::Svdd => ProfileModel::Svdd(SvddModel::read_from(reader)?),
+        let model = OneClassModel::read_from(reader)?;
+        let stored = match model.boundary() {
+            Boundary::Hyperplane { .. } => ModelKind::OcSvm,
+            Boundary::Sphere { .. } => ModelKind::Svdd,
         };
-        let kernel = match &model {
-            ProfileModel::OcSvm(m) => m.kernel(),
-            ProfileModel::Svdd(m) => m.kernel(),
-        };
+        if stored != kind {
+            return Err(Error::new(
+                ErrorKind::InvalidData,
+                format!(
+                    "model kind mismatch: profile header says {kind}, stored model is {stored}"
+                ),
+            ));
+        }
         Ok(UserProfile {
             user,
-            params: ProfileParams { kind, kernel, regularization },
+            params: ProfileParams { kind, kernel: model.kernel(), regularization },
             window,
             model,
             training_windows,
@@ -399,6 +376,19 @@ mod tests {
         profile.write_to(&mut bytes).unwrap();
         bytes.truncate(bytes.len() - 5);
         assert!(UserProfile::read_from(&mut bytes.as_slice()).is_err());
+    }
+
+    #[test]
+    fn kind_mismatch_is_rejected() {
+        // A WPRF header saying OC-SVM around the OCSV bytes of an SVDD model.
+        let (svdd, _) = trained(ModelKind::Svdd, Kernel::Linear);
+        let mut bytes = Vec::new();
+        svdd.write_to(&mut bytes).unwrap();
+        assert_eq!(bytes[5], 1, "WPRF kind byte");
+        bytes[5] = 0;
+        let err = UserProfile::read_from(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("model kind mismatch"), "{err}");
     }
 
     #[test]

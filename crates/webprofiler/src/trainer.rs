@@ -1,6 +1,6 @@
 //! Training user profiles from datasets.
 
-use crate::profile::{ModelKind, ProfileModel, ProfileParams, UserProfile};
+use crate::profile::{ModelKind, ProfileParams, UserProfile};
 use crate::vocab::Vocabulary;
 use crate::window::{WindowAggregator, WindowConfig};
 use ocsvm::{GramMatrix, Kernel, NuOcSvm, SolverOptions, SparseVector, Svdd, TrainError};
@@ -189,16 +189,12 @@ impl<'a> ProfileTrainer<'a> {
             return Err(ProfileError::NoWindows { user });
         }
         let model = match self.params.kind {
-            ModelKind::OcSvm => ProfileModel::OcSvm(
-                NuOcSvm::new(self.params.regularization, self.params.kernel)
-                    .with_options(self.solver)
-                    .train(vectors)?,
-            ),
-            ModelKind::Svdd => ProfileModel::Svdd(
-                Svdd::new(self.params.regularization, self.params.kernel)
-                    .with_options(self.solver)
-                    .train(vectors)?,
-            ),
+            ModelKind::OcSvm => NuOcSvm::new(self.params.regularization, self.params.kernel)
+                .with_options(self.solver)
+                .train(vectors)?,
+            ModelKind::Svdd => Svdd::new(self.params.regularization, self.params.kernel)
+                .with_options(self.solver)
+                .train(vectors)?,
         };
         Ok(UserProfile {
             user,
@@ -255,18 +251,12 @@ impl<'a> ProfileTrainer<'a> {
             return Err(ProfileError::NoWindows { user });
         }
         let (model, alpha) = match self.params.kind {
-            ModelKind::OcSvm => {
-                let (m, alpha) = NuOcSvm::new(self.params.regularization, self.params.kernel)
-                    .with_options(self.solver)
-                    .train_with_gram_seeded(vectors, gram, seed)?;
-                (ProfileModel::OcSvm(m), alpha)
-            }
-            ModelKind::Svdd => {
-                let (m, alpha) = Svdd::new(self.params.regularization, self.params.kernel)
-                    .with_options(self.solver)
-                    .train_with_gram_seeded(vectors, gram, seed)?;
-                (ProfileModel::Svdd(m), alpha)
-            }
+            ModelKind::OcSvm => NuOcSvm::new(self.params.regularization, self.params.kernel)
+                .with_options(self.solver)
+                .train_with_gram_seeded(vectors, gram, seed)?,
+            ModelKind::Svdd => Svdd::new(self.params.regularization, self.params.kernel)
+                .with_options(self.solver)
+                .train_with_gram_seeded(vectors, gram, seed)?,
         };
         let profile = UserProfile {
             user,

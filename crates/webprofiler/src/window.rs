@@ -251,13 +251,14 @@ fn for_each_window(
     }
 }
 
-/// Push-based sliding-window composer for online monitoring.
+/// Incremental sliding-window composer for online monitoring.
 ///
 /// [`WindowAggregator`] computes windows over a complete dataset; this
-/// stream computes the same windows incrementally as transactions arrive,
-/// emitting a window as soon as event time has moved past its end. Feed it
-/// only the transactions of the monitored key (one user or one device),
-/// in timestamp order.
+/// stream computes the same windows incrementally as transactions arrive
+/// ([`offer`](Self::offer)), emitting a window as soon as event time has
+/// moved past its end. Feed it only the transactions of the monitored key
+/// (one user or one device); arrivals may be out of order within the
+/// allowed lateness ([`with_lateness`](Self::with_lateness)).
 ///
 /// # Examples
 ///
@@ -276,8 +277,8 @@ fn for_each_window(
 /// #     subtype: SubtypeId(0), app_type: AppTypeId(0), reputation: Reputation::Minimal,
 /// #     private_destination: false,
 /// # };
-/// assert!(stream.push(tx(10)).is_empty()); // window still open
-/// let done = stream.push(tx(500)); // event time passed the first windows
+/// assert!(stream.offer(tx(10)).is_empty()); // window still open
+/// let done = stream.offer(tx(500)); // event time passed the first windows
 /// assert!(!done.is_empty());
 /// let tail = stream.flush();
 /// assert!(!tail.is_empty());
@@ -295,7 +296,6 @@ pub struct WindowStream<'a> {
     /// Highest window index the watermark has closed: windows up to here
     /// are emitted or were empty when they closed.
     closed_through: Option<i64>,
-    last_time: Option<i64>,
     /// Allowed lateness `L` for [`offer`](Self::offer): emission lags the
     /// newest event time by `L` seconds so stragglers can still land.
     lateness_secs: i64,
@@ -316,7 +316,6 @@ impl<'a> WindowStream<'a> {
             buffer: Vec::new(),
             next_k: None,
             closed_through: None,
-            last_time: None,
             lateness_secs: 0,
             max_time: None,
             late_dropped: 0,
@@ -348,36 +347,8 @@ impl<'a> WindowStream<'a> {
         self.late_dropped
     }
 
-    /// Feeds one transaction; returns every window that became complete
-    /// (its end is `<=` the new transaction's timestamp), in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tx` is older than a previously pushed transaction.
-    pub fn push(&mut self, tx: Transaction) -> Vec<TransactionWindow> {
-        let t = tx.timestamp.as_secs();
-        assert!(
-            self.last_time.is_none_or(|last| t >= last),
-            "out-of-order transaction at {}",
-            tx.timestamp
-        );
-        self.last_time = Some(t);
-        self.max_time = Some(self.max_time.map_or(t, |m| m.max(t)));
-        let s = i64::from(self.config.shift_secs());
-        let d = i64::from(self.config.duration_secs());
-        if self.next_k.is_none() {
-            // First window that can contain this first transaction.
-            self.next_k = Some((t - d).div_euclid(s) + 1);
-        }
-        // Windows with end <= t are complete: k·S + D <= t.
-        let complete_up_to = (t - d).div_euclid(s);
-        let emitted = self.emit_through(complete_up_to);
-        self.buffer.push(tx);
-        emitted
-    }
-
-    /// Feeds one transaction that may arrive out of order, unlike
-    /// [`push`](Self::push) which panics on disorder.
+    /// Feeds one transaction, possibly out of order; returns every window
+    /// that became complete, in order.
     ///
     /// A transaction is accepted as long as none of the windows that could
     /// contain it has closed yet. Emission is watermark-driven: a
@@ -387,8 +358,9 @@ impl<'a> WindowStream<'a> {
     /// always accepted. Older stragglers are dropped and counted
     /// ([`late_dropped`](Self::late_dropped)).
     ///
-    /// In-order input is never dropped regardless of `L`, and with the
-    /// default `L = 0` this emits exactly like [`push`](Self::push).
+    /// In-order input is never dropped regardless of `L`; with the default
+    /// `L = 0` each window is emitted by the first transaction at or past
+    /// its end.
     pub fn offer(&mut self, tx: Transaction) -> Vec<TransactionWindow> {
         let t = tx.timestamp.as_secs();
         let s = i64::from(self.config.shift_secs());
@@ -407,7 +379,6 @@ impl<'a> WindowStream<'a> {
         self.buffer.insert(pos, tx);
         let max_time = self.max_time.map_or(t, |m| m.max(t));
         self.max_time = Some(max_time);
-        self.last_time = self.max_time;
         // Windows with end <= watermark are complete.
         self.emit_through((max_time - self.lateness_secs - d).div_euclid(s))
     }
@@ -423,7 +394,6 @@ impl<'a> WindowStream<'a> {
         self.buffer.clear();
         self.next_k = None;
         self.closed_through = None;
-        self.last_time = None;
         self.max_time = None;
         emitted
     }
@@ -618,7 +588,7 @@ mod tests {
         let mut stream = WindowStream::new(&v, config, WindowKey::User(UserId(0)));
         let mut streamed = Vec::new();
         for tx in txs {
-            streamed.extend(stream.push(*tx));
+            streamed.extend(stream.offer(*tx));
         }
         streamed.extend(stream.flush());
         assert_eq!(streamed.len(), batch.len(), "window counts differ");
@@ -655,10 +625,10 @@ mod tests {
         let v = vocab();
         let mut stream =
             WindowStream::new(&v, WindowConfig::new(60, 60).unwrap(), WindowKey::User(UserId(0)));
-        assert!(stream.push(tx_at(10, 0)).is_empty());
-        assert!(stream.push(tx_at(30, 0)).is_empty());
+        assert!(stream.offer(tx_at(10, 0)).is_empty());
+        assert!(stream.offer(tx_at(30, 0)).is_empty());
         // Crossing the window end completes the first window.
-        let done = stream.push(tx_at(120, 0));
+        let done = stream.offer(tx_at(120, 0));
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].transaction_count, 2);
         // Buffer drops what it no longer needs.
@@ -677,24 +647,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out-of-order")]
-    fn stream_rejects_out_of_order() {
-        let v = vocab();
-        let mut stream =
-            WindowStream::new(&v, WindowConfig::PAPER_DEFAULT, WindowKey::User(UserId(0)));
-        let _ = stream.push(tx_at(100, 0));
-        let _ = stream.push(tx_at(50, 0));
-    }
-
-    #[test]
     fn stream_reusable_after_flush() {
         let v = vocab();
         let mut stream =
             WindowStream::new(&v, WindowConfig::new(60, 60).unwrap(), WindowKey::User(UserId(0)));
-        let _ = stream.push(tx_at(10, 0));
+        let _ = stream.offer(tx_at(10, 0));
         let _ = stream.flush();
         // Times may restart after a flush.
-        assert!(stream.push(tx_at(0, 0)).is_empty());
+        assert!(stream.offer(tx_at(0, 0)).is_empty());
         assert_eq!(stream.flush().len(), 1);
     }
 
@@ -722,7 +682,7 @@ mod tests {
         let config = WindowConfig::new(60, 30).unwrap();
         let v = vocab();
         let mut stream = WindowStream::new(&v, config, WindowKey::Device(DeviceId(0)));
-        assert!(stream.push(tx_at(12_345, 3)).is_empty());
+        assert!(stream.offer(tx_at(12_345, 3)).is_empty());
         let tail = stream.flush();
         assert_eq!(tail.len(), 2);
         assert!(tail.iter().all(|w| w.transaction_count == 1 && w.users == vec![UserId(3)]));
@@ -787,9 +747,12 @@ mod tests {
         assert!(stream.offer(tx_at(20, 0)).is_empty());
         assert_eq!(stream.late_dropped(), 1);
         assert_eq!(stream.buffered(), 1, "the straggler is not buffered");
+        // ...and so is one older than every window emitted so far.
+        assert!(stream.offer(tx_at(-500, 0)).is_empty());
+        assert_eq!(stream.late_dropped(), 2);
         // ...but one that still fits an open window is kept.
         let _ = stream.offer(tx_at(990, 0));
-        assert_eq!(stream.late_dropped(), 1);
+        assert_eq!(stream.late_dropped(), 2);
         let tail = stream.flush();
         assert!(tail.iter().any(|w| w.transaction_count == 2));
     }
@@ -821,23 +784,32 @@ mod tests {
     }
 
     #[test]
-    fn offer_matches_push_for_in_order_input() {
+    fn offer_emits_each_window_once_event_time_reaches_its_end() {
+        // In order at the default lateness, the transaction at `t` emits
+        // exactly the batch windows whose end falls in (previous t, t].
         let config = WindowConfig::new(60, 30).unwrap();
         let txs: Vec<Transaction> = (0..50).map(|i| tx_at(i * 11, 0)).collect();
         let v = vocab();
-        let mut pushed = WindowStream::new(&v, config, WindowKey::User(UserId(0)));
-        let mut offered = WindowStream::new(&v, config, WindowKey::User(UserId(0)));
+        let batch =
+            WindowAggregator::new(&v, config).windows_over(&txs, WindowKey::User(UserId(0)));
+        let end = |w: &TransactionWindow| w.start.as_secs() + i64::from(config.duration_secs());
+        let mut stream = WindowStream::new(&v, config, WindowKey::User(UserId(0)));
+        let mut previous = i64::MIN;
         for tx in &txs {
-            let a = pushed.push(*tx);
-            let b = offered.offer(*tx);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
+            let t = tx.timestamp.as_secs();
+            let expected: Vec<_> =
+                batch.iter().filter(|w| previous < end(w) && end(w) <= t).collect();
+            let emitted = stream.offer(*tx);
+            assert_eq!(emitted.len(), expected.len(), "at t = {t}");
+            for (x, y) in emitted.iter().zip(expected) {
                 assert_eq!(x.start, y.start);
                 assert_eq!(x.features, y.features);
             }
+            previous = t;
         }
-        assert_eq!(pushed.flush().len(), offered.flush().len());
-        assert_eq!(offered.late_dropped(), 0);
+        let tail = stream.flush();
+        assert_eq!(tail.len(), batch.iter().filter(|w| end(w) > previous).count());
+        assert_eq!(stream.late_dropped(), 0);
     }
 
     #[test]

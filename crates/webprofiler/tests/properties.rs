@@ -130,7 +130,7 @@ proptest! {
         let mut stream = WindowStream::new(&v, config, WindowKey::User(UserId(0)));
         let mut streamed = Vec::new();
         for tx in &txs {
-            streamed.extend(stream.push(*tx));
+            streamed.extend(stream.offer(*tx));
         }
         streamed.extend(stream.flush());
         prop_assert_eq!(streamed.len(), batch.len());

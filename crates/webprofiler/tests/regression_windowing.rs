@@ -173,7 +173,7 @@ fn replay_stream_equals_batch_sweep() {
         let mut stream = WindowStream::new(&v, config, WindowKey::User(UserId(0)));
         let mut streamed = Vec::new();
         for tx in &txs {
-            streamed.extend(stream.push(*tx));
+            streamed.extend(stream.offer(*tx));
         }
         streamed.extend(stream.flush());
         assert_eq!(streamed.len(), batch.len(), "d={d} s={s}");

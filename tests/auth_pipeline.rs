@@ -109,7 +109,7 @@ fn streaming_windows_feed_the_monitor() {
     let mut monitor = AuthenticationMonitor::new(&profile, 3);
     let mut decisions = 0usize;
     for tx in dataset.for_user(user) {
-        for window in stream.push(*tx) {
+        for window in stream.offer(*tx) {
             let _ = monitor.observe(&window.features);
             decisions += 1;
         }
