@@ -1,11 +1,13 @@
 //! Two-stage identification at population scale: measures how far the
 //! `webprofiler::CandidateIndex` prefilter pushes per-window decision
 //! throughput past exhaustive scoring as the enrolled population grows
-//! to millions of users, and verifies the equivalence claim while at it.
+//! to millions of users, and verifies the equivalence claim while at it:
+//! the process exits non-zero unless the two-stage run is bit-identical to
+//! exhaustive scoring (`recall_at_k` exactly `1.0`).
 //!
 //! ```text
 //! cargo run -p bench --bin identify_scale --release [--smoke]
-//!     [--users N] [--probes N] [--top-k K] [--reps N] [--json PATH]
+//!     [--users N] [--probes N] [--reps N] [--json PATH]
 //! ```
 //!
 //! The probe windows and a seed population come from a real generated
@@ -21,8 +23,8 @@
 //!   fully decided against the whole population per second, two-stage vs
 //!   exhaustive (`speedup` is their ratio);
 //! - `recall_at_k`: fraction of exhaustively-accepted `(window, user)`
-//!   pairs the shortlist retained — exactly `1.0` for this all-linear
-//!   population, by the margin-guard guarantee;
+//!   pairs the shortlist retained — exactly `1.0` by the decision-bound
+//!   guarantee (the name predates the exact shortlist);
 //! - `shortlist_mean`: mean candidates receiving an exact score per
 //!   window (the work the prefilter could not prune).
 
@@ -43,7 +45,6 @@ fn main() {
     let smoke = ExperimentConfig::has_flag("--smoke");
     let users = flag_or("--users", if smoke { 2_000usize } else { 10_000 });
     let probe_budget = flag_or("--probes", if smoke { 200usize } else { 500 });
-    let top_k = flag_or("--top-k", 16usize);
     let reps = flag_or("--reps", if smoke { 3usize } else { 2 });
 
     // Corpus: realistic probe windows plus a trained seed population.
@@ -123,7 +124,7 @@ fn main() {
         two_stage_accepted = probes
             .iter()
             .map(|probe| {
-                let shortlist = index.shortlist(probe, top_k, &mut scratch);
+                let shortlist = index.shortlist(probe, 0, &mut scratch);
                 shortlisted_total += shortlist.len();
                 shortlist
                     .into_iter()
@@ -135,8 +136,8 @@ fn main() {
         two_stage_time = two_stage_time.min(started.elapsed());
     }
 
-    // Recall of exhaustively-accepted pairs; with this all-linear
-    // population the margin guard makes the runs bit-identical.
+    // Recall of exhaustively-accepted pairs; the exact shortlist makes
+    // the runs bit-identical.
     let total_accepted: usize = exhaustive_accepted.iter().map(Vec::len).sum();
     let retained: usize = exhaustive_accepted
         .iter()
@@ -145,11 +146,6 @@ fn main() {
         .sum();
     let recall_at_k =
         if total_accepted == 0 { 1.0 } else { retained as f64 / total_accepted as f64 };
-    assert_eq!(
-        exhaustive_accepted, two_stage_accepted,
-        "all-linear two-stage run must be bit-identical to exhaustive"
-    );
-
     let n_probes = probes.len() as f64;
     let exhaustive_dps = n_probes / exhaustive_time.as_secs_f64().max(1e-9);
     let two_stage_dps = n_probes / two_stage_time.as_secs_f64().max(1e-9);
@@ -157,17 +153,13 @@ fn main() {
     let shortlist_mean = shortlisted_total as f64 / n_probes;
 
     println!("TWO-STAGE IDENTIFICATION ({} users, {} probe windows)", profiles.len(), probes.len());
-    println!(
-        "  index build        {:>10.3} s  ({} linear users)",
-        build_secs,
-        index.linear_users()
-    );
+    println!("  index build        {build_secs:>10.3} s");
     println!(
         "  exhaustive         {:>10.3} s  ({exhaustive_dps:.0} windows/s)",
         exhaustive_time.as_secs_f64(),
     );
     println!(
-        "  two-stage          {:>10.3} s  ({two_stage_dps:.0} windows/s, top-k {top_k})",
+        "  two-stage          {:>10.3} s  ({two_stage_dps:.0} windows/s)",
         two_stage_time.as_secs_f64(),
     );
     println!("  speedup            {speedup:>10.1} x  over exhaustive scoring");
@@ -184,7 +176,6 @@ fn main() {
         let metrics = [
             ("users", profiles.len() as f64),
             ("probes", n_probes),
-            ("top_k", top_k as f64),
             ("build_secs", build_secs),
             ("exhaustive_decisions_per_sec", exhaustive_dps),
             ("decisions_per_sec", two_stage_dps),
@@ -194,6 +185,12 @@ fn main() {
         ];
         std::fs::write(&path, bench::json::emit(&metrics)).expect("writing identify metrics");
         eprintln!("# wrote {path}");
+    }
+
+    // Exactness is a property, not a tolerance: fail after reporting.
+    if recall_at_k < 1.0 || exhaustive_accepted != two_stage_accepted {
+        eprintln!("identify_scale: two-stage decisions differ from exhaustive scoring");
+        std::process::exit(1);
     }
 }
 

@@ -2,7 +2,6 @@
 
 use identd::{Daemon, DaemonConfig};
 use std::process::ExitCode;
-use streamid::PrefilterConfig;
 
 const USAGE: &str = "\
 identd — multi-tenant identification-as-a-service daemon
@@ -18,7 +17,6 @@ OPTIONS:
     --vote-k N           trailing windows per majority vote (default 3)
     --lateness SECS      allowed out-of-order lateness (default 0)
     --max-pending N      closed-but-unscored windows per device (default 1024)
-    --top-k N            candidate-prefilter shortlist size; 0 = exhaustive (default 16)
     --mailbox-cap N      queued ingest batches per tenant before shedding (default 256)
     --decision-cap N     buffered decisions per tenant before dropping (default 65536)
     --lossy              preloaded tenants tolerate partly-corrupt stores
@@ -27,7 +25,9 @@ OPTIONS:
 
 The daemon serves newline-delimited JSON over TCP (see the crate docs for
 the verb table) and exits 0 after a client sends the drain verb and every
-connection closes.";
+connection closes. Each window is scored against the profiles an exact
+candidate prefilter keeps (every profile whose decision bound admits the
+window), so decisions equal exhaustive scoring bit for bit.";
 
 struct Args {
     config: DaemonConfig,
@@ -39,7 +39,6 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut config = DaemonConfig { addr: "127.0.0.1:7433".to_string(), ..Default::default() };
     let mut tenants = Vec::new();
     let mut lossy = false;
-    let mut top_k = PrefilterConfig::default().top_k;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value =
@@ -59,7 +58,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--max-pending" => {
                 config.engine.max_pending_per_device = parse_positive(&flag, &value("count")?)?
             }
-            "--top-k" => top_k = parse_num(&flag, &value("count")?)?,
             "--mailbox-cap" => config.mailbox_cap = parse_positive(&flag, &value("count")?)?,
             "--decision-cap" => config.decision_cap = parse_positive(&flag, &value("count")?)?,
             "--tenant" => {
@@ -72,8 +70,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
     }
-    config.prefilter =
-        if top_k == 0 { None } else { Some(PrefilterConfig { top_k, ..Default::default() }) };
     Ok(Some(Args { config, tenants, lossy }))
 }
 

@@ -25,7 +25,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use streamid::{EngineConfig, PrefilterConfig};
+use streamid::EngineConfig;
 
 /// Daemon tunables. `Default` gives a loopback ephemeral-port daemon with
 /// the paper-scale engine defaults.
@@ -35,10 +35,10 @@ pub struct DaemonConfig {
     pub addr: String,
     /// Worker threads serving connections (0 ⇒ [`parcore::default_workers`]).
     pub workers: usize,
-    /// Engine configuration applied to every tenant.
+    /// Engine configuration applied to every tenant. Every tenant scores
+    /// through the exact candidate prefilter, whose decisions equal
+    /// exhaustive scoring bit for bit.
     pub engine: EngineConfig,
-    /// Two-stage candidate prefilter, applied to every tenant.
-    pub prefilter: Option<PrefilterConfig>,
     /// Queued ingest batches per tenant before oldest-first shedding.
     pub mailbox_cap: usize,
     /// Buffered decisions per tenant before oldest-first dropping.
@@ -54,7 +54,6 @@ impl Default for DaemonConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
             engine: EngineConfig::default(),
-            prefilter: Some(PrefilterConfig::default()),
             mailbox_cap: 256,
             decision_cap: 65_536,
             max_line_bytes: 8 << 20,
@@ -397,7 +396,6 @@ fn load_tenant(
         dir,
         lossy,
         shared.config.engine,
-        shared.config.prefilter,
         shared.config.mailbox_cap,
         shared.config.decision_cap,
     )?;

@@ -196,7 +196,6 @@ impl TenantHandle {
         dir: &str,
         lossy: bool,
         engine_config: EngineConfig,
-        prefilter: Option<PrefilterConfig>,
         mailbox_cap: usize,
         decision_cap: usize,
     ) -> Result<Self, ProtoError> {
@@ -216,9 +215,7 @@ impl TenantHandle {
         let worker_mailbox = mailbox.clone();
         let thread = std::thread::Builder::new()
             .name(format!("identd-{name}"))
-            .spawn(move || {
-                run_tenant(profiles, engine_config, prefilter, worker_mailbox, decision_cap)
-            })
+            .spawn(move || run_tenant(profiles, engine_config, worker_mailbox, decision_cap))
             .map_err(|e| ProtoError::new("internal", format!("spawning tenant thread: {e}")))?;
         Ok(Self { mailbox, thread: Some(thread), profiles: loaded, skipped })
     }
@@ -239,7 +236,6 @@ impl TenantHandle {
 fn run_tenant(
     profiles: BTreeMap<proxylog::UserId, webprofiler::UserProfile>,
     engine_config: EngineConfig,
-    prefilter: Option<PrefilterConfig>,
     mailbox: Mailbox,
     decision_cap: usize,
 ) {
@@ -247,10 +243,8 @@ fn run_tenant(
     // both live on this thread's stack, which is exactly why each tenant
     // is a thread rather than a struct in a shared map.
     let vocab = Vocabulary::new(Taxonomy::paper_scale());
-    let mut engine = StreamEngine::new(&profiles, &vocab, engine_config);
-    if let Some(prefilter) = prefilter {
-        engine = engine.with_prefilter(prefilter);
-    }
+    let mut engine = StreamEngine::new(&profiles, &vocab, engine_config)
+        .with_prefilter(PrefilterConfig::default());
     let mut buffered: VecDeque<DecisionRecord> = VecDeque::new();
     let mut decisions_dropped = 0u64;
     let mut seen_devices: BTreeSet<DeviceId> = BTreeSet::new();
@@ -378,7 +372,6 @@ mod tests {
             "/nonexistent/identd-store",
             false,
             EngineConfig::default(),
-            None,
             16,
             1024,
         );

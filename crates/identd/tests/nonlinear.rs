@@ -2,9 +2,10 @@
 //!
 //! Linear profiles collapse to one weight vector, so they never exercise
 //! per-support-vector kernel rows. Here two tenants serve RBF profiles —
-//! one ν-OC-SVM set, one SVDD set — loaded through a [`ModelStore`], with
-//! exhaustive scoring (no prefilter). Every decision the daemon returns
-//! must equal offline [`webprofiler::identify_on_device`] plus
+//! one ν-OC-SVM set, one SVDD set — loaded through a [`ModelStore`] and
+//! scored through the daemon's default exact candidate prefilter. Every
+//! decision the daemon returns must equal offline, exhaustive
+//! [`webprofiler::identify_on_device`] plus
 //! [`webprofiler::consecutive_window_vote`] over the profiles as stored.
 
 use identd::proto::DecisionRecord;
@@ -24,7 +25,7 @@ fn rbf_tenants_match_offline_identification_exactly() {
     let base = std::env::temp_dir().join(format!("identd-rbf-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
-    let config = DaemonConfig { prefilter: None, ..DaemonConfig::default() };
+    let config = DaemonConfig::default();
     let daemon = Daemon::start(config.clone()).unwrap();
     let mut client = Client::connect(daemon.local_addr()).unwrap();
 

@@ -65,7 +65,6 @@ mod model;
 mod ocsvm;
 pub mod panel;
 mod persist;
-mod scale;
 mod smo;
 mod solver;
 mod sparse;
@@ -76,11 +75,11 @@ pub use error::TrainError;
 pub use gram::{content_fingerprint, CrossGram, GramMatrix};
 pub use kernel::{Kernel, KernelKind};
 pub use model::{
-    Boundary, LinearBatchScorer, LinearDecisionTerms, OneClassModel, TrainDiagnostics,
+    Boundary, DecisionBound, LinearBatchScorer, LinearDecisionTerms, OneClassModel,
+    TrainDiagnostics,
 };
 pub use ocsvm::NuOcSvm;
 pub use panel::ProbePanel;
-pub use scale::MinMaxScaler;
 pub use smo::SolverOptions;
 pub use solver::{ApproxParams, SolverBackend};
 pub use sparse::{InvalidPairsError, SparseVector, SparseVectorBuilder};

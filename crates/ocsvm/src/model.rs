@@ -46,6 +46,18 @@ impl Boundary {
             }
         }
     }
+
+    /// The decision value for an upper bound `s` on the kernel sum, with
+    /// the scale of the terms it sums (`s_scale` for `s` itself).
+    fn bound(self, s: f64, s_scale: f64, k_self: f64) -> (f64, f64) {
+        let scale = match self {
+            Boundary::Hyperplane { rho } => s_scale + rho.abs(),
+            Boundary::Sphere { r_squared, alpha_k_alpha } => {
+                r_squared.abs() + k_self.abs() + 2.0 * s_scale + alpha_k_alpha.abs()
+            }
+        };
+        (self.decide(s, || k_self), scale)
+    }
 }
 
 /// A trained one-class model: support vectors with their multipliers and
@@ -174,11 +186,24 @@ impl OneClassModel {
         })
     }
 
-    /// Sorted union of the feature columns the decision function reads
-    /// (support-vector columns; for the linear kernel, the collapsed
-    /// weight vector's columns).
-    pub fn support_column_union(&self) -> Vec<u32> {
-        self.support.column_union()
+    /// A sound upper bound on this model's decision value that one walk
+    /// over a probe's non-zero columns evaluates (see [`DecisionBound`]).
+    /// Linear models export their exact affine terms; non-linear models a
+    /// chord (RBF, polynomial) or Jensen (sigmoid) bound on the kernel
+    /// sum, or an unbounded marker outside the domain where that bound is
+    /// proven.
+    pub fn decision_bound(&self) -> DecisionBound {
+        match self.linear_decision_terms() {
+            Some(terms) => DecisionBound {
+                weights: terms.weights,
+                extent: SparseVector::new(),
+                shape: BoundShape::Affine {
+                    bias: terms.bias,
+                    subtracts_probe_norm: terms.subtracts_probe_norm,
+                },
+            },
+            None => self.support.kernel_sum_bound(self.boundary),
+        }
     }
 
     /// Serializes the model in the crate's binary format (OCSV).
@@ -454,25 +479,85 @@ impl SupportVectorSet {
         self.vectors.len()
     }
 
-    /// Sorted union of the columns touched by any support vector (for a
-    /// linear kernel, the columns of the collapsed weight vector — zero
-    /// sums cancel out of the decision function and are excluded).
-    pub(crate) fn column_union(&self) -> Vec<u32> {
-        if let Some(w) = &self.collapsed {
-            return w.iter().map(|(column, _)| column).collect();
+    /// The [`DecisionBound`] of a non-linear kernel sum under `boundary`,
+    /// or [`BoundShape::Unbounded`] outside the proven domain: a negative
+    /// or non-finite support-vector entry or multiplier, `γ < 0`,
+    /// `coef0 < 0` (polynomial, sigmoid), a degree past `i32::MAX`, or an
+    /// RBF support vector whose `γ‖svᵢ‖²` exceeds [`EXP_LIMIT`].
+    fn kernel_sum_bound(&self, boundary: Boundary) -> DecisionBound {
+        let unbounded = DecisionBound {
+            weights: SparseVector::new(),
+            extent: SparseVector::new(),
+            shape: BoundShape::Unbounded,
+        };
+        let non_negative = |v: f64| v.is_finite() && v >= 0.0;
+        if !self.alpha.iter().all(|&a| non_negative(a))
+            || !self.vectors.iter().all(|sv| sv.iter().all(|(_, v)| non_negative(v)))
+        {
+            return unbounded;
         }
-        let mut columns: Vec<u32> =
-            self.vectors.iter().flat_map(|sv| sv.iter().map(|(column, _)| column)).collect();
-        columns.sort_unstable();
-        columns.dedup();
-        columns
+        // Σᵢ scaleᵢ·svᵢ, summed like the linear kernel's collapsed vector.
+        let weighted = |scale: &[f64]| {
+            let mut builder = crate::sparse::SparseVectorBuilder::new();
+            for (sv, &a) in self.vectors.iter().zip(scale) {
+                for (column, value) in sv.iter() {
+                    builder.add(column, a * value);
+                }
+            }
+            builder.build_summed()
+        };
+        let alpha_sum: f64 = self.alpha.iter().sum();
+        let (weights, extent, shape) = match self.kernel {
+            Kernel::Rbf { gamma } if non_negative(gamma) => {
+                let norms: Vec<f64> = self.vectors.iter().map(SparseVector::squared_norm).collect();
+                let max_sv_norm = norms.iter().copied().fold(0.0, f64::max);
+                // A NaN exponent (0·∞) propagates into a NaN bound, which
+                // admits every probe.
+                if gamma * max_sv_norm > EXP_LIMIT {
+                    return unbounded;
+                }
+                // αᵢ·wᵢ with wᵢ = e^{−γ‖svᵢ‖²}.
+                let scale: Vec<f64> =
+                    norms.iter().zip(&self.alpha).map(|(&n, &a)| a * (-gamma * n).exp()).collect();
+                let weight_sum = scale.iter().sum();
+                let shape = BoundShape::Rbf { gamma, weight_sum, max_sv_norm, boundary };
+                (weighted(&scale), self.column_max(), shape)
+            }
+            Kernel::Polynomial { gamma, coef0, degree }
+                if non_negative(gamma) && non_negative(coef0) && degree <= i32::MAX as u32 =>
+            {
+                let degree = degree as i32;
+                let shape = BoundShape::Polynomial { gamma, coef0, degree, alpha_sum, boundary };
+                (weighted(&self.alpha), self.column_max(), shape)
+            }
+            Kernel::Sigmoid { gamma, coef0 } if non_negative(gamma) && non_negative(coef0) => {
+                let shape = BoundShape::Sigmoid { gamma, coef0, alpha_sum, boundary };
+                (weighted(&self.alpha), SparseVector::new(), shape)
+            }
+            _ => return unbounded,
+        };
+        DecisionBound { weights, extent, shape }
+    }
+
+    /// The column-wise maximum `m` of the support vectors, so that
+    /// `⟨x, svᵢ⟩ ≤ ⟨x, m⟩` for every `x ≥ 0`.
+    fn column_max(&self) -> SparseVector {
+        let mut entries: Vec<(u32, f64)> = self.vectors.iter().flat_map(|sv| sv.iter()).collect();
+        entries.sort_by_key(|&(column, _)| column);
+        entries.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = kept.1.max(next.1);
+            }
+            same
+        });
+        SparseVector::from_pairs(entries).expect("sorted, deduplicated columns")
     }
 }
 
-/// The affine part of a linear-kernel model's decision function, exported
-/// for candidate prefiltering (see `webprofiler`'s two-stage
-/// identification): `decision(x) = weights·x + bias − ‖x‖²·[subtracts
-/// probe norm]`.
+/// The affine part of a linear-kernel model's decision function, and the
+/// linear case of its [`DecisionBound`]: `decision(x) = weights·x + bias −
+/// ‖x‖²·[subtracts probe norm]`.
 ///
 /// For a linear ν-OC-SVM the decision `w·x − ρ` is affine in `x` directly
 /// (`weights = w`, `bias = −ρ`). For a linear SVDD the decision
@@ -514,6 +599,125 @@ impl LinearDecisionTerms {
     /// candidate prefilter ranks on.
     pub fn affine_score(&self, x: &SparseVector) -> f64 {
         self.weights.dot(x) + self.bias
+    }
+}
+
+/// Largest exponent the factored RBF bound evaluates. Beyond it
+/// `e^{−γ‖x‖²}`, `e^{−γ‖svᵢ‖²}` or `e^{2γT}` could under- or overflow, so
+/// the bound admits the probe (or, for a support vector, the model is left
+/// unbounded) instead.
+const EXP_LIMIT: f64 = 700.0;
+
+/// Relative slack of [`DecisionBound::admits`]. The bound and the exact
+/// decision sum the same few hundred terms in different orders, through at
+/// most a few hundred ulps of exponent (`γ‖x‖²` and friends are folded into
+/// the slack's scale), so they differ by ~`n·ε` of that scale (≈ 2e-13 at
+/// the paper's 843 columns); `1e-9` leaves three orders of magnitude of
+/// headroom while still pruning everything that rejects by a real margin.
+const MARGIN_EPS: f64 = 1e-9;
+
+/// A sound upper bound on a trained model's decision value that reads a
+/// non-negative probe `x` only through two inner products, so a candidate
+/// prefilter evaluates it for every model in one walk over the probe's
+/// non-zero columns ([`OneClassModel::decision_bound`]).
+///
+/// Window features, support vectors and multipliers are non-negative and
+/// `Σα = 1` (Eq. 5/10), so every `tᵢ = ⟨x, svᵢ⟩` lies in `[0, T]` with
+/// `T = ⟨x, m⟩`, `m` the column-wise maximum of the support vectors (the
+/// [`extent`](Self::extent)). Each kernel then has a bound linear in one
+/// weight vector `p` (the [`weights`](Self::weights)):
+///
+/// - **linear** — the exact affine terms of [`LinearDecisionTerms`];
+/// - **RBF** — `k = e^{−γ‖x‖²}·wᵢ·e^{2γtᵢ}` with `wᵢ = e^{−γ‖svᵢ‖²}`, and
+///   `e^{2γt}` is convex, so its chord over `[0, T]` gives
+///   `s ≤ e^{−γ‖x‖²}·(A + (e^{2γT} − 1)/T·⟨x, u⟩)` with `A = Σαᵢwᵢ` and
+///   `p = u = Σαᵢwᵢsvᵢ`;
+/// - **polynomial** (`γ, coef0 ≥ 0`) — `(γt + coef0)^d` is convex for
+///   `t ≥ 0`, so the same chord applies over `p = c = Σαᵢsvᵢ`;
+/// - **sigmoid** (`γ, coef0 ≥ 0`) — `tanh(γt + coef0)` is concave for
+///   `t ≥ 0`, so Jensen's inequality gives
+///   `s ≤ Σα·tanh(γ⟨x, c⟩/Σα + coef0)`.
+///
+/// Both boundaries rise with the kernel sum `s` (the hyperplane's `s − ρ`,
+/// the sphere's `R² − k(x, x) + 2s − αᵀKα`), so one bound on `s` serves
+/// both families. Outside the proven domain — a negative support-vector
+/// entry or multiplier, `γ < 0`, `coef0 < 0`, or an exponent past about
+/// ±700 — the bound admits every probe.
+#[derive(Debug, Clone)]
+pub struct DecisionBound {
+    /// Weights `p` of the bound's inner product `⟨x, p⟩`.
+    pub weights: SparseVector,
+    /// Column-wise maximum `m` of the support vectors (empty unless the
+    /// bound is a chord: RBF and polynomial kernels); `T = ⟨x, m⟩`.
+    pub extent: SparseVector,
+    shape: BoundShape,
+}
+
+/// The scalar part of a [`DecisionBound`], per kernel.
+#[derive(Debug, Clone, Copy)]
+enum BoundShape {
+    /// Exact affine decision `⟨x, p⟩ + bias − ‖x‖²·[subtracts_probe_norm]`.
+    Affine { bias: f64, subtracts_probe_norm: bool },
+    /// Chord bound on `e^{2γt}`.
+    Rbf { gamma: f64, weight_sum: f64, max_sv_norm: f64, boundary: Boundary },
+    /// Chord bound on `(γt + coef0)^d`.
+    Polynomial { gamma: f64, coef0: f64, degree: i32, alpha_sum: f64, boundary: Boundary },
+    /// Jensen bound on `tanh(γt + coef0)`.
+    Sigmoid { gamma: f64, coef0: f64, alpha_sum: f64, boundary: Boundary },
+    /// Outside the proven domain: every probe is admitted.
+    Unbounded,
+}
+
+impl DecisionBound {
+    /// Whether a probe `x` with no negative entry may be accepted: `false`
+    /// only when the model's exact decision value on `x` is certainly
+    /// negative. Reads `x` through `dot = ⟨x, weights⟩`, its absolute mass
+    /// `magnitude = Σ|weights_c·x_c|`, `extent_dot = ⟨x, extent⟩` and
+    /// `‖x‖²`.
+    ///
+    /// The bound is rejected only when it falls below
+    /// `−MARGIN_EPS·(1 + scale)`, where `scale` sums the magnitudes of the
+    /// terms the bound and the exact decision add, so floating-point
+    /// association can never prune an accepted probe. A non-finite bound
+    /// always admits.
+    #[inline]
+    pub fn admits(&self, dot: f64, magnitude: f64, extent_dot: f64, squared_norm: f64) -> bool {
+        let (bound, scale) = match self.shape {
+            BoundShape::Affine { bias, subtracts_probe_norm } => {
+                let norm = if subtracts_probe_norm { squared_norm } else { 0.0 };
+                (dot + bias - norm, magnitude + bias.abs() + norm)
+            }
+            BoundShape::Rbf { gamma, weight_sum, max_sv_norm, boundary } => {
+                let (probe_exp, extent_exp) = (gamma * squared_norm, 2.0 * gamma * extent_dot);
+                if probe_exp > EXP_LIMIT || extent_exp > EXP_LIMIT {
+                    return true;
+                }
+                let slope = if extent_dot > 0.0 { extent_exp.exp_m1() / extent_dot } else { 0.0 };
+                let s = (-probe_exp).exp() * (weight_sum + slope * dot);
+                // Each kernel value carries the rounding of its exponent.
+                let s_scale = s * (1.0 + probe_exp + extent_exp + gamma * max_sv_norm);
+                boundary.bound(s, s_scale, 1.0)
+            }
+            BoundShape::Polynomial { gamma, coef0, degree, alpha_sum, boundary } => {
+                let g = |t: f64| (gamma * t + coef0).powi(degree);
+                let base = g(0.0);
+                let chord =
+                    if extent_dot > 0.0 { (g(extent_dot) - base) / extent_dot * dot } else { 0.0 };
+                let s = alpha_sum * base + chord;
+                boundary.bound(s, s * (1.0 + f64::from(degree)), g(squared_norm))
+            }
+            BoundShape::Sigmoid { gamma, coef0, alpha_sum, boundary } => {
+                let s = if alpha_sum > 0.0 {
+                    alpha_sum * (gamma * dot / alpha_sum + coef0).tanh()
+                } else {
+                    0.0
+                };
+                let s_scale = alpha_sum * (1.0 + coef0) + gamma * dot + s.abs();
+                boundary.bound(s, s_scale, (gamma * squared_norm + coef0).tanh())
+            }
+            BoundShape::Unbounded => return true,
+        };
+        bound.partial_cmp(&(-MARGIN_EPS * (1.0 + scale))) != Some(std::cmp::Ordering::Less)
     }
 }
 
@@ -702,6 +906,120 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A model over `vectors` whose decision on `probe` is exactly zero:
+    /// the boundary's constant is solved from the exact kernel sum there.
+    fn on_boundary(
+        vectors: &[SparseVector],
+        alpha: &[f64],
+        kernel: Kernel,
+        sphere: bool,
+        probe: &SparseVector,
+    ) -> OneClassModel {
+        let support = SupportVectorSet::from_parts(vectors.to_vec(), alpha.to_vec(), kernel);
+        let s = support.weighted_kernel_sum(probe);
+        let boundary = if sphere {
+            let alpha_k_alpha = 0.25;
+            let r_squared = kernel.compute_self(probe) - 2.0 * s + alpha_k_alpha;
+            Boundary::Sphere { r_squared, alpha_k_alpha }
+        } else {
+            Boundary::Hyperplane { rho: s }
+        };
+        let diagnostics = TrainDiagnostics {
+            iterations: 0,
+            converged: true,
+            objective: 0.0,
+            train_size: vectors.len(),
+            support_vectors: vectors.len(),
+            cache_hits: 0,
+            cache_misses: 0,
+        };
+        OneClassModel {
+            support,
+            boundary,
+            regularization: 0.5,
+            diagnostics,
+            backend: SolverBackend::default(),
+        }
+    }
+
+    fn admits(model: &OneClassModel, x: &SparseVector) -> bool {
+        let bound = model.decision_bound();
+        let magnitude = x.iter().map(|(column, v)| (bound.weights.get(column) * v).abs()).sum();
+        bound.admits(bound.weights.dot(x), magnitude, bound.extent.dot(x), x.squared_norm())
+    }
+
+    const BOUNDED_KERNELS: [Kernel; 5] = [
+        Kernel::Linear,
+        Kernel::Rbf { gamma: 0.3 },
+        Kernel::Polynomial { gamma: 0.2, coef0: 0.5, degree: 3 },
+        Kernel::Polynomial { gamma: 0.4, coef0: 0.0, degree: 1 },
+        Kernel::Sigmoid { gamma: 0.15, coef0: 0.2 },
+    ];
+
+    #[test]
+    fn bounds_admit_probes_exactly_on_the_decision_boundary() {
+        // Disjoint and empty probes are where the chord (T = 0) and Jensen
+        // (all tᵢ equal) bounds are tight, so only the guard keeps them.
+        let vectors = vec![
+            SparseVector::from_pairs(vec![(0, 1.0), (2, 0.5)]).unwrap(),
+            SparseVector::from_pairs(vec![(1, 2.0), (2, 0.25)]).unwrap(),
+            SparseVector::from_pairs(vec![(0, 0.1), (5, 1.5)]).unwrap(),
+        ];
+        let alpha = [0.2, 0.3, 0.5];
+        let probes = [
+            SparseVector::new(),
+            SparseVector::from_pairs(vec![(7, 0.9), (9, 2.0)]).unwrap(),
+            SparseVector::from_pairs(vec![(0, 1.0), (2, 0.5)]).unwrap(),
+            SparseVector::from_pairs(vec![(1, 0.3), (5, 0.7), (8, 1.1)]).unwrap(),
+        ];
+        for kernel in BOUNDED_KERNELS {
+            for sphere in [false, true] {
+                for probe in &probes {
+                    let model = on_boundary(&vectors, &alpha, kernel, sphere, probe);
+                    assert!(model.decision_value(probe) >= 0.0, "{kernel:?}");
+                    assert!(admits(&model, probe), "{kernel:?} sphere={sphere} {probe:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bounds_prune_probes_that_reject_by_a_margin() {
+        let vectors = vec![SparseVector::from_pairs(vec![(0, 1.0), (1, 1.0)]).unwrap()];
+        let far = SparseVector::from_pairs(vec![(0, 1.0), (1, 1.0)]).unwrap();
+        let probe = SparseVector::from_pairs(vec![(5, 1.0)]).unwrap();
+        for kernel in BOUNDED_KERNELS {
+            // On the boundary at `far`, which scores far above `probe`.
+            let model = on_boundary(&vectors, &[1.0], kernel, false, &far);
+            assert!(!admits(&model, &probe), "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn models_outside_the_proven_domain_admit_every_probe() {
+        let plain = vec![SparseVector::from_pairs(vec![(0, 1.0), (1, 1.0)]).unwrap()];
+        let negative = vec![SparseVector::from_pairs(vec![(0, 1.0), (1, -1.0)]).unwrap()];
+        let huge = vec![SparseVector::from_pairs(vec![(0, 100.0)]).unwrap()];
+        let far = SparseVector::from_pairs(vec![(0, 1.0), (1, 1.0)]).unwrap();
+        let probe = SparseVector::from_pairs(vec![(5, 1.0)]).unwrap();
+        let cases = [
+            (&negative, 1.0, Kernel::Rbf { gamma: 0.3 }),
+            (&plain, -1.0, Kernel::Rbf { gamma: 0.3 }),
+            (&plain, 1.0, Kernel::Polynomial { gamma: 0.2, coef0: -0.5, degree: 3 }),
+            (&plain, 1.0, Kernel::Sigmoid { gamma: 0.2, coef0: -0.1 }),
+            (&plain, 1.0, Kernel::Sigmoid { gamma: -0.2, coef0: 0.1 }),
+            // γ‖sv‖² = 1000: e^{−γ‖sv‖²} would underflow.
+            (&huge, 1.0, Kernel::Rbf { gamma: 0.1 }),
+        ];
+        for (vectors, alpha, kernel) in cases {
+            let model = on_boundary(vectors, &[alpha], kernel, false, &far);
+            assert!(admits(&model, &probe), "{kernel:?} α={alpha}");
+        }
+        // γ‖x‖² = 1000 for the probe: admitted rather than evaluated.
+        let model = on_boundary(&plain, &[1.0], Kernel::Rbf { gamma: 0.1 }, false, &far);
+        assert!(admits(&model, &SparseVector::from_pairs(vec![(5, 100.0)]).unwrap()));
     }
 
     #[test]

@@ -389,3 +389,101 @@ proptest! {
         }
     }
 }
+
+/// Kernels for the decision-bound property: every family, with γ away
+/// from the LIBSVM default, `coef0` on both sides of zero (a negative one
+/// leaves the polynomial and sigmoid bounds unproven) and degrees 1–4.
+fn bound_kernel() -> impl Strategy<Value = Kernel> {
+    prop_oneof![
+        Just(Kernel::Linear),
+        (0.001f64..1.0).prop_map(|gamma| Kernel::Rbf { gamma }),
+        (0.001f64..0.3, -1.0f64..1.0, 1u32..5)
+            .prop_map(|(gamma, coef0, degree)| Kernel::Polynomial { gamma, coef0, degree }),
+        (0.001f64..0.3, -1.0f64..1.0).prop_map(|(gamma, coef0)| Kernel::Sigmoid { gamma, coef0 }),
+    ]
+}
+
+/// Non-negative sparse points in the support-vector columns.
+fn non_negative_point() -> impl Strategy<Value = SparseVector> {
+    prop::collection::vec((0..SV_WIDTH, 0.0f64..3.0), 1..12).prop_map(from_entries)
+}
+
+/// Non-negative probes: empty, inside the support columns, disjoint from
+/// every support vector (where the chord and Jensen bounds are tight), and
+/// straddling both.
+fn non_negative_probe() -> impl Strategy<Value = SparseVector> {
+    let near = || (0..SV_WIDTH, 0.0f64..3.0);
+    let far = || (SV_WIDTH..150, 0.0f64..3.0);
+    prop_oneof![
+        Just(SparseVector::new()),
+        prop::collection::vec(near(), 1..12).prop_map(from_entries),
+        prop::collection::vec(far(), 1..6).prop_map(from_entries),
+        (prop::collection::vec(near(), 1..6), prop::collection::vec(far(), 1..4))
+            .prop_map(|(a, b)| from_entries(a.into_iter().chain(b).collect())),
+    ]
+}
+
+/// What `DecisionBound::admits` reads of `x`, computed the plain way.
+fn bound_admits(model: &OneClassModel, x: &SparseVector) -> bool {
+    let bound = model.decision_bound();
+    let magnitude = x.iter().map(|(column, v)| (bound.weights.get(column) * v).abs()).sum();
+    bound.admits(bound.weights.dot(x), magnitude, bound.extent.dot(x), x.squared_norm())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The candidate prefilter prunes a model only when its decision bound
+    /// rejects, so the bound must admit every probe the model accepts —
+    /// for both families, every kernel, and probes scored exactly on the
+    /// training points. Models outside the proven domain (`coef0 < 0`,
+    /// a negative support-vector entry) must admit every probe.
+    #[test]
+    fn decision_bounds_admit_every_accepted_probe(
+        kernel in bound_kernel(),
+        data in prop::collection::vec(non_negative_point(), 3..24),
+        nu in 0.05f64..0.9,
+        mut probes in prop::collection::vec(non_negative_probe(), 1..24),
+        flip in 0usize..24,
+    ) {
+        probes.extend(data.iter().cloned());
+        let l = data.len() as f64;
+        let models = [
+            NuOcSvm::new(nu, kernel).train(&data).unwrap(),
+            Svdd::new((1.0 / (nu * l)).min(1.0), kernel).train(&data).unwrap(),
+        ];
+        let unproven = match kernel {
+            Kernel::Polynomial { coef0, .. } | Kernel::Sigmoid { coef0, .. } => coef0 < 0.0,
+            _ => false,
+        };
+        for model in &models {
+            for probe in &probes {
+                let admitted = bound_admits(model, probe);
+                prop_assert!(admitted || model.decision_value(probe) < 0.0, "{:?}", probe);
+                prop_assert!(admitted || !unproven);
+            }
+        }
+
+        // One negative entry in the training set: every non-linear model
+        // trained on it is outside the proven domain.
+        let mut negative = data.clone();
+        let victim = &mut negative[flip % data.len()];
+        let mut entries: Vec<(u32, f64)> = victim.iter().collect();
+        entries[0].1 = -entries[0].1 - 0.5;
+        *victim = from_entries(entries);
+        // α ≤ 1/(νl) or α ≤ C = 1/l with Σα = 1 pins every α at 1/l, so
+        // the negative point is a support vector.
+        let models = [
+            NuOcSvm::new(1.0, kernel).train(&negative).unwrap(),
+            Svdd::new(1.0 / l, kernel).train(&negative).unwrap(),
+        ];
+        for model in &models {
+            prop_assert_eq!(model.support_vector_count(), negative.len());
+            for probe in &probes {
+                let admitted = bound_admits(model, probe);
+                prop_assert!(admitted || model.decision_value(probe) < 0.0);
+                prop_assert!(admitted || kernel == Kernel::Linear);
+            }
+        }
+    }
+}

@@ -53,42 +53,31 @@ impl EngineConfig {
     }
 }
 
-/// Two-stage scoring knobs of a [`StreamEngine`](crate::StreamEngine)
-/// (see [`StreamEngine::with_prefilter`](crate::StreamEngine::with_prefilter)).
+/// Two-stage scoring of a [`StreamEngine`](crate::StreamEngine) (see
+/// [`StreamEngine::with_prefilter`](crate::StreamEngine::with_prefilter)).
 ///
-/// When enabled, each closed window is first run through a cheap
-/// [`webprofiler::CandidateIndex`] shortlist and only the top
-/// [`top_k`](Self::top_k) candidate users are scored exactly; everyone
-/// else is treated as rejecting the window. The default (no prefilter) is
+/// When enabled, each closed window is first run through the exact
+/// [`webprofiler::CandidateIndex`] shortlist — every profile whose
+/// decision bound admits the window — and only the shortlist is scored;
+/// everyone else provably rejects the window. Decisions are bit-identical
+/// to exhaustive scoring for every kernel. The default (no prefilter) is
 /// exhaustive scoring of every enrolled profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefilterConfig {
-    /// Shortlist size per window. All-linear populations are decided
-    /// bit-identically to exhaustive scoring at any `top_k` (the
-    /// shortlist's margin guard never prunes a potentially-accepting
-    /// linear user); for non-linear profiles larger values trade
-    /// throughput for recall headroom. Must be positive.
+    /// Compatibility shim, read by nothing: the shortlist used to keep the
+    /// top `k` candidates by a heuristic score. It is now exact, so its
+    /// size follows from the profiles' bounds alone.
     pub top_k: usize,
-    /// Equivalence mode: additionally run exhaustive scoring on every
-    /// batch and count windows whose accepted sets differ
-    /// ([`EngineStats::prefilter_mismatches`](crate::EngineStats::prefilter_mismatches)).
-    /// Decisions still come from the prefiltered path. Costs the full
-    /// exhaustive work again — a validation/canary knob, not a production
-    /// one.
-    pub verify: bool,
 }
 
 impl PrefilterConfig {
-    /// Default shortlist size.
+    /// The old default shortlist size, kept with [`top_k`](Self::top_k)
+    /// as a compatibility shim.
     pub const DEFAULT_TOP_K: usize = 16;
-
-    pub(crate) fn validate(&self) {
-        assert!(self.top_k > 0, "top_k must be positive");
-    }
 }
 
 impl Default for PrefilterConfig {
     fn default() -> Self {
-        Self { top_k: Self::DEFAULT_TOP_K, verify: false }
+        Self { top_k: Self::DEFAULT_TOP_K }
     }
 }

@@ -98,9 +98,6 @@ pub struct EngineStats {
     /// Exact profile scorings the prefilter allowed (Σ shortlist sizes);
     /// exhaustive scoring would have cost `prefilter_windows × profiles`.
     pub prefilter_candidates: u64,
-    /// Windows whose prefiltered accepted set differed from exhaustive
-    /// scoring, counted only in [`PrefilterConfig::verify`] mode.
-    pub prefilter_mismatches: u64,
 }
 
 impl fmt::Display for EngineStats {
@@ -120,8 +117,8 @@ impl fmt::Display for EngineStats {
         if self.prefilter_windows > 0 {
             write!(
                 f,
-                ", prefilter: {} candidates over {} windows ({} mismatches)",
-                self.prefilter_candidates, self.prefilter_windows, self.prefilter_mismatches,
+                ", prefilter: {} candidates over {} windows",
+                self.prefilter_candidates, self.prefilter_windows,
             )?;
         }
         Ok(())
@@ -156,14 +153,12 @@ pub struct StreamEngine<'a> {
     prefilter: Option<PrefilterState>,
     prefilter_windows: u64,
     prefilter_candidates: u64,
-    prefilter_mismatches: u64,
 }
 
 /// Two-stage scoring state: the candidate index over the enrolled
 /// population plus per-batch scratch.
 #[derive(Debug)]
 struct PrefilterState {
-    config: PrefilterConfig,
     index: CandidateIndex,
     /// Dense per-user scratch reused across windows.
     scratch: ShortlistScratch,
@@ -198,30 +193,21 @@ impl<'a> StreamEngine<'a> {
             prefilter: None,
             prefilter_windows: 0,
             prefilter_candidates: 0,
-            prefilter_mismatches: 0,
         }
     }
 
     /// Enables two-stage scoring: a [`webprofiler::CandidateIndex`] built
-    /// once over the enrolled profiles shortlists
-    /// [`PrefilterConfig::top_k`] candidate users per closed window, and
-    /// exact scoring runs only on the shortlist (users outside it reject).
-    /// Without this call every window is scored against every profile.
+    /// once over the enrolled profiles shortlists, per closed window, every
+    /// user whose decision bound admits it, and exact scoring runs only on
+    /// the shortlist (users outside it provably reject). Without this call
+    /// every window is scored against every profile.
     ///
-    /// With all-linear profiles (the paper corpus default) every window
-    /// is decided bit-identically to the exhaustive path at any `top_k` —
-    /// the shortlist's margin guard never prunes a potentially-accepting
-    /// linear user (see the `webprofiler::prefilter` module docs);
-    /// [`PrefilterConfig::verify`] cross-checks the equivalence at
-    /// runtime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`PrefilterConfig::top_k`] is zero.
-    pub fn with_prefilter(mut self, config: PrefilterConfig) -> Self {
-        config.validate();
+    /// Every window is decided bit-identically to the exhaustive path, for
+    /// every kernel and both model families: the shortlist never prunes a
+    /// user whose exact decision is `>= 0` (see the `webprofiler::prefilter`
+    /// module docs). `_config` is a compatibility shim; nothing reads it.
+    pub fn with_prefilter(mut self, _config: PrefilterConfig) -> Self {
         self.prefilter = Some(PrefilterState {
-            config,
             index: CandidateIndex::build(self.profiles, self.vocab),
             scratch: ShortlistScratch::default(),
         });
@@ -330,7 +316,6 @@ impl<'a> StreamEngine<'a> {
             scoring: self.scoring,
             prefilter_windows: self.prefilter_windows,
             prefilter_candidates: self.prefilter_candidates,
-            prefilter_mismatches: self.prefilter_mismatches,
         }
     }
 
@@ -398,7 +383,7 @@ impl<'a> StreamEngine<'a> {
             let mut scratch = std::mem::take(&mut state.scratch);
             let lists: Vec<Vec<u32>> = probes
                 .iter()
-                .map(|features| state.index.shortlist(features, state.config.top_k, &mut scratch))
+                .map(|features| state.index.shortlist(features, 0, &mut scratch))
                 .collect();
             state.scratch = scratch;
             lists
@@ -409,12 +394,6 @@ impl<'a> StreamEngine<'a> {
                 let candidates: u64 = lists.iter().map(|l| l.len() as u64).sum();
                 self.prefilter_windows += probes.len() as u64;
                 self.prefilter_candidates += candidates;
-                let verify = self.prefilter.as_ref().is_some_and(|state| state.config.verify);
-                if verify {
-                    let exhaustive = self.score_exhaustive(&probes);
-                    self.prefilter_mismatches +=
-                        accepted.iter().zip(&exhaustive).filter(|(a, b)| a != b).count() as u64;
-                }
                 accepted
             }
             None => self.score_exhaustive(&probes),
@@ -681,8 +660,8 @@ mod tests {
     #[test]
     fn prefiltered_engine_is_bit_identical_to_exhaustive() {
         let (dataset, vocab) = trained();
-        // Default profiles are linear SVDD, and quick_test's 6 users fit in
-        // the default shortlist — both legs of the equivalence argument.
+        // Default profiles are linear SVDD; the shortlist keeps every user
+        // whose exact affine decision is not clearly negative.
         let (profiles, _) =
             ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
         let config = EngineConfig { batch_windows: 16, ..EngineConfig::default() };
@@ -708,38 +687,7 @@ mod tests {
         let stats = prefiltered.stats();
         assert_eq!(stats.prefilter_windows, stats.windows_scored);
         assert!(stats.prefilter_candidates > 0);
-        assert_eq!(stats.prefilter_mismatches, 0, "verify off never counts");
         assert_eq!(exhaustive.stats().prefilter_windows, 0);
-    }
-
-    #[test]
-    fn verify_mode_confirms_equivalence_online() {
-        let (dataset, vocab) = trained();
-        let (profiles, _) =
-            ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
-        let config = EngineConfig { batch_windows: 16, ..EngineConfig::default() };
-        let mut engine = StreamEngine::new(&profiles, &vocab, config)
-            .with_prefilter(PrefilterConfig { verify: true, ..PrefilterConfig::default() });
-        for tx in dataset.transactions() {
-            let _ = engine.observe(*tx);
-        }
-        let _ = engine.finish();
-        let stats = engine.stats();
-        assert!(stats.prefilter_windows > 0);
-        assert_eq!(
-            stats.prefilter_mismatches, 0,
-            "linear profiles under a covering shortlist must agree with exhaustive scoring"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "top_k must be positive")]
-    fn zero_shortlist_size_is_rejected() {
-        let (dataset, vocab) = trained();
-        let (profiles, _) =
-            ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
-        let _ = StreamEngine::new(&profiles, &vocab, EngineConfig::default())
-            .with_prefilter(PrefilterConfig { top_k: 0, verify: false });
     }
 
     #[test]

@@ -46,11 +46,10 @@
 //! At large populations exhaustive scoring is the bottleneck: every
 //! closed window visits every enrolled profile. [`StreamEngine::with_prefilter`]
 //! switches scoring to a two-stage path — a cheap
-//! [`webprofiler::CandidateIndex`] shortlist picks the top
-//! [`PrefilterConfig::top_k`] candidate users per window, and only the
-//! shortlist is scored exactly. With all-linear profiles any window whose
-//! accepted set fits in `top_k` is decided bit-identically to exhaustive
-//! scoring; [`PrefilterConfig::verify`] cross-checks that claim online.
+//! [`webprofiler::CandidateIndex`] shortlist keeps, per window, every
+//! user whose decision bound admits it, and only the shortlist is scored
+//! exactly. The bound never prunes an accepting user, so every window is
+//! decided bit-identically to exhaustive scoring, for every kernel.
 //!
 //! Profiles come from wherever [`webprofiler::UserProfile`]s are trained —
 //! or from a [`ModelStore`] directory of persisted profiles. Persisted

@@ -106,27 +106,20 @@ fn assert_same_decisions(
 
 #[test]
 fn prefiltered_streaming_matches_exhaustive_on_a_population_larger_than_k() {
-    // 40 enrolled users against the default shortlist of 16: most of the
-    // population is pruned per window (some windows are accepted by more
-    // than 16 users), yet all-linear profiles keep the accepted sets
-    // bit-identical — the shortlist's margin guard retains every
-    // potentially-accepting linear user beyond the top-k budget.
+    // 40 enrolled users, more than the old top-k budget of 16: most of
+    // the population is pruned per window (some windows are accepted by
+    // more than 16 users), yet the accepted sets stay bit-identical — the
+    // shortlist's margin guard retains every potentially-accepting user.
     let dataset = TraceGenerator::new(Scenario::scaled(40, 12, 1)).generate();
     let vocab = Vocabulary::new(dataset.taxonomy().clone());
     let (profiles, _) = ProfileTrainer::new(&vocab).max_training_windows(100).train_all(&dataset);
     assert!(profiles.len() > PrefilterConfig::DEFAULT_TOP_K, "population must exceed k");
     let config = EngineConfig { batch_windows: 32, ..EngineConfig::default() };
     let exhaustive = replay(&profiles, &vocab, &dataset, config);
-    let (prefiltered, stats) = replay_prefiltered(
-        &profiles,
-        &vocab,
-        &dataset,
-        config,
-        PrefilterConfig { verify: true, ..PrefilterConfig::default() },
-    );
+    let (prefiltered, stats) =
+        replay_prefiltered(&profiles, &vocab, &dataset, config, PrefilterConfig::default());
     assert_same_decisions(&exhaustive, &prefiltered);
     assert!(stats.prefilter_windows > 0);
-    assert_eq!(stats.prefilter_mismatches, 0, "verify mode agrees window-for-window");
     // The shortlist really prunes: fewer candidates than exhaustive work.
     assert!(
         stats.prefilter_candidates < stats.prefilter_windows * profiles.len() as u64,
@@ -137,9 +130,9 @@ fn prefiltered_streaming_matches_exhaustive_on_a_population_larger_than_k() {
 }
 
 #[test]
-fn prefiltered_streaming_matches_exhaustive_for_rbf_with_covering_k() {
-    // Non-linear profiles only get the coverage-sketch heuristic, so
-    // equivalence is guaranteed by a shortlist covering the population.
+fn prefiltered_streaming_matches_exhaustive_for_rbf() {
+    // The chord bound on each RBF profile's kernel sum prunes users whose
+    // exact decision is certainly negative, and nobody else.
     let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
     let vocab = Vocabulary::new(dataset.taxonomy().clone());
     let (profiles, _) = ProfileTrainer::new(&vocab)
@@ -150,15 +143,15 @@ fn prefiltered_streaming_matches_exhaustive_for_rbf_with_covering_k() {
         .train_all(&dataset);
     let config = EngineConfig { batch_windows: 16, ..EngineConfig::default() };
     let exhaustive = replay(&profiles, &vocab, &dataset, config);
-    let (prefiltered, stats) = replay_prefiltered(
-        &profiles,
-        &vocab,
-        &dataset,
-        config,
-        PrefilterConfig { top_k: profiles.len(), verify: true },
-    );
+    let (prefiltered, stats) =
+        replay_prefiltered(&profiles, &vocab, &dataset, config, PrefilterConfig::default());
     assert_same_decisions(&exhaustive, &prefiltered);
-    assert_eq!(stats.prefilter_mismatches, 0);
+    assert!(
+        stats.prefilter_candidates < stats.prefilter_windows * profiles.len() as u64,
+        "{} candidates over {} windows never pruned anyone",
+        stats.prefilter_candidates,
+        stats.prefilter_windows,
+    );
 }
 
 #[test]

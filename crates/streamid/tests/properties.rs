@@ -1,7 +1,8 @@
 //! Engine properties over generated feeds.
 //!
 //! Each case cuts a slice out of a generated corpus, keeps a random subset
-//! of its devices, and delivers it out of order: every transaction is
+//! of its devices, and scores it against one of four trained populations
+//! (linear, RBF, polynomial or sigmoid profiles), delivered out of order: every transaction is
 //! delayed by a random jitter of at most 0, 5, 30, 90 or 240 seconds,
 //! which also reshuffles how the devices interleave. The engine configuration
 //! (`lateness_secs`, `batch_windows`, `max_pending_per_device`, the
@@ -17,14 +18,19 @@
 //!   dropped as late and the decisions equal those of the same feed
 //!   sorted by time.
 //!
+//! A second property generates mixed-kernel, mixed-family populations and
+//! checks that the exact candidate prefilter decides every window exactly
+//! as exhaustive scoring does.
+//!
 //! Inputs come from a seeded xorshift generator, so every run checks the
 //! same cases; a failure names its case seed.
 
+use ocsvm::{Kernel, SparseVector};
 use proxylog::{Dataset, DeviceId, Transaction, UserId};
 use std::collections::{BTreeMap, BTreeSet};
 use streamid::{EngineConfig, EngineStats, PrefilterConfig, StreamEngine, WindowDecision};
 use tracegen::{Scenario, TraceGenerator};
-use webprofiler::{ProfileTrainer, UserProfile, Vocabulary};
+use webprofiler::{ModelKind, ProfileTrainer, UserProfile, Vocabulary, WindowAggregator};
 
 /// Generated cases per run.
 const CASES: u64 = 64;
@@ -178,13 +184,23 @@ fn by_device(decisions: &[WindowDecision]) -> BTreeMap<DeviceId, Vec<&WindowDeci
 fn engine_properties_hold_over_generated_feeds() {
     let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
     let vocab = Vocabulary::new(dataset.taxonomy().clone());
-    let (profiles, _) = ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
+    let trainer = ProfileTrainer::new(&vocab).max_training_windows(150);
+    let populations: Vec<BTreeMap<UserId, UserProfile>> = [
+        trainer.clone(),
+        trainer.clone().kind(ModelKind::OcSvm).kernel(Kernel::Rbf { gamma: 0.05 }),
+        trainer.clone().kernel(Kernel::Polynomial { gamma: 0.05, coef0: 1.0, degree: 2 }),
+        trainer.clone().kind(ModelKind::OcSvm).kernel(Kernel::Sigmoid { gamma: 0.05, coef0: 0.0 }),
+    ]
+    .iter()
+    .map(|trainer| trainer.train_all(&dataset).0)
+    .collect();
     let mut covered_cases = 0;
     let mut evicting_cases = 0;
     for seed in 1..=CASES {
         let mut rng = Xs(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
         let case = generate(&dataset, &mut rng);
-        let (decisions, stats, opened) = run(&profiles, &vocab, &case, &case.feed, &case.evictions);
+        let profiles = &populations[seed as usize % populations.len()];
+        let (decisions, stats, opened) = run(profiles, &vocab, &case, &case.feed, &case.evictions);
 
         // (a) Counters reconcile.
         assert_eq!(
@@ -212,7 +228,7 @@ fn engine_properties_hold_over_generated_feeds() {
             let mut sorted = case.feed.clone();
             sorted.sort_by_key(|tx| tx.timestamp);
             let (reference, reference_stats, _) =
-                run(&profiles, &vocab, &case, &sorted, &BTreeMap::new());
+                run(profiles, &vocab, &case, &sorted, &BTreeMap::new());
             assert_eq!(reference_stats.windows_shed, 0, "case {seed}: no shedding expected");
             assert_eq!(stats.windows_shed, 0, "case {seed}: no shedding expected");
             let (got, want) = (by_device(&decisions), by_device(&reference));
@@ -239,4 +255,93 @@ fn engine_properties_hold_over_generated_feeds() {
     }
     assert!(covered_cases >= 4, "only {covered_cases} cases covered their disorder");
     assert!(evicting_cases >= 4, "only {evicting_cases} cases evicted a device");
+}
+
+/// A kernel with random parameters, `coef0` sometimes negative (outside
+/// the polynomial and sigmoid bounds' proven domain).
+fn random_kernel(rng: &mut Xs) -> Kernel {
+    let gamma = rng.pick(&[1.0 / 843.0, 0.01, 0.05, 0.3]);
+    let coef0 = rng.pick(&[0.0, 0.5, 1.0, -0.3]);
+    match rng.below(4) {
+        0 => Kernel::Linear,
+        1 => Kernel::Rbf { gamma },
+        2 => Kernel::Polynomial { gamma, coef0, degree: 1 + rng.below(4) as u32 },
+        _ => Kernel::Sigmoid { gamma, coef0 },
+    }
+}
+
+/// Runs `feed` through a fresh engine, optionally prefiltered.
+fn decide(
+    profiles: &BTreeMap<UserId, UserProfile>,
+    vocab: &Vocabulary,
+    config: EngineConfig,
+    prefilter: Option<PrefilterConfig>,
+    feed: &[Transaction],
+) -> (Vec<WindowDecision>, EngineStats) {
+    let mut engine = StreamEngine::new(profiles, vocab, config);
+    if let Some(prefilter) = prefilter {
+        engine = engine.with_prefilter(prefilter);
+    }
+    let mut decisions: Vec<WindowDecision> =
+        feed.iter().flat_map(|tx| engine.observe(*tx)).collect();
+    decisions.extend(engine.finish());
+    (decisions, engine.stats())
+}
+
+#[test]
+fn prefiltered_decisions_equal_exhaustive_over_generated_mixed_populations() {
+    let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
+    let vocab = Vocabulary::new(dataset.taxonomy().clone());
+    let aggregator = WindowAggregator::new(&vocab, EngineConfig::default().window);
+    let own_windows: Vec<Vec<SparseVector>> = dataset
+        .users()
+        .into_iter()
+        .map(|user| {
+            aggregator.user_windows(&dataset, user).into_iter().map(|w| w.features).collect()
+        })
+        .collect();
+    let all = dataset.transactions();
+    let (mut candidates, mut exhaustive_work, mut accepted_pairs) = (0u64, 0u64, 0usize);
+    for seed in 1..=CASES {
+        let mut rng = Xs(seed.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1);
+        // More profiles than the old top-k budget of 16, each trained on a
+        // sample of one corpus user's windows with its own kernel, family
+        // and regularization.
+        let mut profiles = BTreeMap::new();
+        for slot in 0..17 + rng.below(16) as u32 {
+            let own = &own_windows[rng.below(own_windows.len() as u64) as usize];
+            let stride = 1 + rng.below(4) as usize;
+            let sample: Vec<SparseVector> = own.iter().step_by(stride).take(40).cloned().collect();
+            let trainer = ProfileTrainer::new(&vocab)
+                .kind(rng.pick(&ModelKind::ALL))
+                .kernel(random_kernel(&mut rng))
+                .regularization(rng.pick(&[0.05, 0.2, 0.5]));
+            if let Ok(profile) = trainer.train_from_vectors(UserId(slot), &sample) {
+                profiles.insert(UserId(slot), profile);
+            }
+        }
+        let len = 300 + rng.below(900) as usize;
+        let start = rng.below((all.len() - len) as u64) as usize;
+        let feed = &all[start..start + len];
+        let config =
+            EngineConfig { batch_windows: rng.pick(&[1usize, 5, 64]), ..EngineConfig::default() };
+        // The shim's value must not matter.
+        let prefilter = PrefilterConfig { top_k: rng.pick(&[0usize, 1, 16]) };
+
+        let (want, _) = decide(&profiles, &vocab, config, None, feed);
+        let (got, stats) = decide(&profiles, &vocab, config, Some(prefilter), feed);
+        assert_eq!(got.len(), want.len(), "case {seed}");
+        for (a, b) in got.iter().zip(&want) {
+            assert_eq!((a.device, a.start), (b.device, b.start), "case {seed}");
+            assert_eq!(a.features, b.features, "case {seed}");
+            assert_eq!(a.accepted_by, b.accepted_by, "case {seed}: window at {}", a.start);
+            assert_eq!(a.vote, b.vote, "case {seed}: vote at {}", a.start);
+            accepted_pairs += b.accepted_by.len();
+        }
+        assert_eq!(stats.prefilter_windows, want.len() as u64, "case {seed}");
+        candidates += stats.prefilter_candidates;
+        exhaustive_work += stats.prefilter_windows * profiles.len() as u64;
+    }
+    assert!(accepted_pairs > 0, "no window was accepted by anyone");
+    assert!(candidates < exhaustive_work, "{candidates} of {exhaustive_work}: nothing pruned");
 }

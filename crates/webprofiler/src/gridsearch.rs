@@ -414,10 +414,8 @@ impl<'a> ModelGridSearch<'a> {
     /// Trains the final per-user profiles at each user's swept-optimal
     /// parameters — the population whose decision weights feed candidate
     /// prefiltering: pass the result straight to
-    /// [`CandidateIndex::build`](crate::CandidateIndex::build) (linear
-    /// winners export their collapsed weights and bias via
-    /// [`UserProfile::linear_decision_terms`], non-linear winners their
-    /// coverage sketch).
+    /// [`CandidateIndex::build`](crate::CandidateIndex::build), which
+    /// indexes every winner's [`UserProfile::decision_bound`].
     ///
     /// Users whose sweep produced no trainable cell are omitted, like
     /// [`optimize_all`](Self::optimize_all) omits them.

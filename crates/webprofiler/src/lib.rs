@@ -58,7 +58,6 @@
 
 mod auth;
 mod baselines;
-mod calibrate;
 mod drift;
 mod explain;
 mod features;
@@ -78,7 +77,6 @@ mod window;
 
 pub use auth::{AuthDecision, AuthenticationMonitor, TakeoverEvaluation};
 pub use baselines::FrequencyProfile;
-pub use calibrate::{calibrate_without_impostors, default_candidates, Calibration};
 pub use drift::DriftMonitor;
 pub use explain::{explain_decision, explanation_report, FeatureContribution};
 pub use features::{aggregate_window, aggregate_window_with, extract_transaction, AggregationMode};
@@ -96,10 +94,10 @@ pub use novelty::{
     feature_novelty, sweep_feature_novelty, sweep_window_novelty, window_novelty, FeatureNovelty,
     FeatureNoveltyRow, MeanVariance, WindowNoveltyRow,
 };
-pub use prefilter::{CandidateIndex, ProfileSketch, ShortlistScratch};
+pub use prefilter::{CandidateIndex, ShortlistScratch};
 pub use profile::{ModelKind, ProfileParams, UserProfile};
 pub use retrain::{drift_partial_retrain, DriftRetrainConfig, ProfileFingerprint, RetrainReport};
-pub use roc::{auc, best_operating_point, roc_curve, RocPoint};
+pub use roc::{auc, roc_curve, RocPoint};
 pub use trainer::{parallel_map, ProfileError, ProfileTrainer};
 pub use vocab::{ColumnKind, Vocabulary};
 pub use window::{

@@ -1,114 +1,68 @@
 //! Candidate prefiltering for two-stage identification.
 //!
 //! Exhaustive identification scores every closed window against every
-//! enrolled profile — O(users) exact decisions per window, the wall
-//! between the reproduction and a million-user population. This module
-//! provides the cheap first stage of a two-stage path:
+//! enrolled profile — O(users) exact decisions per window. This module
+//! provides the cheap first stage of a two-stage path that decides every
+//! window exactly as exhaustive scoring does, for every kernel:
 //!
-//! 1. **Sketch** — every profile is summarized once, at index build time,
-//!    as a [`ProfileSketch`]: a bitmask over the [`Vocabulary`]'s feature
-//!    columns marking which columns the profile's decision function reads
-//!    at all (its support vectors' column union).
-//! 2. **Index** — the [`CandidateIndex`] inverts those per-user summaries
-//!    into per-*column* postings. Linear-kernel profiles (the paper
-//!    corpus default) contribute their exact affine decision terms
-//!    ([`ocsvm::LinearDecisionTerms`], the same collapsed weights the
-//!    [`ocsvm::LinearBatchScorer`] GEMV path uses); non-linear profiles
-//!    fall back to unit-weight coverage postings derived from the sketch
-//!    bits.
+//! 1. **Bound** — every profile exports, once at index build time, an
+//!    [`ocsvm::DecisionBound`]: a sound upper bound on its decision value
+//!    that reads a window `x` only through `⟨x, p⟩` and `T = ⟨x, m⟩` for
+//!    two per-profile vectors. Features, support vectors and multipliers
+//!    are non-negative and `Σα = 1`, so each `tᵢ = ⟨x, svᵢ⟩` lies in
+//!    `[0, T]`, `m` being the column-wise maximum of the support vectors.
+//!    Linear profiles carry their exact affine terms; RBF profiles the
+//!    chord bound of the convex `e^{2γt}`,
+//!    `s ≤ e^{−γ‖x‖²}·(A + (e^{2γT} − 1)/T·⟨x, u⟩)` with `A = Σαᵢwᵢ`,
+//!    `u = Σαᵢwᵢsvᵢ`, `wᵢ = e^{−γ‖svᵢ‖²}`; polynomial profiles (γ, coef0
+//!    ≥ 0) the same chord over `c = Σαᵢsvᵢ`; sigmoid profiles (γ, coef0 ≥
+//!    0) Jensen's `s ≤ Σα·tanh(γ⟨x, c⟩/Σα + coef0)`. Both the OC-SVM and
+//!    the SVDD decision rise with the kernel sum `s`, so one bound serves
+//!    both families.
+//! 2. **Index** — the [`CandidateIndex`] inverts those per-profile vectors
+//!    into per-column postings.
 //! 3. **Shortlist** — per window, walking only the window's non-zero
-//!    columns accumulates every user's approximate score in
-//!    O(Σ postings) + O(users) instead of O(users × nnz) exact decisions,
-//!    and a size-k selection returns the top-k candidate slots. The
-//!    caller then reruns the *exact* scorer on the shortlist only.
+//!    columns accumulates every profile's inner products in
+//!    O(Σ postings + users), and a slot goes on the shortlist exactly when
+//!    its bound clears a tiny negative margin sized for floating-point
+//!    association ([`ocsvm::DecisionBound::admits`]). An accepted user
+//!    (exact decision `≥ 0`) is never pruned, so rerunning the exact
+//!    scorer on the shortlist is bit-identical to exhaustive scoring.
 //!
-//! For an all-linear population the approximate score of each user is
-//! that user's decision value up to floating-point association (the
-//! user-independent `‖x‖²` term SVDD subtracts is applied uniformly). The
-//! shortlist therefore keeps, *in addition to* the top-k slots, every
-//! linear slot whose score clears a tiny negative margin sized to bound
-//! that association error: an accepted user (exact decision `≥ 0`) can
-//! never be pruned, while extra borderline candidates are harmlessly
-//! rejected by the exact rerank. Shortlist-then-exact is thus
-//! bit-identical to exhaustive scoring for all-linear populations at
-//! *any* `k` — `k` only budgets how many clearly-rejecting candidates get
-//! an exact score. Mixed or non-linear populations make the shortlist a
-//! heuristic; measure recall@k with `bench --bin identify_scale`.
+//! A profile outside the proven domain (a negative support-vector entry
+//! or multiplier, `γ < 0`, `coef0 < 0`, an exponent past about ±700) is
+//! always shortlisted, and so is every profile for a window with a
+//! negative entry: profiles can come from files, so the domain is checked
+//! rather than assumed.
+//!
+//! Measured on a 48-user corpus (`Scenario::scaled(48, 24, 16)`, ν-OC-SVM
+//! profiles, 27,401 replayed windows), the bound keeps 3.16 slots per
+//! window against 3.08 accepted for all-RBF profiles, 6.30 against 5.76
+//! for a grid-search-selected mixed population, 9.59 against 9.59 for
+//! all-sigmoid and 16.24 against 2.26 for all-polynomial, with no accepted
+//! pair missed. A single ball around each profile's support vectors
+//! (`k ≤ e^{−γ·max(0, ‖x − c‖ − r)²}`) pruned nothing there: it kept 48 of
+//! 48 slots, because `γ = 1/843` puts every RBF value near 1.
 
 use crate::profile::UserProfile;
 use crate::vocab::Vocabulary;
-use ocsvm::SparseVector;
+use ocsvm::{DecisionBound, SparseVector};
 use proxylog::UserId;
 use std::collections::BTreeMap;
 
-/// Category-coverage bitmask of one user's profile: one bit per
-/// [`Vocabulary`] feature column, set iff the profile's decision function
-/// reads that column (some support vector — or, for linear kernels, the
-/// collapsed weight vector — has a non-zero entry there).
-#[derive(Debug, Clone)]
-pub struct ProfileSketch {
-    user: UserId,
-    words: Vec<u64>,
-    covered: usize,
-}
-
-impl ProfileSketch {
-    /// Builds a sketch over `n_features` columns from the columns a
-    /// profile touches (out-of-range columns are ignored).
-    pub fn from_columns<I: IntoIterator<Item = u32>>(
-        user: UserId,
-        n_features: usize,
-        columns: I,
-    ) -> Self {
-        let mut words = vec![0u64; n_features.div_ceil(64)];
-        let mut covered = 0;
-        for column in columns {
-            let (word, bit) = (column as usize / 64, column as usize % 64);
-            if word < words.len() && (column as usize) < n_features && words[word] & (1 << bit) == 0
-            {
-                words[word] |= 1 << bit;
-                covered += 1;
-            }
-        }
-        Self { user, words, covered }
-    }
-
-    /// The profiled user.
-    pub fn user(&self) -> UserId {
-        self.user
-    }
-
-    /// Whether the profile reads `column`.
-    pub fn covers(&self, column: u32) -> bool {
-        let (word, bit) = (column as usize / 64, column as usize % 64);
-        self.words.get(word).is_some_and(|w| w & (1 << bit) != 0)
-    }
-
-    /// Number of covered columns (set bits).
-    pub fn covered_columns(&self) -> usize {
-        self.covered
-    }
-
-    /// The covered columns, ascending.
-    pub fn columns(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(word, &bits)| {
-            (0..64)
-                .filter(move |bit| bits & (1 << bit) != 0)
-                .map(move |bit| (word * 64 + bit) as u32)
-        })
-    }
-
-    /// How many of the window's non-zero columns the profile covers — the
-    /// coverage-overlap score non-linear profiles are ranked by.
-    pub fn overlap(&self, features: &SparseVector) -> usize {
-        features.iter().filter(|&(column, _)| self.covers(column)).count()
-    }
+/// One profile's entry in a column's postings: its [`DecisionBound`]
+/// weight and extent in that column.
+#[derive(Debug, Clone, Copy)]
+struct Posting {
+    slot: u32,
+    weight: f64,
+    extent: f64,
 }
 
 /// Inverted candidate index over an enrolled profile population: per-user
-/// [`ProfileSketch`]es plus column-major postings, supporting top-k
-/// shortlisting of candidate users per window (see the module docs for
-/// the two-stage pipeline).
+/// [`DecisionBound`]s whose weight and extent vectors are inverted into
+/// column-major postings, supporting exact shortlisting of candidate users
+/// per window (see the module docs for the two-stage pipeline).
 ///
 /// Users occupy *slots* `0..len()` in ascending [`UserId`] order (the
 /// iteration order of the profile map), so a shortlist sorted by slot is
@@ -116,36 +70,20 @@ impl ProfileSketch {
 #[derive(Debug, Clone)]
 pub struct CandidateIndex {
     users: Vec<UserId>,
-    /// Constant term of each user's approximate score.
-    bias: Vec<f64>,
-    /// `1.0` for users whose exact decision subtracts the probe's squared
-    /// norm (linear SVDD), else `0.0`; applied at scoring time so linear
-    /// OC-SVM and SVDD users rank on the same decision-value scale.
-    norm_coeff: Vec<f64>,
-    /// Per-column `(slot, weight)` postings, slot-ascending.
-    postings: Vec<Vec<(u32, f64)>>,
-    /// Whether each slot carries exact linear decision terms (and so is
-    /// protected by the margin guard of [`CandidateIndex::shortlist`]).
-    linear: Vec<bool>,
-    sketches: Vec<ProfileSketch>,
-    linear_users: usize,
+    /// Each slot's bound, its weight and extent vectors moved into the
+    /// postings.
+    bounds: Vec<DecisionBound>,
+    /// Per-column postings, slot-ascending.
+    postings: Vec<Vec<Posting>>,
 }
 
 /// Reusable per-user scratch of [`CandidateIndex::shortlist`]; allocate
 /// once per scoring loop, not per window.
 #[derive(Debug, Default)]
 pub struct ShortlistScratch {
-    scores: Vec<f64>,
-    magnitudes: Vec<f64>,
+    /// Per slot: `⟨x, weights⟩`, `Σ|weights_c·x_c|` and `⟨x, extent⟩`.
+    sums: Vec<[f64; 3]>,
 }
-
-/// Relative slack of the shortlist's margin guard. The approximate score
-/// and the exact decision sum the same ≤ `n_features + 2` terms in
-/// different orders, so they differ by at most ~`n·ε` of the summed
-/// magnitude (≈ 2e-13 at the paper's 843 columns); `1e-9` leaves three
-/// orders of magnitude of headroom while still pruning everything that
-/// rejects by a real margin.
-const MARGIN_EPS: f64 = 1e-9;
 
 impl CandidateIndex {
     /// Builds the index from an enrolled population (one pass over the
@@ -153,42 +91,33 @@ impl CandidateIndex {
     pub fn build(profiles: &BTreeMap<UserId, UserProfile>, vocab: &Vocabulary) -> Self {
         let n_features = vocab.n_features();
         let mut users = Vec::with_capacity(profiles.len());
-        let mut bias = Vec::with_capacity(profiles.len());
-        let mut norm_coeff = Vec::with_capacity(profiles.len());
-        let mut postings: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n_features];
-        let mut linear = Vec::with_capacity(profiles.len());
-        let mut sketches = Vec::with_capacity(profiles.len());
-        let mut linear_users = 0;
+        let mut bounds = Vec::with_capacity(profiles.len());
+        let mut postings: Vec<Vec<Posting>> = vec![Vec::new(); n_features];
         for (slot, (&user, profile)) in profiles.iter().enumerate() {
             let slot = slot as u32;
-            let sketch =
-                ProfileSketch::from_columns(user, n_features, profile.support_column_union());
-            users.push(user);
-            linear.push(profile.linear_decision_terms().is_some());
-            match profile.linear_decision_terms() {
-                Some(terms) => {
-                    linear_users += 1;
-                    bias.push(terms.bias);
-                    norm_coeff.push(if terms.subtracts_probe_norm { 1.0 } else { 0.0 });
-                    for (column, weight) in terms.weights.iter() {
-                        if (column as usize) < n_features {
-                            postings[column as usize].push((slot, weight));
-                        }
-                    }
-                }
-                None => {
-                    bias.push(0.0);
-                    norm_coeff.push(0.0);
-                    // Unit-weight coverage postings straight off the
-                    // sketch bits: the score counts covered window mass.
-                    for column in sketch.columns() {
-                        postings[column as usize].push((slot, 1.0));
-                    }
+            let mut bound = profile.decision_bound();
+            let weights = std::mem::take(&mut bound.weights);
+            let extent = std::mem::take(&mut bound.extent);
+            // Profiles can come from files trained over another
+            // vocabulary: a column past this one still bounds the profile.
+            let widest = weights.dimension_lower_bound().max(extent.dimension_lower_bound());
+            if widest > postings.len() {
+                postings.resize(widest, Vec::new());
+            }
+            for (column, weight) in weights.iter() {
+                postings[column as usize].push(Posting { slot, weight, extent: 0.0 });
+            }
+            for (column, extent) in extent.iter() {
+                let list = &mut postings[column as usize];
+                match list.last_mut() {
+                    Some(last) if last.slot == slot => last.extent = extent,
+                    _ => list.push(Posting { slot, weight: 0.0, extent }),
                 }
             }
-            sketches.push(sketch);
+            users.push(user);
+            bounds.push(bound);
         }
-        Self { users, bias, norm_coeff, postings, linear, sketches, linear_users }
+        Self { users, bounds, postings }
     }
 
     /// Enrolled users.
@@ -201,12 +130,6 @@ impl CandidateIndex {
         self.users.is_empty()
     }
 
-    /// Users indexed with exact affine decision terms (linear kernels);
-    /// the remainder rank by coverage overlap.
-    pub fn linear_users(&self) -> usize {
-        self.linear_users
-    }
-
     /// The user in `slot` (ascending by slot).
     ///
     /// # Panics
@@ -216,80 +139,44 @@ impl CandidateIndex {
         self.users[slot as usize]
     }
 
-    /// The sketch in `slot`.
+    /// Candidate slots for one window, ascending by slot: exactly the
+    /// slots whose [`DecisionBound`] admits the window, so every user whose
+    /// exact decision is `≥ 0` is on the list (see the module docs). A
+    /// window with a negative (or NaN) entry is outside every bound's
+    /// domain and shortlists every slot.
     ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= len()`.
-    pub fn sketch(&self, slot: u32) -> &ProfileSketch {
-        &self.sketches[slot as usize]
-    }
-
-    /// Candidate slots for one window, ascending by slot: the `top_k`
-    /// best-scoring slots, *plus* every linear slot whose score clears the
-    /// margin guard (its exact decision could be non-negative, so pruning
-    /// it could change the accepted set — see the module docs).
-    ///
-    /// `scratch` is caller-provided per-user scratch so a scoring loop
-    /// allocates once, not per window. When the population fits in
-    /// `top_k` every slot is returned. Score ties keep the smaller slot,
-    /// so the result is deterministic.
+    /// `_top_k` is a compatibility shim: the shortlist used to be a top-k
+    /// heuristic, and the argument is still accepted so existing callers
+    /// build, but nothing reads it. `scratch` is caller-provided per-user
+    /// scratch so a scoring loop allocates once, not per window.
     pub fn shortlist(
         &self,
         features: &SparseVector,
-        top_k: usize,
+        _top_k: usize,
         scratch: &mut ShortlistScratch,
     ) -> Vec<u32> {
         let n = self.users.len();
-        if n == 0 || top_k == 0 {
-            return Vec::new();
-        }
-        if n <= top_k {
+        if features.iter().any(|(_, value)| value.is_nan() || value < 0.0) {
             return (0..n as u32).collect();
         }
-        let norm = features.squared_norm();
-        let ShortlistScratch { scores, magnitudes } = scratch;
-        scores.clear();
-        scores.extend(self.bias.iter().zip(&self.norm_coeff).map(|(&b, &c)| b - c * norm));
-        // Magnitudes track the absolute mass each score summed, bounding
-        // its floating-point association error for the margin guard.
-        magnitudes.clear();
-        magnitudes
-            .extend(self.bias.iter().zip(&self.norm_coeff).map(|(&b, &c)| b.abs() + c * norm));
+        let sums = &mut scratch.sums;
+        sums.clear();
+        sums.resize(n, [0.0; 3]);
         for (column, value) in features.iter() {
-            if let Some(postings) = self.postings.get(column as usize) {
-                for &(slot, weight) in postings {
-                    let term = weight * value;
-                    scores[slot as usize] += term;
-                    magnitudes[slot as usize] += term.abs();
-                }
+            for posting in self.postings.get(column as usize).into_iter().flatten() {
+                let [dot, magnitude, extent] = &mut sums[posting.slot as usize];
+                let term = posting.weight * value;
+                *dot += term;
+                *magnitude += term.abs();
+                *extent += posting.extent * value;
             }
         }
-        // Size-k selection, kept sorted ascending by score (worst first).
-        // Slots arrive ascending, so on ties the incumbent (smaller slot)
-        // wins and the pass stays deterministic.
-        let mut best: Vec<(f64, u32)> = Vec::with_capacity(top_k + 1);
-        for (slot, &score) in scores.iter().enumerate() {
-            if best.len() == top_k {
-                if score <= best[0].0 {
-                    continue;
-                }
-                best.remove(0);
-            }
-            let pos = best.partition_point(|&(s, _)| s < score);
-            best.insert(pos, (score, slot as u32));
-        }
-        let mut slots: Vec<u32> = best.into_iter().map(|(_, slot)| slot).collect();
-        // Margin guard: a linear slot's score is its exact decision up to
-        // association error, so anything not clearly negative stays in.
-        for (slot, &score) in scores.iter().enumerate() {
-            if self.linear[slot] && score >= -(MARGIN_EPS * (1.0 + magnitudes[slot])) {
-                slots.push(slot as u32);
-            }
-        }
-        slots.sort_unstable();
-        slots.dedup();
-        slots
+        let norm = features.squared_norm();
+        let admitted =
+            self.bounds.iter().zip(sums.iter()).map(|(bound, &[dot, magnitude, extent])| {
+                bound.admits(dot, magnitude, extent, norm)
+            });
+        (0..n as u32).zip(admitted).filter(|&(_, admits)| admits).map(|(slot, _)| slot).collect()
     }
 }
 
@@ -331,69 +218,27 @@ mod tests {
         (profiles, vocab)
     }
 
-    #[test]
-    fn sketch_marks_exactly_the_touched_columns() {
-        let sketch = ProfileSketch::from_columns(UserId(1), 128, [3u32, 64, 64, 127, 500]);
-        assert_eq!(sketch.covered_columns(), 3, "dups and out-of-range columns don't count");
-        assert!(sketch.covers(3) && sketch.covers(64) && sketch.covers(127));
-        assert!(!sketch.covers(4) && !sketch.covers(500));
-        assert_eq!(sketch.columns().collect::<Vec<_>>(), vec![3, 64, 127]);
-        let window = SparseVector::from_pairs(vec![(3, 1.0), (5, 2.0), (64, 0.5)]).unwrap();
-        assert_eq!(sketch.overlap(&window), 2);
+    /// Every probe of every user, plus the empty probe and one straddling
+    /// two users' columns.
+    fn probes(n_users: u64) -> Vec<SparseVector> {
+        let mut probes: Vec<SparseVector> = (0..n_users).flat_map(|u| vectors(u, 4)).collect();
+        probes.push(SparseVector::new());
+        let (a, b) = (&vectors(1, 1)[0], &vectors(2, 1)[0]);
+        let mut straddle: Vec<(u32, f64)> = a.iter().chain(b.iter()).collect();
+        straddle.sort_by_key(|&(column, _)| column);
+        probes.push(SparseVector::from_pairs(straddle).unwrap());
+        probes
     }
 
-    #[test]
-    fn shortlist_returns_everyone_when_k_covers_the_population() {
-        let (profiles, vocab) = population(ModelKind::Svdd, Kernel::Linear, 5);
-        let index = CandidateIndex::build(&profiles, &vocab);
-        assert_eq!(index.len(), 5);
-        assert_eq!(index.linear_users(), 5);
-        let mut scores = ShortlistScratch::default();
-        let window = &vectors(2, 1)[0];
-        assert_eq!(index.shortlist(window, 5, &mut scores), vec![0, 1, 2, 3, 4]);
-        assert_eq!(index.shortlist(window, 100, &mut scores), vec![0, 1, 2, 3, 4]);
-        assert!(index.shortlist(window, 0, &mut scores).is_empty());
-    }
-
-    #[test]
-    fn linear_shortlist_ranks_the_true_user_first() {
-        for kind in ModelKind::ALL {
-            let (profiles, vocab) = population(kind, Kernel::Linear, 12);
-            let index = CandidateIndex::build(&profiles, &vocab);
-            let mut scores = ShortlistScratch::default();
-            for u in 0..12u32 {
-                let probe = &vectors(u as u64, 1)[0];
-                let shortlist = index.shortlist(probe, 3, &mut scores);
-                assert_eq!(shortlist.len(), 3);
-                assert!(
-                    shortlist.iter().any(|&slot| index.user_at(slot) == UserId(u)),
-                    "{kind}: user {u} missing from top-3 {shortlist:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn linear_shortlist_contains_every_accepted_user() {
-        // The exactness guarantee behind the two-stage equivalence: with
-        // all-linear profiles, accepted users always outrank rejected
-        // ones, so any shortlist of size ≥ |accepted| covers them all.
-        let (profiles, vocab) = population(ModelKind::Svdd, Kernel::Linear, 12);
-        let index = CandidateIndex::build(&profiles, &vocab);
-        let mut scores = ShortlistScratch::default();
-        for u in 0..12u64 {
-            for probe in &vectors(u, 4) {
-                let accepted: Vec<UserId> = profiles
-                    .iter()
-                    .filter(|(_, p)| p.accepts(probe))
-                    .map(|(&user, _)| user)
-                    .collect();
-                let k = accepted.len().max(1);
-                let shortlist = index.shortlist(probe, k, &mut scores);
-                for user in &accepted {
+    fn assert_keeps_accepted(profiles: &BTreeMap<UserId, UserProfile>, index: &CandidateIndex) {
+        let mut scratch = ShortlistScratch::default();
+        for probe in probes(profiles.len() as u64) {
+            let shortlist = index.shortlist(&probe, 1, &mut scratch);
+            for (&user, profile) in profiles {
+                if profile.accepts(&probe) {
                     assert!(
-                        shortlist.iter().any(|&slot| index.user_at(slot) == *user),
-                        "accepted {user:?} outside top-{k} for probe of user {u}"
+                        shortlist.iter().any(|&slot| index.user_at(slot) == user),
+                        "accepted {user:?} pruned ({shortlist:?})"
                     );
                 }
             }
@@ -401,44 +246,103 @@ mod tests {
     }
 
     #[test]
+    fn shortlist_ignores_the_top_k_shim() {
+        let (profiles, vocab) = population(ModelKind::Svdd, Kernel::Linear, 5);
+        let index = CandidateIndex::build(&profiles, &vocab);
+        assert_eq!(index.len(), 5);
+        let mut scores = ShortlistScratch::default();
+        let window = &vectors(2, 1)[0];
+        let shortlist = index.shortlist(window, 16, &mut scores);
+        assert!(shortlist.contains(&2));
+        for top_k in [0, 1, 5, 100] {
+            assert_eq!(index.shortlist(window, top_k, &mut scores), shortlist);
+        }
+    }
+
+    #[test]
+    fn linear_shortlist_contains_every_accepted_user() {
+        // The exactness guarantee behind the two-stage equivalence: the
+        // affine terms are each linear user's exact decision up to
+        // floating-point association, which the margin guard absorbs.
+        let (profiles, vocab) = population(ModelKind::Svdd, Kernel::Linear, 12);
+        let index = CandidateIndex::build(&profiles, &vocab);
+        assert_keeps_accepted(&profiles, &index);
+    }
+
+    #[test]
     fn margin_guard_keeps_accepted_users_even_at_k_one() {
-        // The unconditional half of the equivalence guarantee: even a
-        // shortlist budget of 1 may not prune an accepting linear user.
         for kind in ModelKind::ALL {
             let (profiles, vocab) = population(kind, Kernel::Linear, 12);
-            let index = CandidateIndex::build(&profiles, &vocab);
-            let mut scores = ShortlistScratch::default();
-            for u in 0..12u64 {
-                for probe in &vectors(u, 4) {
-                    let shortlist = index.shortlist(probe, 1, &mut scores);
-                    for (&user, profile) in &profiles {
-                        if profile.accepts(probe) {
-                            assert!(
-                                shortlist.iter().any(|&slot| index.user_at(slot) == user),
-                                "{kind}: accepted {user:?} pruned at k=1 ({shortlist:?})"
-                            );
-                        }
-                    }
-                }
+            assert_keeps_accepted(&profiles, &CandidateIndex::build(&profiles, &vocab));
+        }
+    }
+
+    #[test]
+    fn nonlinear_shortlists_keep_every_accepted_user_and_prune_the_rest() {
+        for kind in ModelKind::ALL {
+            for kernel in [
+                Kernel::Rbf { gamma: 0.5 },
+                Kernel::Polynomial { gamma: 0.3, coef0: 1.0, degree: 3 },
+                Kernel::Sigmoid { gamma: 0.2, coef0: 0.1 },
+            ] {
+                let (profiles, vocab) = population(kind, kernel, 12);
+                let index = CandidateIndex::build(&profiles, &vocab);
+                assert_keeps_accepted(&profiles, &index);
+                // A probe from one user's columns clears no other bound.
+                let mut scratch = ShortlistScratch::default();
+                let shortlist = index.shortlist(&vectors(3, 1)[0], 1, &mut scratch);
+                assert!(shortlist.iter().all(|&slot| slot == 3), "{kind} {kernel}: {shortlist:?}");
             }
         }
     }
 
     #[test]
-    fn nonlinear_profiles_fall_back_to_coverage_postings() {
-        let (profiles, vocab) = population(ModelKind::OcSvm, Kernel::Rbf { gamma: 0.5 }, 8);
+    fn out_of_domain_profiles_and_windows_shortlist_everyone() {
+        let mut scratch = ShortlistScratch::default();
+        // A negative coef0 leaves the sigmoid concave nowhere provable.
+        let (profiles, vocab) =
+            population(ModelKind::OcSvm, Kernel::Sigmoid { gamma: 0.2, coef0: -0.5 }, 6);
         let index = CandidateIndex::build(&profiles, &vocab);
-        assert_eq!(index.linear_users(), 0);
-        let mut scores = ShortlistScratch::default();
-        let probe = &vectors(3, 1)[0];
-        let shortlist = index.shortlist(probe, 2, &mut scores);
-        assert_eq!(shortlist.len(), 2);
-        // The true user's sketch covers the whole probe, so it ranks in
-        // the top overlap tier.
-        assert!(
-            shortlist.iter().any(|&slot| index.user_at(slot) == UserId(3)),
-            "coverage shortlist {shortlist:?} missed the covering user"
-        );
+        assert_eq!(index.shortlist(&vectors(3, 1)[0], 1, &mut scratch), (0..6).collect::<Vec<_>>());
+        // A window with a negative entry is outside every bound's domain.
+        let (profiles, vocab) = population(ModelKind::Svdd, Kernel::Rbf { gamma: 0.5 }, 6);
+        let index = CandidateIndex::build(&profiles, &vocab);
+        let negative = SparseVector::from_pairs(vec![(22, 1.0), (700, -0.5)]).unwrap();
+        assert_eq!(index.shortlist(&negative, 1, &mut scratch), (0..6).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn columns_past_the_vocabulary_still_bound_their_profiles() {
+        let vocab = Vocabulary::new(Taxonomy::paper_scale());
+        let shifted = |u: u64| -> Vec<SparseVector> {
+            let offset = vocab.n_features() as u32;
+            vectors(u, 6)
+                .iter()
+                .map(|v| {
+                    SparseVector::from_pairs(v.iter().map(|(c, x)| (c + offset, x)).collect())
+                        .unwrap()
+                })
+                .collect()
+        };
+        let trainer = ProfileTrainer::new(&vocab).kernel(Kernel::Rbf { gamma: 0.5 });
+        let profiles: BTreeMap<UserId, UserProfile> = (0..4u64)
+            .map(|u| {
+                (
+                    UserId(u as u32),
+                    trainer.train_from_vectors(UserId(u as u32), &shifted(u)).unwrap(),
+                )
+            })
+            .collect();
+        let index = CandidateIndex::build(&profiles, &vocab);
+        let mut scratch = ShortlistScratch::default();
+        for u in 0..4u64 {
+            for probe in shifted(u) {
+                let shortlist = index.shortlist(&probe, 1, &mut scratch);
+                for (&user, profile) in &profiles {
+                    assert!(!profile.accepts(&probe) || shortlist.contains(&user.0), "{user:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -123,19 +123,12 @@ impl UserProfile {
         self.model.support_vector_count()
     }
 
-    /// The affine decision terms of a linear-kernel profile (`None` for
-    /// non-linear kernels) — the weight/bias export the candidate
-    /// prefilter indexes (see [`CandidateIndex`](crate::CandidateIndex)
-    /// and [`ocsvm::LinearDecisionTerms`]).
-    pub fn linear_decision_terms(&self) -> Option<ocsvm::LinearDecisionTerms> {
-        self.model.linear_decision_terms()
-    }
-
-    /// Sorted union of the feature columns the profile's decision
-    /// function reads — the category-coverage set behind
-    /// [`ProfileSketch`](crate::ProfileSketch).
-    pub fn support_column_union(&self) -> Vec<u32> {
-        self.model.support_column_union()
+    /// A sound upper bound on the profile's decision value — the export
+    /// the candidate prefilter indexes (see
+    /// [`CandidateIndex`](crate::CandidateIndex) and
+    /// [`ocsvm::DecisionBound`]).
+    pub fn decision_bound(&self) -> ocsvm::DecisionBound {
+        self.model.decision_bound()
     }
 
     /// Solver diagnostics recorded at training time.

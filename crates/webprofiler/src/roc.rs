@@ -75,15 +75,6 @@ pub fn auc(points: &[RocPoint]) -> f64 {
         .sum()
 }
 
-/// The point of the curve closest to the paper's operating regime: the
-/// largest `TPR − FPR` (Youden's J, equivalently the maximal `ACC`).
-pub fn best_operating_point(points: &[RocPoint]) -> Option<RocPoint> {
-    points
-        .iter()
-        .copied()
-        .max_by(|a, b| (a.tpr - a.fpr).partial_cmp(&(b.tpr - b.fpr)).expect("finite rates"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,14 +149,6 @@ mod tests {
         let points = roc_curve(&profile, &own, &own);
         let area = auc(&points);
         assert!((area - 0.5).abs() < 0.15, "AUC = {area}");
-    }
-
-    #[test]
-    fn best_operating_point_beats_endpoints() {
-        let (profile, own, other) = fixture();
-        let points = roc_curve(&profile, &own, &other);
-        let best = best_operating_point(&points).unwrap();
-        assert!(best.tpr - best.fpr > 0.5, "J = {}", best.tpr - best.fpr);
     }
 
     #[test]
