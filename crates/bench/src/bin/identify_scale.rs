@@ -29,7 +29,7 @@
 //!   window (the work the prefilter could not prune).
 
 use bench::ExperimentConfig;
-use ocsvm::SparseVector;
+use ocsvm::{ProbePanel, SparseVector};
 use proxylog::UserId;
 use std::time::{Duration, Instant};
 use tracegen::{Scenario, TraceGenerator};
@@ -87,16 +87,17 @@ fn main() {
         probes.len(),
     );
 
-    // Exhaustive baseline: every profile batch-scores every probe (the
-    // same per-profile batched path the streaming engine uses).
+    // Exhaustive baseline: the probes are packed once and every profile
+    // scores the packed panel (the streaming engine's exhaustive path).
     let probe_refs: Vec<&SparseVector> = probes.iter().collect();
     let entries: Vec<(&UserId, &UserProfile)> = profiles.iter().collect();
     let mut exhaustive_accepted: Vec<Vec<UserId>> = Vec::new();
     let mut exhaustive_time = Duration::MAX;
     for _ in 0..reps.max(1) {
         let started = Instant::now();
+        let panel = ProbePanel::pack(&probe_refs);
         let values: Vec<Vec<f64>> =
-            parallel_map(&entries, |(_, profile)| profile.batch_decision_values(&probe_refs));
+            parallel_map(&entries, |(_, profile)| profile.panel_decision_values(&panel));
         exhaustive_accepted = (0..probe_refs.len())
             .map(|j| {
                 entries

@@ -1,8 +1,10 @@
 //! Scoring-kernel microbenchmark: the cache-blocked panel kernels
 //! (`ocsvm::panel`) against the per-probe sparse merge walks they
-//! replaced, at a batch shape dense enough that production's adaptive
-//! path selection routes through the panels (see
-//! [`ocsvm::LinearBatchScorer::weighted_sums`]).
+//! replaced, at two batch shapes: a dense one (`--dim`, `--nnz`) and the
+//! production one of the grid search's feature windows (843 columns,
+//! about 14 stored entries per window, runs of 32 windows drawn from one
+//! user's 44-column vocabulary, so a 64-probe block stores about 85
+//! columns).
 //!
 //! ```text
 //! cargo run -p bench --bin kernels --release -- [--json BENCH_kernels.json] \
@@ -18,7 +20,9 @@
 //!   linear-profile batch-scoring kernel.
 //! * `ns_per_sq_dist` — one probe's squared distance through
 //!   [`ProbePanel::sq_dist_into`], the RBF
-//!   row-fill kernel.
+//!   row-fill kernel, at the dense shape.
+//! * `ns_per_sq_dist_sparse` — the same at the production shape, where
+//!   the walk covers only the columns each compact block stores.
 //!
 //! Everything else (merge-walk comparison points, speedups) is
 //! informational. Before timing anything the run re-proves
@@ -59,6 +63,32 @@ fn random_vector(rng: &mut Xs, dim: usize, nnz: usize) -> SparseVector {
     builder.build()
 }
 
+/// Columns of the production feature space (the vocabulary width).
+const PRODUCTION_DIM: u64 = 843;
+
+/// Production-shaped windows: runs of 32 drawn from one 44-column
+/// vocabulary, 18 skewed draws each (about 14 distinct columns).
+fn production_batch(rng: &mut Xs, n: usize) -> Vec<SparseVector> {
+    let mut vocab: Vec<u32> = Vec::new();
+    (0..n)
+        .map(|i| {
+            if i % 32 == 0 {
+                vocab = (0..44).map(|_| (rng.next() % PRODUCTION_DIM) as u32).collect();
+            }
+            let mut builder = SparseVectorBuilder::new();
+            for _ in 0..18 {
+                let u = rng.unit();
+                builder.set(vocab[(u * u * vocab.len() as f64) as usize], rng.unit() * 2.0 - 0.5);
+            }
+            builder.build()
+        })
+        .collect()
+}
+
+fn average_nnz(vectors: &[&SparseVector]) -> f64 {
+    vectors.iter().map(|v| v.nnz()).sum::<usize>() as f64 / vectors.len().max(1) as f64
+}
+
 fn main() {
     let probes: usize = flag_or("--probes", 512);
     let dim: usize = flag_or("--dim", 256);
@@ -73,11 +103,30 @@ fn main() {
     let weights_sv = SparseVector::from_dense(&weights);
 
     let panel = ProbePanel::pack(&refs);
-    let mean_nnz = panel.mean_probe_nnz();
+    let mean_nnz = average_nnz(&refs);
     verify_bit_identity(&panel, &refs, &xs, &weights, &weights_sv);
+    eprintln!("# kernels: {probes} probes, dim {dim}, mean nnz {mean_nnz:.1}");
+
+    let sparse_batch = production_batch(&mut rng, probes);
+    let sparse_refs: Vec<&SparseVector> = sparse_batch.iter().collect();
+    let sparse_xs = production_batch(&mut rng, 64);
+    let sparse_panel = ProbePanel::pack(&sparse_refs);
+    let sparse_mean_nnz = average_nnz(&sparse_refs);
+    let sparse_block_columns = sparse_refs
+        .chunks(ocsvm::panel::PANEL_BLOCK)
+        .map(|block| {
+            let mut columns: Vec<u32> =
+                block.iter().flat_map(|p| p.iter().map(|(c, _)| c)).collect();
+            columns.sort_unstable();
+            columns.dedup();
+            columns.len()
+        })
+        .sum::<usize>() as f64
+        / sparse_refs.len().div_ceil(ocsvm::panel::PANEL_BLOCK).max(1) as f64;
+    verify_bit_identity(&sparse_panel, &sparse_refs, &sparse_xs, &weights, &weights_sv);
     eprintln!(
-        "# kernels: {probes} probes, dim {dim}, mean nnz {mean_nnz}, panel width {}",
-        panel.width()
+        "# kernels: production shape, dim {PRODUCTION_DIM}, mean nnz {sparse_mean_nnz:.1}, \
+         {sparse_block_columns:.1} columns per block"
     );
 
     // --- GEMV: one dense-weight row per probe. -------------------------
@@ -99,23 +148,14 @@ fn main() {
     });
 
     // --- Squared distance: one probe column per (x, probe) pair. -------
-    let sq_reps = 20;
+    let sq_reps = 8;
     let pairs = sq_reps * xs.len() * probes;
-    let mut scratch: Vec<f64> = Vec::new();
-    let ns_per_sq_dist = best_ns(pairs, || {
-        for x in &xs {
-            panel.sq_dist_into(black_box(x), &mut scratch, &mut out);
-        }
-        black_box(&out);
-    });
-    let ns_per_sq_dist_merge = best_ns(pairs, || {
-        for x in &xs {
-            for (j, p) in refs.iter().enumerate() {
-                out[j] = black_box(x).squared_distance(p);
-            }
-        }
-        black_box(&out);
-    });
+    let ns_per_sq_dist = best_ns(pairs, || sq_dist_panel(sq_reps, &panel, &xs, &mut out));
+    let ns_per_sq_dist_merge = best_ns(pairs, || sq_dist_merge(sq_reps, &refs, &xs, &mut out));
+    let ns_per_sq_dist_sparse =
+        best_ns(pairs, || sq_dist_panel(sq_reps, &sparse_panel, &sparse_xs, &mut out));
+    let ns_per_sq_dist_sparse_merge =
+        best_ns(pairs, || sq_dist_merge(sq_reps, &sparse_refs, &sparse_xs, &mut out));
 
     let metrics: Vec<(&str, f64)> = vec![
         ("ns_per_gemv_row", ns_per_gemv_row),
@@ -124,9 +164,15 @@ fn main() {
         ("ns_per_sq_dist_merge", ns_per_sq_dist_merge),
         ("gemv_speedup_vs_merge", ns_per_gemv_row_merge / ns_per_gemv_row),
         ("sq_dist_speedup_vs_merge", ns_per_sq_dist_merge / ns_per_sq_dist),
+        ("ns_per_sq_dist_sparse", ns_per_sq_dist_sparse),
+        ("ns_per_sq_dist_sparse_merge", ns_per_sq_dist_sparse_merge),
+        ("sq_dist_sparse_speedup_vs_merge", ns_per_sq_dist_sparse_merge / ns_per_sq_dist_sparse),
         ("probes", probes as f64),
         ("dim", dim as f64),
-        ("mean_nnz", mean_nnz as f64),
+        ("mean_nnz", mean_nnz),
+        ("sparse_dim", PRODUCTION_DIM as f64),
+        ("sparse_mean_nnz", sparse_mean_nnz),
+        ("sparse_block_columns", sparse_block_columns),
     ];
     let text = json::emit(&metrics);
     print!("{text}");
@@ -136,7 +182,7 @@ fn main() {
     }
 }
 
-/// Re-proves, on the benchmark inputs, that both timed panel kernels are
+/// Re-proves, on the benchmark inputs, that the timed panel kernels are
 /// bit-identical to the sparse merge walks (the property `ocsvm::panel`'s
 /// test suite pins corpus-independently).
 fn verify_bit_identity(
@@ -155,9 +201,8 @@ fn verify_bit_identity(
             "panel GEMV diverged from the merge walk at probe {j}"
         );
     }
-    let mut scratch: Vec<f64> = Vec::new();
     for x in xs {
-        panel.sq_dist_into(x, &mut scratch, &mut out);
+        panel.sq_dist_into(x, &mut out);
         for (j, p) in refs.iter().enumerate() {
             assert_eq!(
                 out[j].to_bits(),
@@ -166,6 +211,28 @@ fn verify_bit_identity(
             );
         }
     }
+}
+
+/// `reps` squared-distance rows per `x` through the panel.
+fn sq_dist_panel(reps: usize, panel: &ProbePanel, xs: &[SparseVector], out: &mut [f64]) {
+    for _ in 0..reps {
+        for x in xs {
+            panel.sq_dist_into(black_box(x), out);
+        }
+    }
+    black_box(out);
+}
+
+/// `reps` squared-distance rows per `x` through the per-probe merges.
+fn sq_dist_merge(reps: usize, refs: &[&SparseVector], xs: &[SparseVector], out: &mut [f64]) {
+    for _ in 0..reps {
+        for x in xs {
+            for (o, p) in out.iter_mut().zip(refs) {
+                *o = black_box(x).squared_distance(p);
+            }
+        }
+    }
+    black_box(out);
 }
 
 /// Runs `work` [`TRIALS`] times and returns the best trial's cost in

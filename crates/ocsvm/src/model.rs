@@ -454,10 +454,10 @@ impl SupportVectorSet {
     /// over the panel ([`LinearBatchScorer::weighted_sums_panel`]), which
     /// adds exactly the products the sparse merge dot adds, in the same
     /// (column-ascending) order. The other kernels add `αᵢ·k(svᵢ, ·)` one
-    /// support vector at a time, reusing one row buffer and one
-    /// squared-distance scratch — no per-row allocation, no row cache. The
-    /// sums start at the identity `Iterator::sum` folds from and add the
-    /// same terms in the same (support-vector) order as the per-point sum.
+    /// support vector at a time, reusing one row buffer — no per-row
+    /// allocation, no row cache. The sums start at the identity
+    /// `Iterator::sum` folds from and add the same terms in the same
+    /// (support-vector) order as the per-point sum.
     pub(crate) fn panel_weighted_kernel_sums(&self, panel: &ProbePanel) -> Vec<f64> {
         if let Some(w) = &self.collapsed {
             return LinearBatchScorer::from_collapsed(w).weighted_sums_panel(panel);
@@ -465,9 +465,8 @@ impl SupportVectorSet {
         let identity: f64 = std::iter::empty::<f64>().sum();
         let mut sums = vec![identity; panel.probe_count()];
         let mut row = vec![0.0; panel.probe_count()];
-        let mut scratch = Vec::new();
         for (sv, &a) in self.vectors.iter().zip(&self.alpha) {
-            crate::panel::kernel_cross_row_into(self.kernel, sv, panel, &mut scratch, &mut row);
+            crate::panel::kernel_cross_row_into(self.kernel, sv, panel, &mut row);
             for (s, &k) in sums.iter_mut().zip(&row) {
                 *s += a * k;
             }

@@ -4,11 +4,12 @@
 //! *many* probe windows. The sparse merge loops in [`SparseVector`] walk
 //! index lists with data-dependent branches — correct, but opaque to the
 //! autovectorizer. A [`ProbePanel`] repacks the probe batch once into
-//! column-major blocks of [`PANEL_BLOCK`] probes (`block[c * bw + j]` =
-//! probe `j`'s value in column `c`), after which every kernel primitive is
-//! a unit-stride loop over the probe lane `j` with a block-sized
-//! accumulator that stays in registers/L1 — exactly the shape LLVM's
-//! autovectorizer turns into SIMD on any target.
+//! blocks of [`PANEL_BLOCK`] probes. Each block stores only the columns
+//! at least one of its probes stores: an ascending `cols` list and
+//! `data[slot * bw + j]`, probe `j`'s value in column `cols[slot]`. Every
+//! kernel primitive is then a unit-stride loop over the probe lane `j`
+//! with a block-sized accumulator that stays in registers/L1 — exactly
+//! the shape LLVM's autovectorizer turns into SIMD on any target.
 //!
 //! A panel borrows the probe slice it was packed from, so one panel per
 //! probe set serves every row against it: a regularization sweep packs
@@ -16,32 +17,41 @@
 //! over them borrows that panel, while batch scoring packs each fresh
 //! batch once for all of a model's support vectors.
 //!
+//! # Compact blocks
+//!
+//! Feature windows are very sparse (about 14 of 843 columns), but the
+//! windows of one block share most of their columns, so a block stores a
+//! small fraction of the panel's width. Each primitive walks only what
+//! can change an accumulator:
+//!
+//! * [`ProbePanel::dot_into`] walks `x`'s entries that hit a block column;
+//! * [`ProbePanel::gemv_into`] walks the block columns with a non-zero
+//!   weight;
+//! * [`ProbePanel::sq_dist_into`] walks the ascending union of `x`'s
+//!   columns and the block's columns. A column only `x` has adds `x_c²`
+//!   to every lane, because no probe of the block stores it.
+//!
+//! A column that neither `x` nor any probe of the block stores would add
+//! `+0.0` to every lane, so skipping it changes nothing (see below).
+//!
 //! # Bit-identity
 //!
 //! The primitives are **bit-identical** to the sparse merge loops they
 //! replace, not merely close:
 //!
 //! * Terms are added in the same ascending-column order as the merges.
-//! * The extra terms a dense walk sees are all `±0.0` (`x·0.0`, or
-//!   `(0−0)²`), and adding `±0.0` never changes an accumulator that is not
-//!   `-0.0`. No accumulator here can ever *be* `-0.0`: each starts at
+//! * The extra terms a block walk sees for a probe are all `±0.0`
+//!   (`x·0.0`, `w·0.0` or `0.0²`: the probe does not store a column its
+//!   block stores), and adding `±0.0` never changes an accumulator that is
+//!   not `-0.0`. No accumulator here can ever *be* `-0.0`: each starts at
 //!   `+0.0`, and IEEE 754 round-to-nearest gives `(+0.0) + (−0.0) = +0.0`,
 //!   so the zero-sign never flips negative.
-//! * Probe-only squared-distance terms use `(0.0 − v)² = v²` bit-exactly
-//!   (negation is exact; squaring is sign-symmetric).
+//! * Where `x` has a column the probe lacks, the walk adds
+//!   `(x_c − 0.0)² = x_c²`, the merge's term, bit-exactly; where only the
+//!   probe has it, `p²`, again the merge's term.
 //!
 //! The equivalence tests below and the suites in `gram`/`model` re-prove
 //! this on every run.
-//!
-//! # Adaptivity
-//!
-//! Squared distance has no sparse formulation that preserves the merge's
-//! term order, so its panel form walks all `width` columns; for very
-//! sparse operands the merge does less work than the dense walk gains
-//! back in stride. [`kernel_cross_row_into`] therefore picks the panel only
-//! when the dense walk is within [`SQ_DIST_DENSE_FACTOR`] of the merge's
-//! operand count — both paths are bit-identical, so the choice is
-//! invisible to callers.
 
 use crate::kernel::Kernel;
 use crate::sparse::SparseVector;
@@ -50,22 +60,61 @@ use crate::sparse::SparseVector;
 /// scalars) must stay resident in registers/L1 across a row fill.
 pub const PANEL_BLOCK: usize = 64;
 
-/// Maximum ratio of dense-walk columns to merge-walk entries at which the
-/// panel squared-distance path is still preferred over the sparse merge
-/// (the unit-stride walk retires several lanes per cycle, so it affords
-/// doing a few times more scalar work).
-pub const SQ_DIST_DENSE_FACTOR: usize = 4;
-
-/// One column-major block of up to [`PANEL_BLOCK`] probes.
+/// One block of up to [`PANEL_BLOCK`] probes, stored over only the
+/// columns its probes store.
 #[derive(Debug, Clone)]
 struct Block {
-    /// `data[c * bw + j]`: probe `j`'s value in column `c`.
+    /// Ascending columns stored by at least one probe of the block.
+    cols: Vec<u32>,
+    /// `data[slot * bw + j]`: probe `j`'s value in column `cols[slot]`
+    /// (`+0.0` where the probe does not store it).
     data: Vec<f64>,
     /// Probes in this block (= lane width of every column row).
     bw: usize,
 }
 
-/// A probe batch repacked into column-major, unit-stride blocks.
+impl Block {
+    /// Packs one chunk of probes. `occupied` is an all-zero bitmap with a
+    /// bit for every column the chunk may store, `ranks` a buffer of its
+    /// length; both are scratch reused across blocks, and `occupied` is
+    /// left all-zero. The bitmap yields the ascending columns without a
+    /// sort, and a column's slot is its rank among them.
+    fn pack(chunk: &[&SparseVector], occupied: &mut [u64], ranks: &mut [u32]) -> Self {
+        let bw = chunk.len();
+        for probe in chunk {
+            for &(column, _) in probe.as_pairs() {
+                occupied[column as usize / 64] |= 1 << (column % 64);
+            }
+        }
+        let mut cols = Vec::new();
+        for (w, (&bits, rank)) in occupied.iter().zip(ranks.iter_mut()).enumerate() {
+            *rank = cols.len() as u32;
+            let mut rest = bits;
+            while rest != 0 {
+                cols.push((w * 64) as u32 + rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+        }
+        let mut data = vec![0.0; cols.len() * bw];
+        for (j, probe) in chunk.iter().enumerate() {
+            for &(column, value) in probe.as_pairs() {
+                let w = column as usize / 64;
+                let below = occupied[w] & ((1u64 << (column % 64)) - 1);
+                let slot = (ranks[w] + below.count_ones()) as usize;
+                data[slot * bw + j] = value;
+            }
+        }
+        occupied.fill(0);
+        Self { cols, data, bw }
+    }
+
+    /// Every probe's value in column `cols[slot]`.
+    fn lane(&self, slot: usize) -> &[f64] {
+        &self.data[slot * self.bw..(slot + 1) * self.bw]
+    }
+}
+
+/// A probe batch repacked into compact, unit-stride blocks.
 ///
 /// Pack once per batch ([`ProbePanel::pack`]), then evaluate any number
 /// of kernel rows against it. The panel borrows the probes it was packed
@@ -74,31 +123,23 @@ struct Block {
 #[derive(Debug, Clone)]
 pub struct ProbePanel<'a> {
     probes: &'a [&'a SparseVector],
-    width: usize,
-    total_nnz: usize,
     blocks: Vec<Block>,
 }
 
 impl<'a> ProbePanel<'a> {
-    /// Packs `probes` into column-major blocks. The panel width is the
-    /// maximum column index any probe touches plus one; columns a probe
-    /// does not store are `+0.0`, which the kernels treat exactly like the
-    /// sparse merges treat absent entries.
+    /// Packs `probes` into blocks of [`PANEL_BLOCK`], each over the
+    /// ascending columns its probes store. A column a probe does not store
+    /// holds `+0.0`, which the kernels treat exactly like the sparse
+    /// merges treat absent entries.
     pub fn pack(probes: &'a [&'a SparseVector]) -> Self {
         let width = probes.iter().map(|p| p.dimension_lower_bound()).max().unwrap_or(0);
-        let total_nnz = probes.iter().map(|p| p.nnz()).sum();
-        let mut blocks = Vec::with_capacity(probes.len().div_ceil(PANEL_BLOCK));
-        for chunk in probes.chunks(PANEL_BLOCK) {
-            let bw = chunk.len();
-            let mut data = vec![0.0; width * bw];
-            for (j, probe) in chunk.iter().enumerate() {
-                for (column, value) in probe.iter() {
-                    data[column as usize * bw + j] = value;
-                }
-            }
-            blocks.push(Block { data, bw });
-        }
-        Self { probes, width, total_nnz, blocks }
+        let mut occupied = vec![0u64; width.div_ceil(64)];
+        let mut ranks = vec![0u32; occupied.len()];
+        let blocks = probes
+            .chunks(PANEL_BLOCK)
+            .map(|chunk| Block::pack(chunk, &mut occupied, &mut ranks))
+            .collect();
+        Self { probes, blocks }
     }
 
     /// The probes the panel was packed from, in packing order.
@@ -111,130 +152,123 @@ impl<'a> ProbePanel<'a> {
         self.probes.len()
     }
 
-    /// Columns covered by the panel (max probe dimension).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Mean stored entries per packed probe.
-    pub fn mean_probe_nnz(&self) -> usize {
-        self.total_nnz.checked_div(self.probes.len()).unwrap_or(0)
+    /// Each block with its slice of `out`, zeroed.
+    fn zeroed_blocks<'s, 'o>(
+        &'s self,
+        out: &'o mut [f64],
+    ) -> std::iter::Zip<std::slice::Iter<'s, Block>, std::slice::ChunksMut<'o, f64>> {
+        assert_eq!(out.len(), self.probes.len(), "output width must match probe count");
+        out.fill(0.0);
+        self.blocks.iter().zip(out.chunks_mut(PANEL_BLOCK))
     }
 
     /// `out[j] = x · probeⱼ` for every probe.
     ///
-    /// Bit-identical to [`SparseVector::dot`] per probe:
-    /// common-column products are added in ascending column order, and the
-    /// extra `x[c]·0.0` terms for columns the probe lacks are `±0.0`
+    /// Bit-identical to [`SparseVector::dot`] per probe: common-column
+    /// products are added in ascending column order, and the extra
+    /// `x[c]·0.0` terms for block columns the probe lacks are `±0.0`
     /// no-ops (see the module docs).
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.probe_count()`.
     pub fn dot_into(&self, x: &SparseVector, out: &mut [f64]) {
-        assert_eq!(out.len(), self.probes.len(), "output width must match probe count");
-        out.fill(0.0);
-        let mut base = 0;
-        for block in &self.blocks {
-            let bw = block.bw;
-            let acc = &mut out[base..base + bw];
-            for (column, value) in x.iter() {
-                let c = column as usize;
-                if c >= self.width {
-                    break;
-                }
-                let row = &block.data[c * bw..(c + 1) * bw];
-                for (a, &p) in acc.iter_mut().zip(row) {
-                    *a += value * p;
+        for (block, acc) in self.zeroed_blocks(out) {
+            let mut slot = 0;
+            for &(column, value) in x.as_pairs() {
+                slot += block.cols[slot..].partition_point(|&c| c < column);
+                match block.cols.get(slot) {
+                    None => break,
+                    Some(&c) if c == column => {
+                        for (a, &p) in acc.iter_mut().zip(block.lane(slot)) {
+                            *a += value * p;
+                        }
+                    }
+                    Some(_) => {}
                 }
             }
-            base += bw;
         }
     }
 
     /// `out[j] = ‖x − probeⱼ‖²` for every probe.
     ///
     /// Bit-identical to [`SparseVector::squared_distance`] per probe: the
-    /// dense column walk adds one term per column in ascending order —
-    /// `(x[c]−p[c])²` where the merge adds `(va−vb)²`,
-    /// `x[c]²` where it adds `va²` (since `va−0.0 = va`), `(0−p[c])² = p[c]²`
-    /// where it adds `vb²`, and a `+0.0` no-op where both are absent —
-    /// then appends `x`'s beyond-width entries in ascending order, exactly
-    /// where the merge places them.
-    ///
-    /// `scratch` is a reusable dense buffer for `x` (any initial
-    /// contents; it is cleared and resized to the panel width).
+    /// union walk adds one term per column in ascending order —
+    /// `(x[c]−p[c])²` where both store `c` (the merge's `(va−vb)²`),
+    /// `x[c]²` where the probe lacks it (`x[c]−0.0 = x[c]`, the merge's
+    /// `va²`), `p[c]²` where `x` lacks it (the merge's `vb²`), and a `+0.0`
+    /// no-op for a block column neither `x` nor the probe stores.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.probe_count()`.
-    pub fn sq_dist_into(&self, x: &SparseVector, scratch: &mut Vec<f64>, out: &mut [f64]) {
-        assert_eq!(out.len(), self.probes.len(), "output width must match probe count");
-        scratch.clear();
-        scratch.resize(self.width, 0.0);
-        for (column, value) in x.iter() {
-            let c = column as usize;
-            if c < self.width {
-                scratch[c] = value;
-            }
-        }
-        out.fill(0.0);
-        let mut base = 0;
-        for block in &self.blocks {
-            let bw = block.bw;
-            let acc = &mut out[base..base + bw];
-            for (c, &xc) in scratch.iter().enumerate() {
-                let row = &block.data[c * bw..(c + 1) * bw];
-                for (a, &p) in acc.iter_mut().zip(row) {
-                    let d = xc - p;
-                    *a += d * d;
+    pub fn sq_dist_into(&self, x: &SparseVector, out: &mut [f64]) {
+        for (block, acc) in self.zeroed_blocks(out) {
+            let mut rest = x.as_pairs();
+            for (slot, &column) in block.cols.iter().enumerate() {
+                // x's columns below this one are stored by no probe.
+                while let Some((&(c, v), tail)) = rest.split_first() {
+                    if c >= column {
+                        break;
+                    }
+                    add_square(acc, v);
+                    rest = tail;
+                }
+                let lane = block.lane(slot);
+                match rest.split_first() {
+                    Some((&(c, v), tail)) if c == column => {
+                        for (a, &p) in acc.iter_mut().zip(lane) {
+                            let d = v - p;
+                            *a += d * d;
+                        }
+                        rest = tail;
+                    }
+                    _ => {
+                        for (a, &p) in acc.iter_mut().zip(lane) {
+                            *a += p * p;
+                        }
+                    }
                 }
             }
-            base += bw;
-        }
-        // x's entries beyond every probe's width come last in the merge's
-        // ascending union walk; add them per-entry to preserve the exact
-        // association (a precomputed partial sum would re-associate).
-        for (column, value) in x.iter() {
-            if column as usize >= self.width {
-                let vv = value * value;
-                for a in out.iter_mut() {
-                    *a += vv;
-                }
+            for &(_, v) in rest {
+                add_square(acc, v);
             }
         }
     }
 
-    /// `out[j] = Σ_c w[c] · probeⱼ[c]` for every probe (dense GEMV).
+    /// `out[j] = Σ_c w[c] · probeⱼ[c]` for every probe (GEMV).
     ///
     /// Bit-identical to
     /// [`LinearBatchScorer::weighted_sum`](crate::LinearBatchScorer::weighted_sum)
-    /// per probe: non-zero weight columns are visited in ascending order
-    /// (matching the probe-entry walk over the same common columns), and
-    /// columns the probe lacks contribute `w·0.0 = ±0.0` no-ops.
+    /// per probe: block columns with a non-zero weight are visited in
+    /// ascending order (matching the probe-entry walk over the same
+    /// columns), and columns the probe lacks contribute `w·0.0 = ±0.0`
+    /// no-ops.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.probe_count()`.
     pub fn gemv_into(&self, weights: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), self.probes.len(), "output width must match probe count");
-        out.fill(0.0);
-        let cols = self.width.min(weights.len());
-        let mut base = 0;
-        for block in &self.blocks {
-            let bw = block.bw;
-            let acc = &mut out[base..base + bw];
-            for (c, &w) in weights.iter().take(cols).enumerate() {
+        for (block, acc) in self.zeroed_blocks(out) {
+            for (slot, &column) in block.cols.iter().enumerate() {
+                let Some(&w) = weights.get(column as usize) else { break };
                 if w == 0.0 {
                     continue;
                 }
-                let row = &block.data[c * bw..(c + 1) * bw];
-                for (a, &p) in acc.iter_mut().zip(row) {
+                for (a, &p) in acc.iter_mut().zip(block.lane(slot)) {
                     *a += w * p;
                 }
             }
-            base += bw;
         }
+    }
+}
+
+/// Adds `v²` to every lane: a column `x` stores and no probe of the block
+/// does, where the merge adds `va²` per probe.
+fn add_square(acc: &mut [f64], v: f64) {
+    let vv = v * v;
+    for a in acc.iter_mut() {
+        *a += vv;
     }
 }
 
@@ -244,23 +278,19 @@ impl<'a> ProbePanel<'a> {
 /// Allocating wrapper around [`kernel_cross_row_into`].
 pub fn kernel_cross_row(kernel: Kernel, x: &SparseVector, panel: &ProbePanel) -> Vec<f64> {
     let mut out = vec![0.0f64; panel.probe_count()];
-    kernel_cross_row_into(kernel, x, panel, &mut Vec::new(), &mut out);
+    kernel_cross_row_into(kernel, x, panel, &mut out);
     out
 }
 
 /// Writes one kernel row `k(x, pⱼ)` for every packed probe into `out`,
 /// **bit-identical** to `kernel.compute(x, pⱼ)` per probe.
 ///
-/// Dot-product kernels (linear, polynomial, sigmoid) always use the panel
-/// — the packed walk does strictly less work than the per-probe merges.
-/// The RBF kernel's dense squared-distance walk covers all `width`
-/// columns, so it falls back to the per-probe merge over
-/// [`ProbePanel::probes`] when both operands are too sparse for the
-/// unit-stride walk to pay ([`SQ_DIST_DENSE_FACTOR`]).
-///
-/// `scratch` is the reusable dense buffer of [`ProbePanel::sq_dist_into`];
-/// `out`'s previous contents are ignored. Reusing both across rows keeps a
-/// support-vector loop free of per-row allocations.
+/// Dot-product kernels (linear, polynomial, sigmoid) run
+/// [`ProbePanel::dot_into`]; the RBF kernel runs
+/// [`ProbePanel::sq_dist_into`]. Both walk only the columns of each
+/// compact block (and `x`'s), so every kernel always takes the panel.
+/// `out`'s previous contents are ignored; the row allocates nothing, so a
+/// support-vector loop reusing `out` is free of per-row allocations.
 ///
 /// The finishing ops are applied with exactly the expressions of
 /// [`Kernel::compute`].
@@ -272,10 +302,8 @@ pub fn kernel_cross_row_into(
     kernel: Kernel,
     x: &SparseVector,
     panel: &ProbePanel,
-    scratch: &mut Vec<f64>,
     out: &mut [f64],
 ) {
-    assert_eq!(out.len(), panel.probe_count(), "output width must match probe count");
     match kernel {
         Kernel::Linear => panel.dot_into(x, out),
         Kernel::Polynomial { gamma, coef0, degree } => {
@@ -291,24 +319,12 @@ pub fn kernel_cross_row_into(
             }
         }
         Kernel::Rbf { gamma } => {
-            if sq_dist_panel_pays_off(panel, x.nnz()) {
-                panel.sq_dist_into(x, scratch, out);
-                for v in out.iter_mut() {
-                    *v = (-gamma * *v).exp();
-                }
-            } else {
-                for (v, p) in out.iter_mut().zip(panel.probes()) {
-                    *v = (-gamma * x.squared_distance(p)).exp();
-                }
+            panel.sq_dist_into(x, out);
+            for v in out.iter_mut() {
+                *v = (-gamma * *v).exp();
             }
         }
     }
-}
-
-/// Whether the dense panel squared-distance walk is expected to beat the
-/// sparse merge for an operand with `x_nnz` stored entries.
-pub fn sq_dist_panel_pays_off(panel: &ProbePanel, x_nnz: usize) -> bool {
-    panel.width() <= SQ_DIST_DENSE_FACTOR * (x_nnz + panel.mean_probe_nnz())
 }
 
 #[cfg(test)]
@@ -347,6 +363,83 @@ mod tests {
         (0..n).map(|_| random_vector(rng, width, nnz)).collect()
     }
 
+    const KERNELS: [Kernel; 4] = [
+        Kernel::Linear,
+        Kernel::Polynomial { gamma: 0.3, coef0: 1.0, degree: 3 },
+        Kernel::Rbf { gamma: 0.7 },
+        Kernel::Sigmoid { gamma: 0.1, coef0: -0.2 },
+    ];
+
+    /// Asserts every primitive over `panel` equals the per-probe merge
+    /// walk bit for bit: `dot_into`, `sq_dist_into` and the kernel rows of
+    /// all four kernels against `x`, and `gemv_into` against `x` as a
+    /// weight vector.
+    fn assert_panel_matches_merges(panel: &ProbePanel, x: &SparseVector) {
+        let refs = panel.probes();
+        let mut out = vec![f64::NAN; refs.len()];
+        panel.dot_into(x, &mut out);
+        for (j, p) in refs.iter().enumerate() {
+            assert_eq!(out[j].to_bits(), x.dot(p).to_bits(), "dot bits diverge at probe {j}");
+        }
+        out.fill(f64::NAN);
+        panel.sq_dist_into(x, &mut out);
+        for (j, p) in refs.iter().enumerate() {
+            let merge = x.squared_distance(p);
+            assert_eq!(out[j].to_bits(), merge.to_bits(), "sq_dist bits diverge at probe {j}");
+        }
+        let scorer = crate::LinearBatchScorer::from_collapsed(x);
+        out.fill(f64::NAN);
+        panel.gemv_into(scorer.weights(), &mut out);
+        for (j, p) in refs.iter().enumerate() {
+            let scalar = scorer.weighted_sum(p);
+            assert_eq!(out[j].to_bits(), scalar.to_bits(), "gemv bits diverge at probe {j}");
+        }
+        for kernel in KERNELS {
+            let row = kernel_cross_row(kernel, x, panel);
+            for (j, p) in refs.iter().enumerate() {
+                assert_eq!(
+                    row[j].to_bits(),
+                    kernel.compute(x, p).to_bits(),
+                    "{kernel:?} row bits diverge at probe {j}"
+                );
+            }
+        }
+    }
+
+    /// Production-shaped windows: 843 columns, about 14 entries each, and
+    /// runs of 32 windows drawn from one 44-column vocabulary (one user's
+    /// windows), so a 64-probe block stores under a fifth of the columns
+    /// and most columns are absent from every probe of a block. Every
+    /// 29th window is empty; every 7th stores a `±0.0` entry.
+    fn production_batch(rng: &mut Xs, n: usize) -> Vec<SparseVector> {
+        let mut vocab = Vec::new();
+        (0..n)
+            .map(|i| {
+                if i % 32 == 0 {
+                    vocab = (0..44).map(|_| (rng.next() % PRODUCTION_WIDTH) as u32).collect();
+                }
+                if i % 29 == 28 {
+                    return SparseVector::new();
+                }
+                let mut pairs: Vec<(u32, f64)> = (0..18)
+                    .map(|_| {
+                        let u = rng.f64();
+                        (vocab[(u * u * vocab.len() as f64) as usize], rng.f64() * 6.0 - 3.0)
+                    })
+                    .collect();
+                if i % 7 == 3 {
+                    let sign = if i % 2 == 0 { 0.0 } else { -0.0 };
+                    pairs.push((vocab[rng.next() as usize % vocab.len()], sign));
+                }
+                pairs.sort_by_key(|&(c, _)| c);
+                pairs.dedup_by_key(|&mut (c, _)| c);
+                SparseVector::from_pairs(pairs).unwrap()
+            })
+            .collect()
+    }
+
+    const PRODUCTION_WIDTH: u64 = 843;
+
     #[test]
     fn dot_bit_identical_to_merge() {
         let mut rng = Xs(0x9E37_79B9_7F4A_7C15);
@@ -378,11 +471,10 @@ mod tests {
             let refs: Vec<&SparseVector> = probes.iter().collect();
             let panel = ProbePanel::pack(&refs);
             let mut out = vec![0.0; n];
-            let mut scratch = Vec::new();
             for _ in 0..8 {
-                // Entries beyond the panel width exercise the tail path.
+                // Entries beyond every probe's columns exercise the tail.
                 let x = random_vector(&mut rng, width + 60, nnz + 4);
-                panel.sq_dist_into(&x, &mut scratch, &mut out);
+                panel.sq_dist_into(&x, &mut out);
                 for (j, p) in refs.iter().enumerate() {
                     assert!(
                         out[j].to_bits() == x.squared_distance(p).to_bits(),
@@ -400,7 +492,7 @@ mod tests {
         let refs: Vec<&SparseVector> = probes.iter().collect();
         let panel = ProbePanel::pack(&refs);
         for _ in 0..6 {
-            // Weight vectors narrower and wider than the panel.
+            // Weight vectors narrower and wider than the probes.
             for w_width in [120u32, 400] {
                 let w = random_vector(&mut rng, w_width, 40);
                 let scorer = crate::LinearBatchScorer::from_collapsed(&w);
@@ -419,17 +511,12 @@ mod tests {
     #[test]
     fn kernel_rows_bit_identical_for_every_kernel() {
         let mut rng = Xs(0xFEED_FACE_0BAD_F00D);
-        // Dense-ish (panel chosen for RBF) and sparse (merge fallback).
+        // Dense-ish blocks and sparse ones that store most of the width.
         for (width, nnz) in [(60u32, 20usize), (500, 10)] {
             let probes = random_batch(&mut rng, 70, width, nnz);
             let refs: Vec<&SparseVector> = probes.iter().collect();
             let panel = ProbePanel::pack(&refs);
-            for kernel in [
-                Kernel::Linear,
-                Kernel::Polynomial { gamma: 0.3, coef0: 1.0, degree: 3 },
-                Kernel::Rbf { gamma: 0.7 },
-                Kernel::Sigmoid { gamma: 0.1, coef0: -0.2 },
-            ] {
+            for kernel in KERNELS {
                 let x = random_vector(&mut rng, width, nnz + 2);
                 let row = kernel_cross_row(kernel, &x, &panel);
                 for (j, p) in refs.iter().enumerate() {
@@ -443,25 +530,63 @@ mod tests {
     }
 
     #[test]
+    fn production_shape_is_bit_identical_for_every_primitive_and_kernel() {
+        let mut rng = Xs(0x0DDB_A11C_AFE5_EED5);
+        // 150 probes: two full blocks and a partial 22-probe last block.
+        let probes = production_batch(&mut rng, 150);
+        let refs: Vec<&SparseVector> = probes.iter().collect();
+        let panel = ProbePanel::pack(&refs);
+        // The shape under test: blocks store a small share of the width.
+        assert!(panel.blocks.len() == 3 && panel.blocks[2].bw == 22);
+        for block in &panel.blocks {
+            assert!(block.cols.len() * 4 < PRODUCTION_WIDTH as usize, "{}", block.cols.len());
+        }
+        assert!(refs.iter().any(|p| p.is_empty()));
+        assert!(refs.iter().any(|p| p.iter().any(|(_, v)| v == 0.0)));
+
+        let mut xs = production_batch(&mut rng, 40);
+        // Columns absent from every block, and beyond every probe's width.
+        let stored: std::collections::BTreeSet<u32> =
+            refs.iter().flat_map(|p| p.iter().map(|(c, _)| c)).collect();
+        let absent: Vec<u32> =
+            (0..PRODUCTION_WIDTH as u32).filter(|c| !stored.contains(c)).take(6).collect();
+        assert_eq!(absent.len(), 6);
+        let widest = stored.iter().max().copied().unwrap_or(0);
+        for extra in [&absent[..], &[widest + 1, widest + 90][..], &[absent[0], widest + 3][..]] {
+            let base = refs[rng.next() as usize % refs.len()];
+            let mut pairs: Vec<(u32, f64)> = base.as_pairs().to_vec();
+            pairs.extend(extra.iter().map(|&c| (c, rng.f64() * 4.0 - 2.0)));
+            pairs.sort_by_key(|&(c, _)| c);
+            pairs.dedup_by_key(|&mut (c, _)| c);
+            xs.push(SparseVector::from_pairs(pairs).unwrap());
+        }
+        // A probe itself, its exact negation, stored ±0.0 and the empty x.
+        xs.push(refs[5].clone());
+        xs.push(refs[5].scaled(-1.0));
+        xs.push(SparseVector::from_pairs(vec![(absent[1], -0.0), (widest + 2, 0.0)]).unwrap());
+        xs.push(SparseVector::new());
+        for x in &xs {
+            assert_panel_matches_merges(&panel, x);
+        }
+    }
+
+    #[test]
     fn stored_zeros_and_negated_entries_stay_bit_identical() {
-        // from_pairs permits stored ±0.0 entries; the dense walk must
-        // treat them exactly like the merge does.
+        // from_pairs permits stored ±0.0 entries; the block walks must
+        // treat them exactly like the merges do.
         let probes = [
             SparseVector::from_pairs(vec![(0, 0.0), (2, -0.0), (5, 1.5)]).unwrap(),
             SparseVector::from_pairs(vec![(1, -2.0), (2, 2.0)]).unwrap(),
+            SparseVector::new(),
         ];
         let refs: Vec<&SparseVector> = probes.iter().collect();
         let panel = ProbePanel::pack(&refs);
-        let x = SparseVector::from_pairs(vec![(1, 2.0), (2, -0.0), (5, -1.5)]).unwrap();
-        let mut out = vec![0.0; refs.len()];
-        panel.dot_into(&x, &mut out);
-        for (j, p) in refs.iter().enumerate() {
-            assert_eq!(out[j].to_bits(), x.dot(p).to_bits(), "dot probe {j}");
-        }
-        let mut scratch = Vec::new();
-        panel.sq_dist_into(&x, &mut scratch, &mut out);
-        for (j, p) in refs.iter().enumerate() {
-            assert_eq!(out[j].to_bits(), x.squared_distance(p).to_bits(), "sq_dist probe {j}");
+        for x in [
+            SparseVector::from_pairs(vec![(1, 2.0), (2, -0.0), (5, -1.5)]).unwrap(),
+            SparseVector::from_pairs(vec![(3, -0.0), (4, 2.5), (9, 0.0)]).unwrap(),
+            SparseVector::from_pairs(vec![(2, 0.0), (7, -1.0)]).unwrap(),
+        ] {
+            assert_panel_matches_merges(&panel, &x);
         }
     }
 
@@ -471,13 +596,18 @@ mod tests {
         assert_eq!(panel.probe_count(), 0);
         let mut out = vec![];
         panel.dot_into(&SparseVector::new(), &mut out);
+        // A block of empty probes stores no column; x's entries are all
+        // x-only terms.
         let empty = SparseVector::new();
-        let probes = [&empty];
+        let probes = [&empty, &empty];
         let panel = ProbePanel::pack(&probes);
-        assert_eq!(panel.width(), 0);
-        let mut out = vec![1.0];
-        let mut scratch = Vec::new();
-        panel.sq_dist_into(&SparseVector::from_dense(&[3.0]), &mut scratch, &mut out);
-        assert_eq!(out[0], 9.0);
+        assert!(panel.blocks[0].cols.is_empty());
+        let mut out = vec![1.0, 1.0];
+        panel.sq_dist_into(&SparseVector::from_dense(&[3.0, 0.0, 4.0]), &mut out);
+        assert_eq!(out, [25.0, 25.0]);
+        panel.dot_into(&SparseVector::from_dense(&[3.0]), &mut out);
+        assert_eq!(out, [0.0, 0.0]);
+        panel.gemv_into(&[2.0, 1.0], &mut out);
+        assert_eq!(out, [0.0, 0.0]);
     }
 }

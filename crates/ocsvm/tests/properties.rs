@@ -300,15 +300,15 @@ fn from_entries(entries: Vec<(u32, f64)>) -> SparseVector {
     builder.build()
 }
 
-/// 40–63 stored entries: the panel squared-distance walk pays off
-/// against any batch narrower than 160 columns.
+/// 40–63 stored entries: a support vector with columns that no probe of
+/// a block stores, so the panel walks add its x-only terms to every lane.
 fn dense_point() -> impl Strategy<Value = SparseVector> {
     prop::collection::vec(0.1f64..3.0, 40..SV_WIDTH as usize)
         .prop_map(|values| SparseVector::from_dense(&values))
 }
 
-/// 1–3 stored entries: the per-probe merge wins once the batch is wider
-/// than `4 · (3 + mean probe nnz)` columns.
+/// 1–3 stored entries: a support vector that misses most of the columns
+/// a block stores, so the panel walks add mostly probe-only terms.
 fn sparse_point() -> impl Strategy<Value = SparseVector> {
     prop::collection::vec((0..SV_WIDTH, -3.0f64..3.0), 1..4).prop_map(from_entries)
 }
@@ -344,8 +344,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Batch scoring adds every support vector's kernel row into the sums
-    /// through one reused row buffer and one reused squared-distance
-    /// scratch. Whatever batch a probe sits in — the whole batch, the
+    /// through one reused row buffer. Whatever batch a probe sits in — the whole batch, the
     /// empty batch, a one-probe batch — its batch and packed-panel values
     /// must equal the per-point decision value bit for bit, for both
     /// families and all four kernels.
@@ -358,13 +357,19 @@ proptest! {
         anchor_column in 120u32..150,
     ) {
         let data: Vec<SparseVector> = dense.into_iter().chain(sparse).collect();
-        // One probe past column 120 in every batch, so dense support
-        // vectors take the panel walk and sparse ones the merge.
+        // One probe past column 120 in every batch: its block stores a
+        // column no support vector has.
         probes.push(SparseVector::from_pairs(vec![(anchor_column, 0.5)]).unwrap());
         let refs: Vec<&SparseVector> = probes.iter().collect();
-        let panel = ocsvm::ProbePanel::pack(&refs);
-        let pays = |x: &SparseVector| ocsvm::panel::sq_dist_panel_pays_off(&panel, x.nnz());
-        prop_assert!(data.iter().any(pays) && !data.iter().all(pays));
+        // The panel's blocks are compact: some block lacks a column that a
+        // support vector stores, so the walks skip columns absent from a
+        // whole block and add that support vector's x-only terms.
+        let block_lacks_a_support_column = refs.chunks(ocsvm::panel::PANEL_BLOCK).any(|block| {
+            let stored: std::collections::BTreeSet<u32> =
+                block.iter().flat_map(|p| p.iter().map(|(c, _)| c)).collect();
+            data.iter().any(|x| x.iter().any(|(c, _)| !stored.contains(&c)))
+        });
+        prop_assert!(block_lacks_a_support_column);
 
         // α ≤ 1/(νl) (OC-SVM) and α ≤ C (SVDD) with Σα = 1 force more than
         // l − 1 non-zero multipliers: every training point, dense and

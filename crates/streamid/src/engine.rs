@@ -1,7 +1,7 @@
 //! The streaming identification engine.
 
 use crate::config::{EngineConfig, PrefilterConfig};
-use ocsvm::SparseVector;
+use ocsvm::{ProbePanel, SparseVector};
 use proxylog::{DeviceId, Timestamp, Transaction, UserId};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -367,8 +367,9 @@ impl<'a> StreamEngine<'a> {
     }
 
     /// Scores every pending window in one micro-batch — exhaustively
-    /// (one [`batch_decision_values`](UserProfile::batch_decision_values)
-    /// call per profile, profiles fanned out across cores) or through the
+    /// (the batch packed once, one
+    /// [`panel_decision_values`](UserProfile::panel_decision_values) call
+    /// per profile, profiles fanned out across cores) or through the
     /// candidate prefilter when one is configured — then per-window
     /// acceptance sets and trailing votes in arrival order.
     fn score_pending(&mut self) -> Vec<WindowDecision> {
@@ -425,13 +426,15 @@ impl<'a> StreamEngine<'a> {
     }
 
     /// Exhaustive stage: every profile scores every probe; returns each
-    /// probe's accepted users, ascending.
+    /// probe's accepted users, ascending. The batch is packed into one
+    /// [`ProbePanel`] that every profile scores.
     fn score_exhaustive(&self, probes: &[&SparseVector]) -> Vec<Vec<UserId>> {
         let entries: Vec<(&UserId, &UserProfile)> = self.profiles.iter().collect();
+        let panel = ProbePanel::pack(probes);
         // Fan profiles out across cores only when the kernel work dwarfs
         // the cost of spawning the scoped threads; small batches (linear
-        // models especially, whose batched path is one dense GEMV) are
-        // faster scored inline.
+        // models especially, whose batched path is one GEMV) are faster
+        // scored inline.
         let work: usize = entries
             .iter()
             .map(|(_, profile)| match profile.params().kernel {
@@ -440,9 +443,9 @@ impl<'a> StreamEngine<'a> {
             })
             .sum();
         let values: Vec<Vec<f64>> = if work >= PARALLEL_WORK_THRESHOLD {
-            parallel_map(&entries, |(_, profile)| profile.batch_decision_values(probes))
+            parallel_map(&entries, |(_, profile)| profile.panel_decision_values(&panel))
         } else {
-            entries.iter().map(|(_, profile)| profile.batch_decision_values(probes)).collect()
+            entries.iter().map(|(_, profile)| profile.panel_decision_values(&panel)).collect()
         };
         (0..probes.len())
             .map(|j| {

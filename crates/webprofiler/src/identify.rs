@@ -175,116 +175,6 @@ where
     }
 }
 
-/// Streaming identifier: feed raw device transactions as they arrive and
-/// get per-window identifications plus a running consecutive-window vote —
-/// the online counterpart of [`identify_on_device`].
-///
-/// # Examples
-///
-/// ```no_run
-/// use webprofiler::OnlineIdentifier;
-/// # fn parts() -> (std::collections::BTreeMap<proxylog::UserId, webprofiler::UserProfile>,
-/// #     webprofiler::Vocabulary, proxylog::Transaction) { unimplemented!() }
-/// let (profiles, vocab, tx) = parts();
-/// let mut identifier = OnlineIdentifier::new(
-///     &profiles,
-///     &vocab,
-///     webprofiler::WindowConfig::PAPER_DEFAULT,
-///     proxylog::DeviceId(3),
-///     5, // vote over 5 consecutive windows
-/// );
-/// for window in identifier.observe(tx) {
-///     println!("{:?} voted {:?}", window.start, identifier.current_user());
-/// }
-/// ```
-#[derive(Debug)]
-pub struct OnlineIdentifier<'a> {
-    profiles: &'a BTreeMap<UserId, UserProfile>,
-    stream: crate::window::WindowStream<'a>,
-    vote_k: usize,
-    history: Vec<IdentifiedWindow>,
-    current: Option<UserId>,
-}
-
-impl<'a> OnlineIdentifier<'a> {
-    /// Creates a streaming identifier for one monitored device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vote_k` is zero.
-    pub fn new(
-        profiles: &'a BTreeMap<UserId, UserProfile>,
-        vocab: &'a Vocabulary,
-        config: WindowConfig,
-        device: DeviceId,
-        vote_k: usize,
-    ) -> Self {
-        assert!(vote_k > 0, "vote length must be positive");
-        Self {
-            profiles,
-            stream: crate::window::WindowStream::new(
-                vocab,
-                config,
-                crate::window::WindowKey::Device(device),
-            ),
-            vote_k,
-            history: Vec::new(),
-            current: None,
-        }
-    }
-
-    /// Feeds one transaction; returns the windows completed by it (already
-    /// folded into the running vote). A transaction whose windows have all
-    /// been emitted is dropped (see
-    /// [`WindowStream::offer`](crate::WindowStream::offer)).
-    pub fn observe(&mut self, tx: proxylog::Transaction) -> Vec<IdentifiedWindow> {
-        let windows = self.stream.offer(tx);
-        self.fold(windows)
-    }
-
-    /// Flushes the remaining open windows at the end of monitoring.
-    pub fn finish(&mut self) -> Vec<IdentifiedWindow> {
-        let windows = self.stream.flush();
-        self.fold(windows)
-    }
-
-    /// The currently identified user according to the trailing vote, if a
-    /// strict majority exists.
-    pub fn current_user(&self) -> Option<UserId> {
-        self.current
-    }
-
-    /// Every identified window so far, in order.
-    pub fn history(&self) -> &[IdentifiedWindow] {
-        &self.history
-    }
-
-    fn fold(&mut self, windows: Vec<crate::window::TransactionWindow>) -> Vec<IdentifiedWindow> {
-        let mut out = Vec::with_capacity(windows.len());
-        for window in windows {
-            let accepted_by: Vec<UserId> = self
-                .profiles
-                .iter()
-                .filter(|(_, profile)| profile.accepts(&window.features))
-                .map(|(&user, _)| user)
-                .collect();
-            let identified = IdentifiedWindow {
-                start: window.start,
-                transaction_count: window.transaction_count,
-                accepted_by,
-                actual_users: window.users.clone(),
-            };
-            self.history.push(identified.clone());
-            out.push(identified);
-        }
-        if !out.is_empty() {
-            let votes = consecutive_window_vote(&self.history, self.vote_k);
-            self.current = votes.last().and_then(|&(_, user)| user);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,64 +369,6 @@ mod tests {
                 assert_eq!(streamed, batch[i].1, "window {i}, k = {k}");
             }
         }
-    }
-
-    #[test]
-    fn online_identifier_matches_batch_identification() {
-        use crate::trainer::ProfileTrainer;
-        use tracegen::{Scenario, TraceGenerator};
-
-        let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
-        let vocab = Vocabulary::new(dataset.taxonomy().clone());
-        let (profiles, _) =
-            ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
-        let device = dataset.devices()[0];
-        let batch =
-            identify_on_device(&profiles, &vocab, &dataset, device, WindowConfig::PAPER_DEFAULT);
-        let mut online =
-            OnlineIdentifier::new(&profiles, &vocab, WindowConfig::PAPER_DEFAULT, device, 3);
-        let mut streamed = Vec::new();
-        for tx in dataset.for_device(device) {
-            streamed.extend(online.observe(*tx));
-        }
-        streamed.extend(online.finish());
-        assert_eq!(streamed.len(), batch.len());
-        for (a, b) in streamed.iter().zip(&batch) {
-            assert_eq!(a.start, b.start);
-            assert_eq!(a.accepted_by, b.accepted_by);
-            assert_eq!(a.actual_users, b.actual_users);
-        }
-        assert_eq!(online.history().len(), batch.len());
-    }
-
-    #[test]
-    fn online_identifier_votes_for_dominant_user() {
-        use crate::trainer::ProfileTrainer;
-        use tracegen::{Scenario, TraceGenerator};
-
-        let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
-        let vocab = Vocabulary::new(dataset.taxonomy().clone());
-        let (profiles, _) =
-            ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
-        // Monitor the busiest device.
-        let device =
-            dataset.devices().into_iter().max_by_key(|&d| dataset.for_device(d).count()).unwrap();
-        let mut online =
-            OnlineIdentifier::new(&profiles, &vocab, WindowConfig::PAPER_DEFAULT, device, 3);
-        let mut correct = 0usize;
-        let mut decided = 0usize;
-        for tx in dataset.for_device(device) {
-            for window in online.observe(*tx) {
-                if let Some(user) = online.current_user() {
-                    decided += 1;
-                    if window.actual_users.contains(&user) {
-                        correct += 1;
-                    }
-                }
-            }
-        }
-        assert!(decided > 0, "vote never decided");
-        assert!(correct * 2 > decided, "votes mostly wrong: {correct}/{decided}");
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub use gridsearch::{
 };
 pub use identify::{
     consecutive_window_vote, identify_on_device, majority_vote, IdentificationQuality,
-    IdentifiedWindow, OnlineIdentifier,
+    IdentifiedWindow,
 };
 pub use markov::MarkovProfile;
 pub use metrics::{acceptance_ratio, acceptance_ratio_refs, AcceptanceSummary, ConfusionMatrix};

@@ -113,8 +113,10 @@ impl UserProfile {
 
     /// Decision values for every window of an already-packed panel (see
     /// [`OneClassModel::panel_decision_values`]), bit-identical to
-    /// [`decision_value`](Self::decision_value) per window.
-    pub(crate) fn panel_decision_values(&self, panel: &ProbePanel) -> Vec<f64> {
+    /// [`decision_value`](Self::decision_value) per window. Scoring one
+    /// batch against many profiles packs the batch once and calls this per
+    /// profile.
+    pub fn panel_decision_values(&self, panel: &ProbePanel) -> Vec<f64> {
         self.model.panel_decision_values(panel)
     }
 

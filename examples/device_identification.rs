@@ -1,6 +1,6 @@
 //! Streaming device identification with the full toolkit: profiles are
 //! trained and persisted, reloaded by a "monitor process", then fed a
-//! device's live transaction stream through [`OnlineIdentifier`]; a
+//! device's live transaction stream through a [`StreamEngine`]; a
 //! [`DriftMonitor`] watches behavioral novelty, and rejected windows get
 //! an analyst explanation.
 //!
@@ -9,11 +9,9 @@
 //! ```
 
 use std::collections::BTreeMap;
+use streamid::{EngineConfig, StreamEngine, WindowDecision};
 use tracegen::{Scenario, TraceGenerator};
-use webprofiler::{
-    explanation_report, DriftMonitor, OnlineIdentifier, ProfileTrainer, UserProfile, Vocabulary,
-    WindowConfig,
-};
+use webprofiler::{explanation_report, DriftMonitor, ProfileTrainer, UserProfile, Vocabulary};
 
 fn main() {
     // --- training process ------------------------------------------------
@@ -51,49 +49,41 @@ fn main() {
         .expect("at least one device")
         .0;
     println!("monitoring {device} ...");
-    let mut identifier =
-        OnlineIdentifier::new(&profiles, &vocab, WindowConfig::PAPER_DEFAULT, device, 5);
+    let config = EngineConfig { vote_k: 5, ..EngineConfig::default() };
+    let mut engine = StreamEngine::new(&profiles, &vocab, config);
     let mut drift = DriftMonitor::new(40);
     let mut transitions: Vec<(proxylog::Timestamp, Option<proxylog::UserId>)> = Vec::new();
     let mut unexplained = 0usize;
     let mut last_vote: Option<proxylog::UserId> = None;
     let mut explained_example = false;
+    let mut observed = 0usize;
 
-    let transactions: Vec<_> = test.for_device(device).copied().collect();
-    for tx in &transactions {
-        for window in identifier.observe(*tx) {
-            drift.observe(&features_of(&window, &vocab, &transactions));
-            let vote = identifier.current_user();
-            if vote != last_vote {
-                transitions.push((window.start, vote));
-                last_vote = vote;
+    let mut fold = |decisions: Vec<WindowDecision>| {
+        for decision in decisions {
+            observed += 1;
+            drift.observe(&decision.features);
+            if decision.vote != last_vote {
+                transitions.push((decision.start, decision.vote));
+                last_vote = decision.vote;
             }
-            if window.accepted_by.is_empty() {
+            if decision.accepted_by.is_empty() {
                 unexplained += 1;
-                if !explained_example {
-                    if let Some(&user) = window.actual_users.first() {
-                        if let Some(profile) = profiles.get(&user) {
-                            println!(
-                                "--- first window nobody accepted, explained against {user} ---"
-                            );
-                            print!(
-                                "{}",
-                                explanation_report(
-                                    profile,
-                                    &vocab,
-                                    &features_of(&window, &vocab, &transactions),
-                                    4
-                                )
-                            );
-                            println!();
-                            explained_example = true;
-                        }
-                    }
+                if explained_example {
+                    continue;
                 }
+                let Some(user) = decision.actual_users.first() else { continue };
+                let Some(profile) = profiles.get(user) else { continue };
+                println!("--- first window nobody accepted, explained against {user} ---");
+                print!("{}", explanation_report(profile, &vocab, &decision.features, 4));
+                println!();
+                explained_example = true;
             }
         }
+    };
+    for tx in test.for_device(device) {
+        fold(engine.observe(*tx));
     }
-    identifier.finish();
+    fold(engine.finish());
 
     println!("identification timeline ({} vote changes):", transitions.len());
     for (time, vote) in transitions.iter().take(12) {
@@ -103,23 +93,7 @@ fn main() {
         }
     }
     println!(
-        "\n{} windows observed, {} accepted by nobody, trailing novelty {:.0}%",
-        identifier.history().len(),
-        unexplained,
+        "\n{observed} windows observed, {unexplained} accepted by nobody, trailing novelty {:.0}%",
         drift.novelty_rate() * 100.0
     );
-}
-
-/// The identifier does not expose window features; recompute them from the
-/// device slice for drift/explanation purposes.
-fn features_of(
-    window: &webprofiler::IdentifiedWindow,
-    vocab: &Vocabulary,
-    transactions: &[proxylog::Transaction],
-) -> ocsvm::SparseVector {
-    let start = window.start.as_secs();
-    let end = start + 60;
-    let lo = transactions.partition_point(|tx| tx.timestamp.as_secs() < start);
-    let hi = transactions.partition_point(|tx| tx.timestamp.as_secs() < end);
-    webprofiler::aggregate_window(vocab, &transactions[lo..hi])
 }
