@@ -57,7 +57,6 @@ impl Client {
             Some(&Json::Bool(true)) => Ok(value),
             _ => {
                 let code = match value.get("error").and_then(Json::as_str) {
-                    Some("overloaded") => "overloaded",
                     Some("draining") => "draining",
                     Some("unknown_tenant") => "unknown_tenant",
                     Some("unknown_verb") => "unknown_verb",

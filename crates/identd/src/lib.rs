@@ -42,12 +42,22 @@
 //! # Architecture
 //!
 //! One non-blocking accept thread feeds a [`parcore::default_workers`]-
-//! sized worker pool over a bounded queue. Each tenant namespace is one
-//! OS thread owning its profiles and engine (the engine borrows them from
-//! the thread's stack — no locks on the scoring path), reached through a
-//! bounded mailbox that sheds the *oldest* queued ingest batches under
-//! overload and answers their producers `{"ok":false,"error":
-//! "overloaded"}` instead of disconnecting.
+//! sized worker pool over a bounded queue; a worker serves one connection
+//! at a time, one request after another. Each tenant namespace is one
+//! value behind one mutex: a [`streamid::StreamEngine`] that owns the
+//! tenant's profiles (and shares one process-wide paper-scale
+//! vocabulary), the decision buffer `decide` drains, and the devices a
+//! drain flushes. The worker serving a request locks the tenant and runs
+//! the engine on its own thread — no request is handed to another
+//! thread. Requests for one tenant take turns at its lock, so the engine
+//! sees each request's transactions in order, as a single writer would.
+//! There is no queue of its own to shed: a client that outpaces its
+//! tenant waits for its reply, and TCP holds back what it sends next.
+//! A request that panics inside an engine poisons that tenant, which then
+//! answers `{"ok":false,"error":"internal"}` until `load_profiles`
+//! replaces it; the worker lives on. `load_profiles` on a loaded name
+//! swaps in a fresh tenant; requests already running finish on the old
+//! one.
 //!
 //! `drain` stops the accept loop (joined before the reply, so refusal of
 //! new connections is observable), flushes every open window through the

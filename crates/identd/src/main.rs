@@ -17,7 +17,6 @@ OPTIONS:
     --vote-k N           trailing windows per majority vote (default 3)
     --lateness SECS      allowed out-of-order lateness (default 0)
     --max-pending N      closed-but-unscored windows per device (default 1024)
-    --mailbox-cap N      queued ingest batches per tenant before shedding (default 256)
     --decision-cap N     buffered decisions per tenant before dropping (default 65536)
     --lossy              preloaded tenants tolerate partly-corrupt stores
     --tenant NAME=DIR    preload a tenant from a model-store directory (repeatable)
@@ -25,9 +24,13 @@ OPTIONS:
 
 The daemon serves newline-delimited JSON over TCP (see the crate docs for
 the verb table) and exits 0 after a client sends the drain verb and every
-connection closes. Each window is scored against the profiles an exact
-candidate prefilter keeps (every profile whose decision bound admits the
-window), so decisions equal exhaustive scoring bit for bit.";
+connection closes. Each request is served on its connection's worker
+thread, which locks the tenant and runs its engine directly; requests for
+one tenant take turns, and a client that sends faster than the tenant
+scores is slowed by TCP backpressure. Each window is scored against the
+profiles an exact candidate prefilter keeps (every profile whose decision
+bound admits the window), so decisions equal exhaustive scoring bit for
+bit.";
 
 struct Args {
     config: DaemonConfig,
@@ -58,7 +61,6 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--max-pending" => {
                 config.engine.max_pending_per_device = parse_positive(&flag, &value("count")?)?
             }
-            "--mailbox-cap" => config.mailbox_cap = parse_positive(&flag, &value("count")?)?,
             "--decision-cap" => config.decision_cap = parse_positive(&flag, &value("count")?)?,
             "--tenant" => {
                 let spec = value("NAME=DIR")?;

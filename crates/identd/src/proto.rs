@@ -34,7 +34,7 @@ pub const MAX_TENANT_NAME: usize = 64;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtoError {
     /// Stable machine-readable code (`parse`, `bad_request`,
-    /// `unknown_verb`, `unknown_tenant`, `overloaded`, `draining`,
+    /// `unknown_verb`, `unknown_tenant`, `draining`,
     /// `line_too_long`, `invalid_utf8`, `store`, `internal`).
     pub code: &'static str,
     /// Human-readable description.

@@ -3,9 +3,10 @@
 //! Connections are accepted by one non-blocking poll thread and handed to
 //! a fixed [`parcore::default_workers`]-sized pool over a bounded channel,
 //! so a connection burst queues instead of spawning unbounded threads.
-//! Workers speak the line protocol from [`crate::proto`] and route
-//! tenant-scoped verbs to the per-tenant engine threads in
-//! [`crate::tenant`].
+//! Workers speak the line protocol from [`crate::proto`] and serve
+//! tenant-scoped verbs themselves: each looks the tenant up in the tenant
+//! map, locks it and runs its engine on the worker's own thread (see
+//! [`crate::tenant`]).
 //!
 //! `drain` is the shutdown handshake: it stops the accept thread (joining
 //! it *before* replying, so a client that got the drain reply can rely on
@@ -16,13 +17,13 @@
 
 use crate::json::Json;
 use crate::proto::{self, DecisionRecord, ProtoError, Request};
-use crate::tenant::{Command, Reply, TenantHandle, TenantStats};
+use crate::tenant::{Tenant, TenantStats};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use streamid::EngineConfig;
@@ -39,8 +40,6 @@ pub struct DaemonConfig {
     /// through the exact candidate prefilter, whose decisions equal
     /// exhaustive scoring bit for bit.
     pub engine: EngineConfig,
-    /// Queued ingest batches per tenant before oldest-first shedding.
-    pub mailbox_cap: usize,
     /// Buffered decisions per tenant before oldest-first dropping.
     pub decision_cap: usize,
     /// Longest accepted request line (longer lines are discarded and
@@ -54,7 +53,6 @@ impl Default for DaemonConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
             engine: EngineConfig::default(),
-            mailbox_cap: 256,
             decision_cap: 65_536,
             max_line_bytes: 8 << 20,
         }
@@ -66,9 +64,14 @@ const ACCEPT_POLL: Duration = Duration::from_millis(10);
 /// Connections queued between the accept thread and the worker pool.
 const CONNECTION_BACKLOG: usize = 64;
 
+/// Loaded tenants by name.
+type TenantMap = BTreeMap<String, Arc<Tenant>>;
+
 struct Shared {
     config: DaemonConfig,
-    tenants: Mutex<BTreeMap<String, TenantHandle>>,
+    /// Loaded tenants. The map lock is held only to look a tenant up or
+    /// replace it; requests run under the tenant's own lock.
+    tenants: Mutex<TenantMap>,
     draining: AtomicBool,
     /// The accept thread's handle; taken and joined by the first `drain`.
     accept: Mutex<Option<JoinHandle<()>>>,
@@ -140,8 +143,7 @@ impl Daemon {
     }
 
     /// Blocks until a client drains the daemon and every connection
-    /// closes, then shuts the tenants down. The normal exit path of
-    /// `identd`'s `main`.
+    /// closes. The normal exit path of `identd`'s `main`.
     pub fn join(self) {
         // If nobody drained us yet, wait for the drain verb to do it: the
         // accept thread only exits once `draining` is set.
@@ -153,11 +155,6 @@ impl Daemon {
         // drain the queued connections, finish the live ones, and exit.
         for worker in self.workers {
             let _ = worker.join();
-        }
-        let tenants =
-            std::mem::take(&mut *self.shared.tenants.lock().expect("tenant map poisoned"));
-        for (_, tenant) in tenants {
-            tenant.shutdown();
         }
     }
 }
@@ -328,24 +325,15 @@ fn dispatch(shared: &Arc<Shared>, request: Request) -> Result<Json, ProtoError> 
             if shared.draining.load(Ordering::SeqCst) {
                 return Err(ProtoError::new("draining", "daemon is draining"));
             }
-            match tenant_call(shared, &tenant, |reply| Command::Ingest { txs, reply })? {
-                Reply::Ingested { accepted, decided } => Ok(Json::Obj(vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("accepted".into(), Json::Num(accepted as f64)),
-                    ("decided".into(), Json::Num(decided as f64)),
-                ])),
-                Reply::Overloaded { queued } => Err(ProtoError::new(
-                    "overloaded",
-                    format!("tenant {tenant:?} shed this batch ({queued} commands queued)"),
-                )),
-                _ => Err(ProtoError::new("internal", "unexpected tenant reply")),
-            }
+            let (accepted, decided) = find_tenant(shared, &tenant)?.ingest(txs)?;
+            Ok(Json::Obj(vec![
+                ("ok".into(), Json::Bool(true)),
+                ("accepted".into(), Json::Num(accepted as f64)),
+                ("decided".into(), Json::Num(decided as f64)),
+            ]))
         }
         Request::Decide { tenant, device } => {
-            match tenant_call(shared, &tenant, |reply| Command::Decide { device, reply })? {
-                Reply::Decisions(decisions) => Ok(decisions_reply(&decisions)),
-                _ => Err(ProtoError::new("internal", "unexpected tenant reply")),
-            }
+            Ok(decisions_reply(&find_tenant(shared, &tenant)?.decide(device)?))
         }
     }
 }
@@ -357,31 +345,22 @@ fn decisions_reply(decisions: &[DecisionRecord]) -> Json {
     ])
 }
 
-/// Sends one command to a tenant thread and waits for its reply.
-fn tenant_call(
-    shared: &Shared,
-    tenant: &str,
-    command: impl FnOnce(std::sync::mpsc::Sender<Reply>) -> Command,
-) -> Result<Reply, ProtoError> {
-    let mailbox = {
-        let tenants = shared.tenants.lock().expect("tenant map poisoned");
-        match tenants.get(tenant) {
-            Some(handle) => handle.mailbox.clone(),
-            None => {
-                return Err(ProtoError::new(
-                    "unknown_tenant",
-                    format!("no tenant {tenant:?}; use load_profiles first"),
-                ))
-            }
-        }
-    };
-    let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-    if !mailbox.push(command(reply_tx)) {
-        return Err(ProtoError::new("unknown_tenant", format!("tenant {tenant:?} shut down")));
-    }
-    reply_rx
-        .recv()
-        .map_err(|_| ProtoError::new("internal", format!("tenant {tenant:?} dropped the reply")))
+/// The tenant map, locked. A poisoned map lock is an `internal` error.
+fn tenant_map(shared: &Shared) -> Result<MutexGuard<'_, TenantMap>, ProtoError> {
+    shared.tenants.lock().map_err(|_| ProtoError::new("internal", "tenant map poisoned"))
+}
+
+/// Looks a tenant up. The returned handle keeps the tenant alive for the
+/// request even if `load_profiles` replaces it meanwhile.
+fn find_tenant(shared: &Shared, tenant: &str) -> Result<Arc<Tenant>, ProtoError> {
+    tenant_map(shared)?.get(tenant).cloned().ok_or_else(|| {
+        ProtoError::new("unknown_tenant", format!("no tenant {tenant:?}; use load_profiles first"))
+    })
+}
+
+/// Every loaded tenant, snapshotted so none is queried under the map lock.
+fn all_tenants(shared: &Shared) -> Result<Vec<(String, Arc<Tenant>)>, ProtoError> {
+    Ok(tenant_map(shared)?.iter().map(|(name, t)| (name.clone(), Arc::clone(t))).collect())
 }
 
 fn load_tenant(
@@ -391,45 +370,22 @@ fn load_tenant(
     lossy: bool,
 ) -> Result<(usize, usize), ProtoError> {
     proto::validate_tenant(name)?;
-    let handle = TenantHandle::spawn(
-        name,
-        dir,
-        lossy,
-        shared.config.engine,
-        shared.config.mailbox_cap,
-        shared.config.decision_cap,
-    )?;
-    let loaded = (handle.profiles, handle.skipped);
-    let previous =
-        shared.tenants.lock().expect("tenant map poisoned").insert(name.to_string(), handle);
+    let tenant = Tenant::load(dir, lossy, shared.config.engine, shared.config.decision_cap)?;
+    let loaded = (tenant.profiles, tenant.skipped);
     // Reloading replaces the namespace; the old engine flushes nothing —
     // callers drain before reloading if they care about open windows.
-    if let Some(previous) = previous {
-        previous.shutdown();
-    }
+    // Requests already holding the old tenant finish on it, and it is
+    // dropped with the last of them.
+    tenant_map(shared)?.insert(name.to_string(), Arc::new(tenant));
     Ok(loaded)
 }
 
 fn stats_reply(shared: &Shared) -> Result<Json, ProtoError> {
-    // Snapshot the mailboxes first so tenant threads are queried without
-    // holding the map lock.
-    let mailboxes: Vec<(String, crate::tenant::Mailbox)> = shared
-        .tenants
-        .lock()
-        .expect("tenant map poisoned")
-        .iter()
-        .map(|(name, handle)| (name.clone(), handle.mailbox.clone()))
+    // A tenant whose state is poisoned has no counters to report.
+    let tenants: Vec<(String, Json)> = all_tenants(shared)?
+        .into_iter()
+        .filter_map(|(name, tenant)| Some((name, tenant_stats_json(&tenant.stats().ok()?))))
         .collect();
-    let mut tenants = Vec::new();
-    for (name, mailbox) in mailboxes {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        if !mailbox.push(Command::Stats { reply: reply_tx }) {
-            continue;
-        }
-        if let Ok(Reply::Stats(stats)) = reply_rx.recv() {
-            tenants.push((name, tenant_stats_json(&stats)));
-        }
-    }
     Ok(Json::Obj(vec![
         ("ok".into(), Json::Bool(true)),
         (
@@ -461,7 +417,8 @@ fn tenant_stats_json(stats: &TenantStats) -> Json {
         ("pending_windows".into(), Json::Num(stats.pending_windows as f64)),
         ("decisions_buffered".into(), Json::Num(stats.decisions_buffered as f64)),
         ("decisions_dropped".into(), Json::Num(stats.decisions_dropped as f64)),
-        ("ingests_shed".into(), Json::Num(stats.ingests_shed as f64)),
+        // Kept for wire compatibility: nothing sheds ingest batches, so 0.
+        ("ingests_shed".into(), Json::Num(0.0)),
         ("streams_opened".into(), Json::Num(stats.streams_opened as f64)),
         ("windows_closed".into(), Json::Num(stats.windows_closed as f64)),
         // Kept for wire compatibility: the same count as `batches`.
@@ -477,23 +434,9 @@ fn drain_reply(shared: &Arc<Shared>) -> Result<Json, ProtoError> {
     if let Some(accept) = accept {
         let _ = accept.join();
     }
-    let mailboxes: Vec<crate::tenant::Mailbox> = shared
-        .tenants
-        .lock()
-        .expect("tenant map poisoned")
-        .values()
-        .map(|handle| handle.mailbox.clone())
-        .collect();
-    let mut flushed = 0u64;
-    for mailbox in mailboxes {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        if !mailbox.push(Command::Flush { reply: reply_tx }) {
-            continue;
-        }
-        if let Ok(Reply::Flushed { windows }) = reply_rx.recv() {
-            flushed += windows as u64;
-        }
-    }
+    // A poisoned tenant has nothing it can flush; the drain goes on.
+    let flushed: usize =
+        all_tenants(shared)?.iter().filter_map(|(_, tenant)| tenant.flush().ok()).sum();
     Ok(Json::Obj(vec![
         ("ok".into(), Json::Bool(true)),
         ("draining".into(), Json::Bool(true)),

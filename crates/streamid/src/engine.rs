@@ -3,6 +3,7 @@
 use crate::config::{EngineConfig, PrefilterConfig};
 use ocsvm::{ProbePanel, SparseVector};
 use proxylog::{DeviceId, Timestamp, Transaction, UserId};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -125,15 +126,25 @@ impl fmt::Display for EngineStats {
     }
 }
 
+/// The enrolled population an engine scores against, keyed by user.
+pub type Profiles = BTreeMap<UserId, UserProfile>;
+
 /// Online identification engine over an unbounded transaction stream.
 ///
 /// Feed transactions from any source — a [`proxylog::LogTail`], a
 /// channel, a live `tracegen` replay — via [`observe`](Self::observe);
 /// decisions come back as soon as their scoring batch runs. See the crate
 /// docs for the pipeline and the bit-identity guarantee.
+///
+/// The engine borrows its vocabulary for `'a`. It borrows its profiles
+/// too by default (`P = &'a Profiles`), or owns them: `P` may be anything
+/// that [`Borrow`]s a [`Profiles`] map, such as the map itself or an
+/// `Arc` of it. An engine that owns its profiles and borrows a `'static`
+/// vocabulary is a self-contained value that can live in a struct or
+/// behind a lock instead of on a thread's stack.
 #[derive(Debug)]
-pub struct StreamEngine<'a> {
-    profiles: &'a BTreeMap<UserId, UserProfile>,
+pub struct StreamEngine<'a, P = &'a Profiles> {
+    profiles: P,
     vocab: &'a Vocabulary,
     config: EngineConfig,
     devices: BTreeMap<DeviceId, DeviceState<'a>>,
@@ -164,17 +175,13 @@ struct PrefilterState {
     scratch: ShortlistScratch,
 }
 
-impl<'a> StreamEngine<'a> {
-    /// Creates an engine scoring against `profiles`.
+impl<'a, P: Borrow<Profiles>> StreamEngine<'a, P> {
+    /// Creates an engine scoring against `profiles` (borrowed or owned).
     ///
     /// # Panics
     ///
     /// Panics if any [`EngineConfig`] knob that must be positive is zero.
-    pub fn new(
-        profiles: &'a BTreeMap<UserId, UserProfile>,
-        vocab: &'a Vocabulary,
-        config: EngineConfig,
-    ) -> Self {
+    pub fn new(profiles: P, vocab: &'a Vocabulary, config: EngineConfig) -> Self {
         config.validate();
         Self {
             profiles,
@@ -208,7 +215,7 @@ impl<'a> StreamEngine<'a> {
     /// module docs). `_config` is a compatibility shim; nothing reads it.
     pub fn with_prefilter(mut self, _config: PrefilterConfig) -> Self {
         self.prefilter = Some(PrefilterState {
-            index: CandidateIndex::build(self.profiles, self.vocab),
+            index: CandidateIndex::build(self.profiles.borrow(), self.vocab),
             scratch: ShortlistScratch::default(),
         });
         self
@@ -429,7 +436,7 @@ impl<'a> StreamEngine<'a> {
     /// probe's accepted users, ascending. The batch is packed into one
     /// [`ProbePanel`] that every profile scores.
     fn score_exhaustive(&self, probes: &[&SparseVector]) -> Vec<Vec<UserId>> {
-        let entries: Vec<(&UserId, &UserProfile)> = self.profiles.iter().collect();
+        let entries: Vec<(&UserId, &UserProfile)> = self.profiles.borrow().iter().collect();
         let panel = ProbePanel::pack(probes);
         // Fan profiles out across cores only when the kernel work dwarfs
         // the cost of spawning the scoped threads; small batches (linear
@@ -483,7 +490,7 @@ impl<'a> StreamEngine<'a> {
             .into_iter()
             .map(|(slot, windows)| {
                 let user = index.user_at(slot);
-                let profile = self.profiles.get(&user).expect("indexed unknown user");
+                let profile = self.profiles.borrow().get(&user).expect("indexed unknown user");
                 (user, profile, windows)
             })
             .collect();
@@ -691,6 +698,41 @@ mod tests {
         assert_eq!(stats.prefilter_windows, stats.windows_scored);
         assert!(stats.prefilter_candidates > 0);
         assert_eq!(exhaustive.stats().prefilter_windows, 0);
+    }
+
+    #[test]
+    fn an_engine_owning_its_profiles_decides_like_a_borrowing_one() {
+        // An owning engine with a 'static vocabulary can be moved between
+        // threads and shared behind a lock.
+        fn assert_send<T: Send>() {}
+        assert_send::<StreamEngine<'static, Profiles>>();
+        assert_send::<StreamEngine<'static, std::sync::Arc<Profiles>>>();
+
+        let (dataset, vocab) = trained();
+        let (profiles, _) =
+            ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
+        let config = EngineConfig { batch_windows: 16, ..EngineConfig::default() };
+        let mut borrowing =
+            StreamEngine::new(&profiles, &vocab, config).with_prefilter(PrefilterConfig::default());
+        let mut owning = StreamEngine::new(std::sync::Arc::new(profiles.clone()), &vocab, config)
+            .with_prefilter(PrefilterConfig::default());
+        let mut a = Vec::new();
+        let mut b = Vec::new();
+        for tx in dataset.transactions() {
+            a.extend(borrowing.observe(*tx));
+            b.extend(owning.observe(*tx));
+        }
+        a.extend(borrowing.finish());
+        b.extend(owning.finish());
+        assert!(!a.is_empty());
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(
+                (x.device, x.start, &x.accepted_by, x.vote),
+                (y.device, y.start, &y.accepted_by, y.vote)
+            );
+        }
+        assert_eq!(borrowing.stats().windows_scored, owning.stats().windows_scored);
     }
 
     #[test]

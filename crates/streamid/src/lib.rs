@@ -52,7 +52,10 @@
 //! decided bit-identically to exhaustive scoring, for every kernel.
 //!
 //! Profiles come from wherever [`webprofiler::UserProfile`]s are trained —
-//! or from a [`ModelStore`] directory of persisted profiles. Persisted
+//! or from a [`ModelStore`] directory of persisted profiles. An engine
+//! borrows its [`Profiles`] by default, or owns them (the map or an `Arc`
+//! of it, see [`StreamEngine`]); an owning engine over a `'static`
+//! vocabulary is a plain value that a server can keep behind a lock. Persisted
 //! models keep their support vectors' training indices (ocsvm persist v2),
 //! so a restarted engine retains shared-row scoring without retraining.
 //!
@@ -86,6 +89,6 @@ mod scorecard;
 mod store;
 
 pub use config::{EngineConfig, PrefilterConfig};
-pub use engine::{EngineStats, StreamEngine, WindowDecision};
+pub use engine::{EngineStats, Profiles, StreamEngine, WindowDecision};
 pub use scorecard::{LabeledInterval, ScenarioReport, ScenarioTelemetry};
 pub use store::{LoadIssue, ModelStore, StoreLoadError};
