@@ -34,7 +34,7 @@
 //! pass takes a few milliseconds, which a single reading times at the
 //! resolution of the scheduler rather than of the code.
 
-use bench::ExperimentConfig;
+use bench::{timed_trial, ExperimentConfig};
 use ocsvm::{ProbePanel, SparseVector};
 use proxylog::UserId;
 use std::time::{Duration, Instant};
@@ -46,24 +46,6 @@ use webprofiler::{
 
 /// Synthetic users get ids above any corpus user id.
 const SYNTHETIC_BASE: u32 = 1 << 20;
-
-/// Shortest timed trial of a leg.
-const MIN_TRIAL: Duration = Duration::from_millis(100);
-
-/// Runs `leg` back to back until [`MIN_TRIAL`] has passed; returns the last
-/// pass's result and the mean time per pass.
-fn timed_trial<T>(mut leg: impl FnMut() -> T) -> (T, Duration) {
-    let started = Instant::now();
-    let mut passes = 0u32;
-    loop {
-        let out = leg();
-        passes += 1;
-        let elapsed = started.elapsed();
-        if elapsed >= MIN_TRIAL {
-            return (out, elapsed / passes);
-        }
-    }
-}
 
 fn main() {
     let smoke = ExperimentConfig::has_flag("--smoke");

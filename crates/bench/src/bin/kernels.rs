@@ -29,13 +29,14 @@
 //! the panel/merge bit-identity inline on the benchmark vectors and
 //! aborts on any mismatch — a gate run can never time a wrong kernel.
 
-use bench::{json, ExperimentConfig};
+use bench::{json, timed_trial, ExperimentConfig};
 use ocsvm::{ProbePanel, SparseVector, SparseVectorBuilder};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Timing trials per kernel; the best (minimum) trial is reported, the
-/// standard defense against scheduler noise on shared runners.
+/// standard defense against scheduler noise on shared runners. Each trial
+/// repeats the kernel for at least [`bench::MIN_TRIAL`] and reports the
+/// mean pass.
 const TRIALS: usize = 5;
 
 /// xorshift64*: deterministic inputs without pulling `rand` into the bin.
@@ -235,16 +236,11 @@ fn sq_dist_merge(reps: usize, refs: &[&SparseVector], xs: &[SparseVector], out: 
     black_box(out);
 }
 
-/// Runs `work` [`TRIALS`] times and returns the best trial's cost in
-/// nanoseconds per operation.
+/// Runs [`TRIALS`] timed trials of `work` and returns the best trial's
+/// mean cost in nanoseconds per operation.
 fn best_ns(ops: usize, mut work: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TRIALS {
-        let started = Instant::now();
-        work();
-        best = best.min(started.elapsed().as_secs_f64());
-    }
-    best * 1e9 / ops as f64
+    let best = (0..TRIALS).map(|_| timed_trial(&mut work).1).min().expect("at least one trial");
+    best.as_secs_f64() * 1e9 / ops as f64
 }
 
 fn flag_or<T: std::str::FromStr>(name: &str, default: T) -> T

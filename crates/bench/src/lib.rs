@@ -16,8 +16,29 @@
 //! ```
 
 use proxylog::Dataset;
+use std::time::{Duration, Instant};
 use tracegen::{GeneratedTrace, Scenario, TraceGenerator};
 use webprofiler::Vocabulary;
+
+/// Shortest timed trial of a benchmark leg (see [`timed_trial`]).
+pub const MIN_TRIAL: Duration = Duration::from_millis(100);
+
+/// Runs `leg` back to back until [`MIN_TRIAL`] has passed; returns the last
+/// pass's result and the mean time per pass. A leg of a few milliseconds
+/// timed once is timed at the resolution of the scheduler rather than of
+/// the code.
+pub fn timed_trial<T>(mut leg: impl FnMut() -> T) -> (T, Duration) {
+    let started = Instant::now();
+    let mut passes = 0u32;
+    loop {
+        let out = leg();
+        passes += 1;
+        let elapsed = started.elapsed();
+        if elapsed >= MIN_TRIAL {
+            return (out, elapsed / passes);
+        }
+    }
+}
 
 /// Transactions-per-user filter threshold of the paper, and the duration
 /// it was calibrated against.
@@ -428,37 +449,29 @@ mod tests {
 
     #[test]
     fn one_baseline_gates_mixed_metric_directions() {
-        // The `train_frontier` gate watches a higher-is-better speedup and
-        // a lower-is-better accuracy delta out of the *same* baseline file
-        // (`perf_gate --metrics ... --metrics-lower ...` in one
+        // The `attack_eval` gate watches a higher-is-better detection rate
+        // and a lower-is-better time to detect out of the *same* baseline
+        // file (`perf_gate --metrics ... --metrics-lower ...` in one
         // invocation); both directions must read the same parsed pairs.
-        let text = json::emit(&[("train_speedup_vs_exact", 3.0), ("acc_delta_auto", 0.04)]);
+        let text = json::emit(&[("detection_rate", 0.8), ("time_to_detect_s", 40.0)]);
         let baseline = json::parse(&text).unwrap();
 
-        let good = vec![
-            ("train_speedup_vs_exact".to_string(), 2.6),
-            ("acc_delta_auto".to_string(), 0.045),
-        ];
-        let up = gate::check(&baseline, &good, &["train_speedup_vs_exact"], 0.25).unwrap();
-        let down = gate::check_lower(&baseline, &good, &["acc_delta_auto"], 0.25).unwrap();
-        assert!(up[0].pass, "2.6 is within -25% of 3.0");
-        assert!(down[0].pass, "0.045 is within +25% of 0.04");
+        let good =
+            vec![("detection_rate".to_string(), 0.7), ("time_to_detect_s".to_string(), 45.0)];
+        let up = gate::check(&baseline, &good, &["detection_rate"], 0.25).unwrap();
+        let down = gate::check_lower(&baseline, &good, &["time_to_detect_s"], 0.25).unwrap();
+        assert!(up[0].pass, "0.7 is within -25% of 0.8");
+        assert!(down[0].pass, "45 is within +25% of 40");
 
         // Each direction fails independently on its own regression.
-        let slow = vec![
-            ("train_speedup_vs_exact".to_string(), 1.9),
-            ("acc_delta_auto".to_string(), 0.045),
-        ];
-        assert!(!gate::check(&baseline, &slow, &["train_speedup_vs_exact"], 0.25).unwrap()[0].pass);
-        assert!(gate::check_lower(&baseline, &slow, &["acc_delta_auto"], 0.25).unwrap()[0].pass);
-        let inaccurate =
-            vec![("train_speedup_vs_exact".to_string(), 3.2), ("acc_delta_auto".to_string(), 0.09)];
-        assert!(
-            gate::check(&baseline, &inaccurate, &["train_speedup_vs_exact"], 0.25).unwrap()[0].pass
-        );
-        assert!(
-            !gate::check_lower(&baseline, &inaccurate, &["acc_delta_auto"], 0.25).unwrap()[0].pass
-        );
+        let blind =
+            vec![("detection_rate".to_string(), 0.5), ("time_to_detect_s".to_string(), 45.0)];
+        assert!(!gate::check(&baseline, &blind, &["detection_rate"], 0.25).unwrap()[0].pass);
+        assert!(gate::check_lower(&baseline, &blind, &["time_to_detect_s"], 0.25).unwrap()[0].pass);
+        let slow =
+            vec![("detection_rate".to_string(), 0.9), ("time_to_detect_s".to_string(), 90.0)];
+        assert!(gate::check(&baseline, &slow, &["detection_rate"], 0.25).unwrap()[0].pass);
+        assert!(!gate::check_lower(&baseline, &slow, &["time_to_detect_s"], 0.25).unwrap()[0].pass);
     }
 
     #[test]

@@ -66,7 +66,6 @@ mod ocsvm;
 pub mod panel;
 mod persist;
 mod smo;
-mod solver;
 mod sparse;
 mod svdd;
 
@@ -81,7 +80,6 @@ pub use model::{
 pub use ocsvm::NuOcSvm;
 pub use panel::ProbePanel;
 pub use smo::SolverOptions;
-pub use solver::{ApproxParams, SolverBackend};
 pub use sparse::{InvalidPairsError, SparseVector, SparseVectorBuilder};
 pub use svdd::Svdd;
 

@@ -12,7 +12,6 @@ use crate::gram::{CrossGram, GramMatrix};
 use crate::kernel::Kernel;
 use crate::panel::ProbePanel;
 use crate::smo::Solution;
-use crate::solver::SolverBackend;
 use crate::sparse::SparseVector;
 
 /// How a trained model turns its kernel sum `s = Σᵢ αᵢ·k(svᵢ, x)` into a
@@ -92,8 +91,6 @@ pub struct OneClassModel {
     /// `ν` (OC-SVM) or `C` (SVDD).
     pub(crate) regularization: f64,
     pub(crate) diagnostics: TrainDiagnostics,
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub(crate) backend: SolverBackend,
 }
 
 impl OneClassModel {
@@ -106,7 +103,6 @@ impl OneClassModel {
         boundary: Boundary,
         regularization: f64,
         (cache_hits, cache_misses): (u64, u64),
-        backend: SolverBackend,
     ) -> Self {
         let support = SupportVectorSet::from_solution(points, &solution.alpha, kernel);
         let diagnostics = TrainDiagnostics {
@@ -118,7 +114,7 @@ impl OneClassModel {
             cache_hits,
             cache_misses,
         };
-        Self { support, boundary, regularization, diagnostics, backend }
+        Self { support, boundary, regularization, diagnostics }
     }
 
     /// The decision boundary (and with it the classifier family).
@@ -158,11 +154,6 @@ impl OneClassModel {
     /// Training diagnostics (iterations, convergence, cache behaviour).
     pub fn diagnostics(&self) -> TrainDiagnostics {
         self.diagnostics
-    }
-
-    /// Which training backend produced this model.
-    pub fn solver_backend(&self) -> SolverBackend {
-        self.backend
     }
 
     /// The affine decision terms of a linear-kernel model, or `None` for
@@ -934,13 +925,7 @@ mod tests {
             cache_hits: 0,
             cache_misses: 0,
         };
-        OneClassModel {
-            support,
-            boundary,
-            regularization: 0.5,
-            diagnostics,
-            backend: SolverBackend::default(),
-        }
+        OneClassModel { support, boundary, regularization: 0.5, diagnostics }
     }
 
     fn admits(model: &OneClassModel, x: &SparseVector) -> bool {

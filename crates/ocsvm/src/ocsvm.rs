@@ -17,8 +17,7 @@ use crate::error::TrainError;
 use crate::gram::GramMatrix;
 use crate::kernel::Kernel;
 use crate::model::{Boundary, OneClassModel};
-use crate::smo::{PrecomputedQ, SolverOptions};
-use crate::solver;
+use crate::smo::{self, PrecomputedQ, SolverOptions};
 use crate::sparse::SparseVector;
 
 /// Trainer configuration for a ν-OC-SVM.
@@ -151,13 +150,13 @@ impl NuOcSvm {
         let l = points.len();
         let upper = 1.0 / (self.nu * l as f64);
         let p = vec![0.0; l];
-        let kind = solver::ProblemKind::OcSvm { nu: self.nu };
-        let outcome = solver::run(q, &p, upper, kind, seed, &self.options);
-        let solution = outcome.solution;
+        let alpha0 = match seed {
+            Some(previous) => smo::seeded_alpha(previous, upper),
+            None => smo::initial_alpha(l, upper),
+        };
+        let solution = smo::solve(q, &p, upper, alpha0, &self.options);
 
-        let rho = outcome
-            .threshold_override
-            .unwrap_or_else(|| recover_rho(&solution.alpha, &solution.gradient, upper));
+        let rho = recover_rho(&solution.alpha, &solution.gradient, upper);
         let model = OneClassModel::trained(
             points,
             &solution,
@@ -165,7 +164,6 @@ impl NuOcSvm {
             Boundary::Hyperplane { rho },
             self.nu,
             q.cache_stats(),
-            self.options.backend,
         );
         (model, solution.alpha)
     }
@@ -175,7 +173,7 @@ impl NuOcSvm {
 /// vectors (`0 < α < U`) satisfy `(Qα)ᵢ = ρ`; when none are free, `ρ` lies
 /// between the gradients of the bounded groups and the midpoint is used
 /// (LIBSVM does the same).
-pub(crate) fn recover_rho(alpha: &[f64], gradient: &[f64], upper: f64) -> f64 {
+fn recover_rho(alpha: &[f64], gradient: &[f64], upper: f64) -> f64 {
     let lo_tol = 1e-9;
     let hi_tol = upper * (1.0 - 1e-9);
     let mut free_sum = 0.0;

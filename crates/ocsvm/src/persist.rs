@@ -21,14 +21,17 @@
 //! support block (when the model knows them), so a deserialized model
 //! keeps the shared-row scoring paths (`training_decision_values` /
 //! `cross_decision_values`) instead of falling back to per-point kernel
-//! evaluation. Version 3 appends one trailing byte recording the
-//! [`SolverBackend`] that trained the model. Version-1/-2 streams are still
-//! read; their models have no indices (v1 only) and report the exact
-//! backend.
+//! evaluation. Version 3 appends one trailing byte naming the training
+//! backend. Models are trained only by exact SMO, so the writer always
+//! writes tag 0. The reader also accepts tag 2 (the removed sampled
+//! Frank–Wolfe backend): the bytes before the tag fully define the
+//! decision function, so such a stored profile keeps serving and only its
+//! provenance is dropped. Tag 1 (the removed one-data ensemble backend) and
+//! unknown tags are `InvalidData`. Version-1/-2 streams are still read;
+//! they carry no tag, and v1 models have no indices.
 
 use crate::kernel::Kernel;
 use crate::model::{Boundary, OneClassModel, SupportVectorSet, TrainDiagnostics};
-use crate::solver::SolverBackend;
 use crate::sparse::SparseVector;
 use std::io::{self, Read, Write};
 
@@ -38,10 +41,12 @@ const VERSION: u8 = 3;
 const MIN_VERSION: u8 = 1;
 const KIND_HYPERPLANE: u8 = 0;
 const KIND_SPHERE: u8 = 1;
+/// The v3 trailing backend tag of an exact-SMO model, the only tag written.
+const EXACT_SMO_TAG: u8 = 0;
 
 /// Writes the header, the boundary's constants (`ρ`, or `R²` then
 /// `αᵀKα`), the regularization, the support vectors, the diagnostics and
-/// the backend tag.
+/// the exact-SMO backend tag.
 pub(crate) fn write_model<W: Write>(writer: &mut W, model: &OneClassModel) -> io::Result<()> {
     match model.boundary {
         Boundary::Hyperplane { rho } => {
@@ -57,7 +62,7 @@ pub(crate) fn write_model<W: Write>(writer: &mut W, model: &OneClassModel) -> io
     write_f64(writer, model.regularization)?;
     write_support(writer, &model.support)?;
     write_diagnostics(writer, model.diagnostics)?;
-    write_backend(writer, model.backend)
+    writer.write_all(&[EXACT_SMO_TAG])
 }
 
 pub(crate) fn read_model<R: Read>(reader: &mut R) -> io::Result<OneClassModel> {
@@ -73,26 +78,27 @@ pub(crate) fn read_model<R: Read>(reader: &mut R) -> io::Result<OneClassModel> {
     let regularization = read_f64(reader)?;
     let support = read_support(reader, version)?;
     let diagnostics = read_diagnostics(reader)?;
-    let backend = read_backend(reader, version)?;
-    validate_indices(&support, diagnostics.train_size)?;
-    Ok(OneClassModel { support, boundary, regularization, diagnostics, backend })
-}
-
-/// v3 trailing byte: which [`SolverBackend`] trained the model.
-fn write_backend<W: Write>(writer: &mut W, backend: SolverBackend) -> io::Result<()> {
-    writer.write_all(&[backend.tag()])
-}
-
-/// Reads the v3 backend tag; pre-v3 streams carry none and were always
-/// trained by the exact SMO path. A tag-1 (removed one-data ensemble)
-/// model is an `InvalidData` error that names that backend.
-fn read_backend<R: Read>(reader: &mut R, version: u8) -> io::Result<SolverBackend> {
-    if version < 3 {
-        return Ok(SolverBackend::ExactSmo);
+    if version >= 3 {
+        check_backend_tag(reader)?;
     }
+    validate_indices(&support, diagnostics.train_size)?;
+    Ok(OneClassModel { support, boundary, regularization, diagnostics })
+}
+
+/// Reads the v3 trailing backend tag. Tag 0 (exact SMO) and tag 2 (the
+/// removed sampled backend, whose stored decision function still holds)
+/// load; tag 1 (the removed one-data ensemble backend) and unknown tags are
+/// `InvalidData` errors that say what the tag was.
+fn check_backend_tag<R: Read>(reader: &mut R) -> io::Result<()> {
     let mut tag = [0u8; 1];
     reader.read_exact(&mut tag)?;
-    SolverBackend::from_tag(tag[0]).map_err(invalid)
+    match tag[0] {
+        0 | 2 => Ok(()),
+        1 => Err(invalid(
+            "solver-backend tag 1 is the removed one-data ensemble backend; retrain the model",
+        )),
+        other => Err(invalid(format!("unknown solver-backend tag {other}"))),
+    }
 }
 
 fn write_header<W: Write>(writer: &mut W, kind: u8) -> io::Result<()> {
@@ -420,7 +426,7 @@ mod tests {
             trained.support.alpha.clone(),
             Kernel::Linear,
         );
-        let indexless = OneClassModel { support, backend: SolverBackend::ExactSmo, ..trained };
+        let indexless = OneClassModel { support, ..trained };
         let mut bytes = Vec::new();
         indexless.write_to(&mut bytes).unwrap();
         let loaded = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
@@ -466,31 +472,23 @@ mod tests {
     }
 
     #[test]
-    fn solver_backend_tag_round_trips_for_every_backend() {
+    fn exact_backend_tag_round_trips() {
         let data = training_data();
-        for backend in [SolverBackend::ExactSmo, SolverBackend::SampledFw] {
-            let options = crate::SolverOptions { backend, ..Default::default() };
-            let model = NuOcSvm::new(0.2, Kernel::Rbf { gamma: 0.5 })
-                .with_options(options)
-                .train(&data)
-                .unwrap();
-            assert_eq!(model.solver_backend(), backend);
-            let mut bytes = Vec::new();
-            model.write_to(&mut bytes).unwrap();
-            assert_eq!(*bytes.last().unwrap(), backend.tag());
-            let loaded = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
-            assert_eq!(loaded.solver_backend(), backend);
-            for probe in &data {
-                assert_eq!(loaded.decision_value(probe), model.decision_value(probe));
-            }
-
-            let svdd = Svdd::new(0.4, Kernel::Linear).with_options(options).train(&data).unwrap();
-            let mut bytes = Vec::new();
-            svdd.write_to(&mut bytes).unwrap();
-            let loaded = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
-            assert_eq!(loaded.solver_backend(), backend);
-            assert_eq!(loaded.boundary(), svdd.boundary());
+        let model = NuOcSvm::new(0.2, Kernel::Rbf { gamma: 0.5 }).train(&data).unwrap();
+        let mut bytes = Vec::new();
+        model.write_to(&mut bytes).unwrap();
+        assert_eq!(*bytes.last().unwrap(), EXACT_SMO_TAG);
+        let loaded = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
+        for probe in &data {
+            assert_eq!(loaded.decision_value(probe), model.decision_value(probe));
         }
+
+        let svdd = Svdd::new(0.4, Kernel::Linear).train(&data).unwrap();
+        let mut bytes = Vec::new();
+        svdd.write_to(&mut bytes).unwrap();
+        assert_eq!(*bytes.last().unwrap(), EXACT_SMO_TAG);
+        let loaded = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
+        assert_eq!(loaded.boundary(), svdd.boundary());
     }
 
     #[test]
@@ -504,7 +502,6 @@ mod tests {
         bytes.pop();
         bytes[4] = 2;
         let loaded = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
-        assert_eq!(loaded.solver_backend(), SolverBackend::ExactSmo);
         for probe in &data {
             assert_eq!(loaded.decision_value(probe), model.decision_value(probe));
         }

@@ -25,16 +25,6 @@ use std::sync::Arc;
 /// (possible with the sigmoid kernel, which is not PSD).
 const TAU: f64 = 1e-12;
 
-/// Abstract view of the `Q` matrix used by [`solve`].
-pub(crate) trait QMatrix {
-    /// Number of training points `l`.
-    fn len(&self) -> usize;
-    /// Diagonal entry `Q[i][i]`.
-    fn diag(&self, i: usize) -> f64;
-    /// Full row `Q[i][·]`, possibly served from cache.
-    fn row(&mut self, i: usize) -> Arc<[f64]>;
-}
-
 /// `Q = scale · K` served from the rows of a [`GramMatrix`].
 ///
 /// At `scale = 1` (OC-SVM) the matrix's rows are handed out zero-copy. At
@@ -84,17 +74,18 @@ impl<'g, 'p> PrecomputedQ<'g, 'p> {
         let stats = self.gram.arena().stats();
         (stats.hits, stats.misses)
     }
-}
 
-impl QMatrix for PrecomputedQ<'_, '_> {
+    /// Number of training points `l`.
     fn len(&self) -> usize {
         self.gram.len()
     }
 
+    /// Diagonal entry `Q[i][i]`.
     fn diag(&self, i: usize) -> f64 {
         self.scale * self.gram.diag_value(i)
     }
 
+    /// Full row `Q[i][·]`, possibly served from cache.
     fn row(&mut self, i: usize) -> Arc<[f64]> {
         if let Some(row) = self.pinned.as_ref().and_then(|pinned| pinned[i].clone()) {
             self.hits += 1;
@@ -135,23 +126,11 @@ pub struct SolverOptions {
     /// the full gradient before declaring convergence. Changes only the
     /// speed, not the solution (beyond `eps`-level differences).
     pub shrinking: bool,
-    /// Which training backend runs the solve; the default is
-    /// [`SolverBackend::ExactSmo`](crate::SolverBackend::ExactSmo).
-    pub backend: crate::SolverBackend,
-    /// Tuning knobs of the sampled backend (ignored by the exact one).
-    pub approx: crate::ApproxParams,
 }
 
 impl Default for SolverOptions {
     fn default() -> Self {
-        Self {
-            eps: 1e-3,
-            max_iterations: None,
-            cache_bytes: 64 << 20,
-            shrinking: true,
-            backend: crate::SolverBackend::ExactSmo,
-            approx: crate::ApproxParams::default(),
-        }
+        Self { eps: 1e-3, max_iterations: None, cache_bytes: 64 << 20, shrinking: true }
     }
 }
 
@@ -175,7 +154,7 @@ pub(crate) struct Solution {
 /// `alpha0` must satisfy the constraints (`Σα = 1`, `0 ≤ αᵢ ≤ upper`); the
 /// callers in this crate construct it with [`initial_alpha`].
 pub(crate) fn solve(
-    q: &mut dyn QMatrix,
+    q: &mut PrecomputedQ<'_, '_>,
     p: &[f64],
     upper: f64,
     alpha0: Vec<f64>,
@@ -297,7 +276,7 @@ pub(crate) fn solve(
 /// Returns `None` when the maximal KKT violation within the active set is
 /// below `eps` (converged) or no feasible pair exists.
 fn select_working_set(
-    q: &mut dyn QMatrix,
+    q: &mut PrecomputedQ<'_, '_>,
     alpha: &[f64],
     gradient: &[f64],
     upper: f64,
@@ -360,8 +339,8 @@ fn select_working_set(
 
 /// Recomputes `G = Qα + p` exactly, touching one kernel row per non-zero
 /// multiplier.
-pub(crate) fn reconstruct_gradient(
-    q: &mut dyn QMatrix,
+fn reconstruct_gradient(
+    q: &mut PrecomputedQ<'_, '_>,
     p: &[f64],
     alpha: &[f64],
     gradient: &mut [f64],
@@ -388,7 +367,7 @@ fn shrink(
     gradient: &mut [f64],
     upper: f64,
     eps: f64,
-    q: &mut dyn QMatrix,
+    q: &mut PrecomputedQ<'_, '_>,
     p: &[f64],
     l: usize,
 ) {

@@ -20,8 +20,7 @@ use crate::error::TrainError;
 use crate::gram::GramMatrix;
 use crate::kernel::Kernel;
 use crate::model::{Boundary, OneClassModel};
-use crate::smo::{PrecomputedQ, SolverOptions};
-use crate::solver;
+use crate::smo::{self, PrecomputedQ, SolverOptions};
 use crate::sparse::SparseVector;
 
 /// Trainer configuration for SVDD.
@@ -157,9 +156,11 @@ impl Svdd {
         let l = points.len();
         let upper = self.c;
         let p: Vec<f64> = (0..l).map(|i| -q.kernel_diag(i)).collect();
-        let kind = solver::ProblemKind::Svdd { c: self.c };
-        let outcome = solver::run(q, &p, upper, kind, seed, &self.options);
-        let solution = outcome.solution;
+        let alpha0 = match seed {
+            Some(previous) => smo::seeded_alpha(previous, upper),
+            None => smo::initial_alpha(l, upper),
+        };
+        let solution = smo::solve(q, &p, upper, alpha0, &self.options);
 
         // αᵀKα = ½(αᵀG − αᵀp) since G = 2Kα + p.
         let alpha_g: f64 =
@@ -171,9 +172,7 @@ impl Svdd {
         //   d²(xᵢ) = k(xᵢ,xᵢ) − 2(Kα)ᵢ + αᵀKα,  with (Kα)ᵢ = (Gᵢ − pᵢ)/2
         //          = −pᵢ − (Gᵢ − pᵢ) + αᵀKα = −Gᵢ + αᵀKα.
         let dist_sq = |i: usize| -solution.gradient[i] + alpha_k_alpha;
-        let r_squared = outcome
-            .threshold_override
-            .unwrap_or_else(|| recover_r_squared(&solution.alpha, upper, dist_sq));
+        let r_squared = recover_r_squared(&solution.alpha, upper, dist_sq);
 
         let model = OneClassModel::trained(
             points,
@@ -182,7 +181,6 @@ impl Svdd {
             Boundary::Sphere { r_squared, alpha_k_alpha },
             self.c,
             q.cache_stats(),
-            self.options.backend,
         );
         (model, solution.alpha)
     }
@@ -192,7 +190,7 @@ impl Svdd {
 /// exactly on the sphere (Eq. 11); when none are free, `R²` is bracketed by
 /// the bounded groups (`α = 0` inside, `α = C` outside) and the midpoint is
 /// used.
-pub(crate) fn recover_r_squared(alpha: &[f64], upper: f64, dist_sq: impl Fn(usize) -> f64) -> f64 {
+fn recover_r_squared(alpha: &[f64], upper: f64, dist_sq: impl Fn(usize) -> f64) -> f64 {
     let lo_tol = 1e-9;
     let hi_tol = upper * (1.0 - 1e-9);
     let mut free_sum = 0.0;

@@ -120,3 +120,19 @@ fn reader_loads_the_pinned_bytes_to_bit_identical_decisions() {
         }
     }
 }
+
+#[test]
+fn sampled_backend_tag_still_loads_to_the_same_decisions() {
+    // Tag 2 marked models of the removed sampled Frank–Wolfe backend. The
+    // bytes before the tag define the decision function, so such a stored
+    // profile must keep serving exactly as its tag-0 twin does.
+    let exact = OneClassModel::read_from(&mut unhex(OCSVM_V3).as_slice()).unwrap();
+    let mut bytes = unhex(OCSVM_V3);
+    *bytes.last_mut().unwrap() = 2;
+    let sampled = OneClassModel::read_from(&mut bytes.as_slice()).unwrap();
+    assert_eq!(sampled.boundary(), exact.boundary());
+    for (probe, &bits) in probes().iter().zip(&OCSVM_DECISIONS) {
+        assert_eq!(sampled.decision_value(probe).to_bits(), bits);
+        assert_eq!(exact.decision_value(probe).to_bits(), bits);
+    }
+}

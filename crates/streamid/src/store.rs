@@ -298,42 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn restored_approximate_models_score_identically_and_keep_their_backend() {
-        use ocsvm::{SolverBackend, SolverOptions};
-        let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
-        let vocab = Vocabulary::new(dataset.taxonomy().clone());
-        let aggregator = WindowAggregator::new(&vocab, WindowConfig::PAPER_DEFAULT);
-        let device = dataset.devices()[0];
-        let windows = aggregator.device_windows(&dataset, device);
-        assert!(!windows.is_empty());
-        let features: Vec<&_> = windows.iter().map(|w| &w.features).collect();
-        let backend = SolverBackend::SampledFw;
-        let (profiles, _) = ProfileTrainer::new(&vocab)
-            .max_training_windows(150)
-            .solver_options(SolverOptions { backend, ..SolverOptions::default() })
-            .train_all(&dataset);
-        let store = temp_store("approx-sampled");
-        store.save(&profiles).unwrap();
-        let loaded = store.load().unwrap();
-        assert_eq!(loaded.len(), profiles.len());
-        for (user, original) in &profiles {
-            let restored = &loaded[user];
-            // The backend survives the round trip and the restored model
-            // batch-scores bit-identically to the in-memory one (the
-            // linear default kernel routes both through the
-            // collapsed-weight batch scorer).
-            assert_eq!(original.solver_backend(), backend, "{user:?}");
-            assert_eq!(restored.solver_backend(), backend, "{user:?}");
-            assert_eq!(
-                original.batch_decision_values(&features),
-                restored.batch_decision_values(&features),
-                "{user:?}"
-            );
-        }
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
     fn corrupt_backend_tag_surfaces_as_a_load_issue() {
         let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
         let vocab = Vocabulary::new(dataset.taxonomy().clone());

@@ -16,13 +16,14 @@
 use crate::metrics::{AcceptanceSummary, ConfusionMatrix};
 use crate::profile::{ModelKind, ProfileParams, UserProfile};
 use crate::schedule::{self, run_chains};
-use crate::trainer::{parallel_map, subsample_evenly, ProfileTrainer};
+use crate::trainer::{subsample_evenly, ProfileTrainer};
 use crate::vocab::Vocabulary;
 use crate::window::WindowConfig;
 use ocsvm::{
-    ApproxParams, ArenaStats, CrossGram, GramMatrix, Kernel, KernelKind, KernelRowArena,
-    ProbePanel, SolverBackend, SolverOptions, SparseVector, DEFAULT_SWEEP_BUDGET,
+    ArenaStats, CrossGram, GramMatrix, Kernel, KernelKind, KernelRowArena, ProbePanel,
+    SparseVector, DEFAULT_SWEEP_BUDGET,
 };
+use parcore::parallel_map;
 use proxylog::{Dataset, UserId};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -170,18 +171,8 @@ pub struct SweepStats {
     pub warm_iterations: u64,
     /// SMO iterations spent in cold-started cells.
     pub cold_iterations: u64,
-    /// Cells whose kept result was solved by exact SMO.
-    pub exact_cells: u64,
-    /// Cells whose kept result was solved by sampled Frank–Wolfe
-    /// ([`SolverBackend::SampledFw`]).
-    pub approx_cells: u64,
-    /// [`SweepBackend::Auto`] chains that fell back to exact SMO after
-    /// calibration.
-    pub auto_fallbacks: u64,
     /// Wall-clock nanoseconds spent inside the solver, summed over every
-    /// cell solve of the sweep (including the discarded half of each
-    /// [`SweepBackend::Auto`] calibration). Scoring and scheduling are
-    /// excluded, so this isolates what a backend choice changes.
+    /// cell solve of the sweep. Scoring and scheduling are excluded.
     pub train_nanos: u64,
     /// Kernel-row arena activity during the sweep (delta, not lifetime).
     pub arena: ArenaStats,
@@ -205,44 +196,6 @@ impl SweepStats {
     }
 }
 
-/// Solver-backend choice for [`ModelGridSearch::sweep_cells`].
-///
-/// Every (kernel, regularization) cell of the sweep trains through one
-/// [`SolverBackend`]; this policy decides which backend each chain gets.
-/// It applies to every sweep entry point
-/// ([`run_user`](ModelGridSearch::run_user),
-/// [`sweep_cells`](ModelGridSearch::sweep_cells),
-/// [`sweep_all`](ModelGridSearch::sweep_all),
-/// [`optimize_all`](ModelGridSearch::optimize_all)); the final per-user
-/// profiles of [`optimized_profiles`](ModelGridSearch::optimized_profiles)
-/// always train exact.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SweepBackend {
-    /// Every cell trains with the same backend. `Fixed(ExactSmo)` (the
-    /// default) reproduces training each cell on its own bit-for-bit.
-    Fixed(SolverBackend),
-    /// Per-chain calibration: each chain's first trainable cell is solved
-    /// with both sampled Frank–Wolfe and exact SMO, and the whole chain
-    /// keeps sampled Frank–Wolfe unless its validation `ACC` trails the
-    /// exact one by more than `tolerance` — then the chain falls back to
-    /// exact (counted in [`SweepStats::auto_fallbacks`]).
-    ///
-    /// `ACC` differences live in `[-2, 2]`, so `tolerance ≤ -2` always
-    /// falls back (every chain runs exact) and `tolerance ≥ 2` never does
-    /// (every chain runs sampled). The calibration cell's discarded solve
-    /// is excluded from the warm/cold iteration statistics.
-    Auto {
-        /// Maximal acceptable `ACC_exact − ACC_sampled` before falling back.
-        tolerance: f64,
-    },
-}
-
-impl Default for SweepBackend {
-    fn default() -> Self {
-        Self::Fixed(SolverBackend::ExactSmo)
-    }
-}
-
 /// Stage 2: per-user kernel and `ν`/`C` sweep (Tab. III).
 ///
 /// The sweep is executed by a work-stealing scheduler over *chains*: one
@@ -261,8 +214,6 @@ pub struct ModelGridSearch<'a> {
     max_other_windows: usize,
     regularizations: Vec<f64>,
     warm_start: bool,
-    backend: SweepBackend,
-    approx: ApproxParams,
     arena: Option<Arc<KernelRowArena>>,
     workers: Option<usize>,
 }
@@ -286,28 +237,9 @@ impl<'a> ModelGridSearch<'a> {
             max_other_windows: 150,
             regularizations: Self::PAPER_REGULARIZATIONS.to_vec(),
             warm_start: false,
-            backend: SweepBackend::default(),
-            approx: ApproxParams::default(),
             arena: None,
             workers: None,
         }
-    }
-
-    /// Chooses the solver backend of the sweep's cells (default:
-    /// [`SweepBackend::Fixed`] exact SMO, bit-identical to training each
-    /// cell on its own). See [`SweepBackend`] for the auto-calibrated
-    /// policy. Warm-start `α` seeds are only honored by exact-SMO cells;
-    /// sampled Frank–Wolfe ignores them (see [`SolverBackend`]).
-    pub fn solver_backend(mut self, backend: SweepBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Tunes sampled Frank–Wolfe (subsample size, seed, duality-gap
-    /// tolerance). Exact SMO cells ignore it.
-    pub fn approx_params(mut self, approx: ApproxParams) -> Self {
-        self.approx = approx;
-        self
     }
 
     /// Enables warm-start `α`-seeding between adjacent regularization
@@ -548,7 +480,6 @@ impl<'a> ModelGridSearch<'a> {
             chain: usize,
             reg_idx: usize,
             seed: Option<Vec<f64>>,
-            auto_choice: Option<SolverBackend>,
             cells: Vec<ModelGridCell>,
         }
         let seeds: Vec<CellTask> = (0..chains.len())
@@ -556,7 +487,6 @@ impl<'a> ModelGridSearch<'a> {
                 chain,
                 reg_idx: 0,
                 seed: None,
-                auto_choice: None,
                 cells: Vec::with_capacity(self.regularizations.len()),
             })
             .collect();
@@ -568,9 +498,6 @@ impl<'a> ModelGridSearch<'a> {
         let cold_cells = AtomicU64::new(0);
         let warm_iterations = AtomicU64::new(0);
         let cold_iterations = AtomicU64::new(0);
-        let exact_cells = AtomicU64::new(0);
-        let approx_cells = AtomicU64::new(0);
-        let auto_fallbacks = AtomicU64::new(0);
         let train_nanos = AtomicU64::new(0);
 
         let steal_stats = run_chains(
@@ -580,85 +507,34 @@ impl<'a> ModelGridSearch<'a> {
                 let chain = &chains[task.chain];
                 let ctx = &contexts[chain.ctx];
                 let regularization = self.regularizations[task.reg_idx];
-                // Trains this cell with `backend` and scores it; `None`
-                // when the parameters are infeasible for the window count.
-                let train_cell = |backend: SolverBackend, seed: Option<&[f64]>| {
-                    let trainer = ProfileTrainer::new(self.vocab)
-                        .window(self.window)
-                        .kind(self.kind)
-                        .kernel(chain.kernel)
-                        .regularization(regularization)
-                        .solver_options(SolverOptions {
-                            backend,
-                            approx: self.approx,
-                            ..SolverOptions::default()
-                        });
-                    let solve_started = std::time::Instant::now();
-                    let solved =
-                        trainer.train_from_vectors_seeded(ctx.user, ctx.own, &chain.gram, seed);
-                    train_nanos
-                        .fetch_add(solve_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    solved.ok().map(|(profile, alpha)| {
-                        let iterations = profile.diagnostics().iterations as u64;
-                        let cell = self.evaluate_cell(&profile, chain.kind, regularization, {
-                            CellInputs {
-                                user: ctx.user,
-                                gram: &chain.gram,
-                                cross: chain.cross.as_ref(),
-                                own_refs: &ctx.own_refs,
-                                panel: &panel,
-                                ranges: &ranges,
-                            }
-                        });
-                        (cell, alpha, iterations)
-                    })
-                };
+                let trainer = ProfileTrainer::new(self.vocab)
+                    .window(self.window)
+                    .kind(self.kind)
+                    .kernel(chain.kernel)
+                    .regularization(regularization);
                 let seed = if self.warm_start { task.seed.as_deref() } else { None };
-                let (backend, run) = match &self.backend {
-                    SweepBackend::Fixed(backend) => (*backend, train_cell(*backend, seed)),
-                    SweepBackend::Auto { tolerance } => match task.auto_choice {
-                        Some(backend) => (backend, train_cell(backend, seed)),
-                        None => {
-                            // Calibration cell: solve with both candidates
-                            // and compare validation ACC. Chains whose
-                            // first cells are infeasible calibrate at
-                            // their first trainable cell instead.
-                            let cheap = SolverBackend::SampledFw;
-                            let cheap_run = train_cell(cheap, None);
-                            let exact_run = train_cell(SolverBackend::ExactSmo, None);
-                            let fallback = match (&cheap_run, &exact_run) {
-                                (Some((c, ..)), Some((e, ..))) => {
-                                    e.summary.acc() - c.summary.acc() > *tolerance
-                                }
-                                (None, Some(_)) => true,
-                                _ => false,
-                            };
-                            if fallback {
-                                auto_fallbacks.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let backend = if fallback { SolverBackend::ExactSmo } else { cheap };
-                            if cheap_run.is_some() || exact_run.is_some() {
-                                task.auto_choice = Some(backend);
-                            }
-                            (backend, if fallback { exact_run } else { cheap_run })
-                        }
-                    },
-                };
-                // Sampled Frank–Wolfe ignores `α` seeds, so only exact
-                // cells that actually received one count as warm.
-                let warm = seed.is_some() && backend == SolverBackend::ExactSmo;
-                if let Some((cell, alpha, iterations)) = run {
-                    if warm {
+                let solve_started = std::time::Instant::now();
+                let solved =
+                    trainer.train_from_vectors_seeded(ctx.user, ctx.own, &chain.gram, seed);
+                train_nanos.fetch_add(solve_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                // Infeasible parameters for the window count train nothing.
+                if let Ok((profile, alpha)) = solved {
+                    let iterations = profile.diagnostics().iterations as u64;
+                    let inputs = CellInputs {
+                        user: ctx.user,
+                        gram: &chain.gram,
+                        cross: chain.cross.as_ref(),
+                        own_refs: &ctx.own_refs,
+                        panel: &panel,
+                        ranges: &ranges,
+                    };
+                    let cell = self.evaluate_cell(&profile, chain.kind, regularization, inputs);
+                    if seed.is_some() {
                         warm_cells.fetch_add(1, Ordering::Relaxed);
                         warm_iterations.fetch_add(iterations, Ordering::Relaxed);
                     } else {
                         cold_cells.fetch_add(1, Ordering::Relaxed);
                         cold_iterations.fetch_add(iterations, Ordering::Relaxed);
-                    }
-                    if backend == SolverBackend::ExactSmo {
-                        exact_cells.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        approx_cells.fetch_add(1, Ordering::Relaxed);
                     }
                     task.cells.push(cell);
                     ok_cells.fetch_add(1, Ordering::Relaxed);
@@ -700,9 +576,6 @@ impl<'a> ModelGridSearch<'a> {
             cold_cells: cold_cells.into_inner(),
             warm_iterations: warm_iterations.into_inner(),
             cold_iterations: cold_iterations.into_inner(),
-            exact_cells: exact_cells.into_inner(),
-            approx_cells: approx_cells.into_inner(),
-            auto_fallbacks: auto_fallbacks.into_inner(),
             train_nanos: train_nanos.into_inner(),
             arena: arena.stats().since(&arena_before),
         };

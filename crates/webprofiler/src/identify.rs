@@ -10,9 +10,9 @@
 
 use crate::metrics::AcceptanceSummary;
 use crate::profile::UserProfile;
-use crate::trainer::parallel_map;
 use crate::vocab::Vocabulary;
 use crate::window::{WindowAggregator, WindowConfig};
+use parcore::parallel_map;
 use proxylog::{Dataset, DeviceId, Timestamp, UserId};
 use std::collections::BTreeMap;
 

@@ -81,7 +81,7 @@ pub use drift::DriftMonitor;
 pub use explain::{explain_decision, explanation_report, FeatureContribution};
 pub use features::{aggregate_window, aggregate_window_with, extract_transaction, AggregationMode};
 pub use gridsearch::{
-    compute_window_sets, ModelGridCell, ModelGridSearch, SweepBackend, SweepStats, WindowGridRow,
+    compute_window_sets, ModelGridCell, ModelGridSearch, SweepStats, WindowGridRow,
     WindowGridSearch, WindowSets,
 };
 pub use identify::{
@@ -94,11 +94,12 @@ pub use novelty::{
     feature_novelty, sweep_feature_novelty, sweep_window_novelty, window_novelty, FeatureNovelty,
     FeatureNoveltyRow, MeanVariance, WindowNoveltyRow,
 };
+pub use parcore::parallel_map;
 pub use prefilter::{CandidateIndex, ShortlistScratch};
 pub use profile::{ModelKind, ProfileParams, UserProfile};
 pub use retrain::{drift_partial_retrain, DriftRetrainConfig, ProfileFingerprint, RetrainReport};
 pub use roc::{auc, roc_curve, RocPoint};
-pub use trainer::{parallel_map, ProfileError, ProfileTrainer};
+pub use trainer::{ProfileError, ProfileTrainer};
 pub use vocab::{ColumnKind, Vocabulary};
 pub use window::{
     InvalidWindowConfigError, TransactionWindow, WindowAggregator, WindowConfig, WindowKey,

@@ -9,8 +9,8 @@
 //! sets is the acceptance confusion matrix of Tab. V.
 
 use crate::profile::UserProfile;
-use crate::trainer::parallel_map;
 use ocsvm::SparseVector;
+use parcore::parallel_map;
 use proxylog::UserId;
 use std::collections::BTreeMap;
 use std::fmt;

@@ -138,12 +138,6 @@ impl UserProfile {
         self.model.diagnostics()
     }
 
-    /// Solver backend the underlying model was trained with (recorded in
-    /// the profile and preserved across serialization).
-    pub fn solver_backend(&self) -> ocsvm::SolverBackend {
-        self.model.solver_backend()
-    }
-
     /// Decision values over the profile's training set, read from the
     /// shared [`ocsvm::GramMatrix`] the profile was trained with (see
     /// [`OneClassModel::training_decision_values`]). `None` when the rows

@@ -3,7 +3,8 @@
 use crate::profile::{ModelKind, ProfileParams, UserProfile};
 use crate::vocab::Vocabulary;
 use crate::window::{WindowAggregator, WindowConfig};
-use ocsvm::{GramMatrix, Kernel, NuOcSvm, SolverOptions, SparseVector, Svdd, TrainError};
+use ocsvm::{GramMatrix, Kernel, NuOcSvm, SparseVector, Svdd, TrainError};
+use parcore::parallel_map;
 use proxylog::{Dataset, UserId};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -75,7 +76,6 @@ pub struct ProfileTrainer<'a> {
     window: WindowConfig,
     params: ProfileParams,
     max_training_windows: Option<usize>,
-    solver: SolverOptions,
 }
 
 impl<'a> ProfileTrainer<'a> {
@@ -91,7 +91,6 @@ impl<'a> ProfileTrainer<'a> {
                 regularization: 0.5,
             },
             max_training_windows: None,
-            solver: SolverOptions::default(),
         }
     }
 
@@ -131,12 +130,6 @@ impl<'a> ProfileTrainer<'a> {
     /// thousands (accuracy saturates well before that).
     pub fn max_training_windows(mut self, max: usize) -> Self {
         self.max_training_windows = Some(max);
-        self
-    }
-
-    /// Overrides the SMO solver options.
-    pub fn solver_options(mut self, solver: SolverOptions) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -189,12 +182,12 @@ impl<'a> ProfileTrainer<'a> {
             return Err(ProfileError::NoWindows { user });
         }
         let model = match self.params.kind {
-            ModelKind::OcSvm => NuOcSvm::new(self.params.regularization, self.params.kernel)
-                .with_options(self.solver)
-                .train(vectors)?,
-            ModelKind::Svdd => Svdd::new(self.params.regularization, self.params.kernel)
-                .with_options(self.solver)
-                .train(vectors)?,
+            ModelKind::OcSvm => {
+                NuOcSvm::new(self.params.regularization, self.params.kernel).train(vectors)?
+            }
+            ModelKind::Svdd => {
+                Svdd::new(self.params.regularization, self.params.kernel).train(vectors)?
+            }
         };
         Ok(UserProfile {
             user,
@@ -252,10 +245,8 @@ impl<'a> ProfileTrainer<'a> {
         }
         let (model, alpha) = match self.params.kind {
             ModelKind::OcSvm => NuOcSvm::new(self.params.regularization, self.params.kernel)
-                .with_options(self.solver)
                 .train_with_gram_seeded(vectors, gram, seed)?,
             ModelKind::Svdd => Svdd::new(self.params.regularization, self.params.kernel)
-                .with_options(self.solver)
                 .train_with_gram_seeded(vectors, gram, seed)?,
         };
         let profile = UserProfile {
@@ -340,26 +331,6 @@ pub(crate) fn subsample_evenly<T>(items: Vec<T>, max: usize) -> Vec<T> {
         }
     }
     picked
-}
-
-/// Maps `f` over `items` using scoped threads; result order matches input
-/// order.
-///
-/// The crate's shared fan-out helper (profile training, identification,
-/// and the streaming engine's per-profile batch scoring all go through
-/// it). Since the pool's extraction into its own crate this is a thin
-/// wrapper over [`parcore::parallel_map`], kept as a re-export so existing
-/// callers compile unchanged: items are split into one contiguous chunk
-/// per available core, so the overhead is a handful of thread spawns per
-/// call, nothing per item. Falls back to a plain sequential map for
-/// single-item inputs or single-core machines.
-pub fn parallel_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    parcore::parallel_map(items, f)
 }
 
 #[cfg(test)]
@@ -459,13 +430,6 @@ mod tests {
         assert!(sampled.windows(2).all(|w| w[0] < w[1]));
         // No-op when under the cap.
         assert_eq!(subsample_evenly(items.clone(), 1000), items);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        let doubled = parallel_map(&items, |&x| x * 2);
-        assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
