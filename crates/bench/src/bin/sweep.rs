@@ -1,7 +1,8 @@
 //! Grid-search sweep benchmark: drives the work-stealing scheduler and the
 //! sweep's byte-budgeted kernel-row arena over a generated corpus and reports cell
-//! throughput, steal counts, arena hit rate, and warm-vs-cold SMO
-//! iteration counts.
+//! throughput, steal counts, arena hit rate, warm-vs-cold SMO iteration
+//! counts, and the share of `ACCother` probes each kernel's decision bound
+//! pruned without exact scoring.
 //!
 //! ```text
 //! cargo run -p bench --bin sweep --release [--smoke] [--weeks N]
@@ -116,6 +117,20 @@ fn main() {
         warm.warm_cells,
     );
 
+    let pruned: Vec<String> = KernelKind::ALL
+        .iter()
+        .filter_map(|&kind| {
+            let share = cold.pruned_share(kind)?;
+            Some(format!("{kind} {:.1} %", 100.0 * share))
+        })
+        .collect();
+    println!(
+        "  ACCother pruned    {} of {} bound-examined (cell, probe) pairs: {}",
+        cold.bound_pairs.iter().sum::<u64>() - cold.scored_pairs.iter().sum::<u64>(),
+        cold.bound_pairs.iter().sum::<u64>(),
+        pruned.join(", "),
+    );
+
     assert!(cold.arena.bytes <= cold.arena.budget, "arena over budget");
     assert_eq!(cold.cells, warm.cells, "warm start must not change the trained cell set");
 
@@ -135,6 +150,8 @@ fn main() {
             ("gram_bytes", gram_bytes as f64),
             ("cold_iterations_per_cell", cold.cold_iterations_per_cell()),
             ("warm_iterations_per_cell", warm.warm_iterations_per_cell()),
+            ("bound_pairs", cold.bound_pairs.iter().sum::<u64>() as f64),
+            ("scored_pairs", cold.scored_pairs.iter().sum::<u64>() as f64),
         ];
         std::fs::write(&path, json::emit(&metrics)).expect("writing sweep metrics");
         eprintln!("# wrote {path}");

@@ -1,9 +1,8 @@
 //! The memory-budgeted kernel-row arena: the crate's one kernel-row cache.
 //!
 //! Every kernel row the crate computes for reuse — solver rows of a plain
-//! `train` call, and the rows of a [`GramMatrix`](crate::GramMatrix) or
-//! [`CrossGram`](crate::CrossGram) shared by a whole regularization sweep
-//! — lives in a [`KernelRowArena`]: a thread-safe cache of kernel rows
+//! `train` call, and the rows of a [`GramMatrix`](crate::GramMatrix)
+//! shared by a whole regularization sweep — lives in a [`KernelRowArena`]: a thread-safe cache of kernel rows
 //! keyed by `(owner, kernel, row)` plus a content fingerprint, governed by
 //! an explicit byte budget with exact least-recently-used eviction. One
 //! arena can be shared by `Arc` across every worker and every sweep that
@@ -30,17 +29,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
-/// Which kind of matrix a cached row belongs to. Gram rows (training ×
-/// training) and cross rows (training × probes) of the same owner share the
-/// arena but can never alias each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum RowSpace {
-    /// A row of a symmetric training-set kernel matrix.
-    Gram,
-    /// A row of a rectangular training × probe kernel matrix.
-    Cross,
-}
-
 /// Identity of one cached kernel row.
 ///
 /// `owner` is a caller-chosen namespace (the grid search uses the user
@@ -56,8 +44,6 @@ pub struct RowKey {
     pub owner: u64,
     /// Kernel family slot (see [`KernelKind`](crate::KernelKind)).
     pub kernel: u8,
-    /// Gram or cross row.
-    pub space: RowSpace,
     /// Row index within the matrix.
     pub row: u32,
     /// Content fingerprint of kernel parameters + input vectors.
@@ -142,10 +128,10 @@ struct Inner {
 /// # Examples
 ///
 /// ```
-/// use ocsvm::{KernelRowArena, RowKey, RowSpace};
+/// use ocsvm::{KernelRowArena, RowKey};
 ///
 /// let arena = KernelRowArena::with_budget(1 << 20);
-/// let key = RowKey { owner: 7, kernel: 0, space: RowSpace::Gram, row: 3, tag: 42 };
+/// let key = RowKey { owner: 7, kernel: 0, row: 3, tag: 42 };
 /// let row = arena.get_or_compute(key, || vec![1.0, 2.0, 3.0]);
 /// assert_eq!(&row[..], &[1.0, 2.0, 3.0]);
 /// // Second lookup is served from the arena.
@@ -275,7 +261,7 @@ mod tests {
     use super::*;
 
     fn key(owner: u64, row: u32) -> RowKey {
-        RowKey { owner, kernel: 0, space: RowSpace::Gram, row, tag: 1 }
+        RowKey { owner, kernel: 0, row, tag: 1 }
     }
 
     #[test]
@@ -296,11 +282,10 @@ mod tests {
     fn distinct_keys_do_not_alias() {
         let arena = KernelRowArena::with_budget(1 << 16);
         let gram = arena.get_or_compute(key(1, 0), || vec![1.0; 4]);
-        let cross =
-            arena.get_or_compute(RowKey { space: RowSpace::Cross, ..key(1, 0) }, || vec![2.0; 4]);
+        let other_kernel = arena.get_or_compute(RowKey { kernel: 2, ..key(1, 0) }, || vec![2.0; 4]);
         let other_tag = arena.get_or_compute(RowKey { tag: 2, ..key(1, 0) }, || vec![3.0; 4]);
         assert_eq!(gram[0], 1.0);
-        assert_eq!(cross[0], 2.0);
+        assert_eq!(other_kernel[0], 2.0);
         assert_eq!(other_tag[0], 3.0);
         assert_eq!(arena.len(), 3);
     }

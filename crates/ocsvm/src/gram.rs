@@ -2,77 +2,57 @@
 //!
 //! The paper's per-user model optimization (Tab. III) trains the *same*
 //! window vectors dozens of times — one solver run per regularization value
-//! per kernel — and evaluates every resulting model on the same probe
-//! windows. The O(l·d) kernel-row evaluations dominate both steps, and the
-//! rows are identical across the whole sweep. Two row views share them:
+//! per kernel. The O(l·d) kernel-row evaluations dominate those runs, and
+//! the rows are identical across the whole sweep. A [`GramMatrix`] holds
+//! them: the symmetric matrix `K[i][j] = k(xᵢ, xⱼ)` over one training set,
+//! read by every solver run of the sweep via
+//! [`NuOcSvm::train_with_gram`](crate::NuOcSvm::train_with_gram) and
+//! [`Svdd::train_with_gram`](crate::Svdd::train_with_gram) — and by
+//! training-set scoring via
+//! [`OneClassModel::training_decision_values`](crate::OneClassModel::training_decision_values).
+//! A sweep scores its fixed probe set through
+//! [`OneClassModel::panel_acceptance`](crate::OneClassModel::panel_acceptance)
+//! instead, which prunes most probes with the model's decision bound and
+//! keeps no rows.
 //!
-//! * [`GramMatrix`]: the symmetric matrix `K[i][j] = k(xᵢ, xⱼ)` over one
-//!   training set, read by every solver run of the sweep via
-//!   [`NuOcSvm::train_with_gram`](crate::NuOcSvm::train_with_gram) and
-//!   [`Svdd::train_with_gram`](crate::Svdd::train_with_gram) — and by
-//!   training-set scoring via
-//!   [`OneClassModel::training_decision_values`](crate::OneClassModel::training_decision_values).
-//! * [`CrossGram`]: the rectangular matrix `k(xᵢ, pⱼ)` between the training
-//!   set and a fixed probe set, consumed by
-//!   [`OneClassModel::cross_decision_values`](crate::OneClassModel::cross_decision_values)
-//!   so a sweep scores every model against the probes without
-//!   re-evaluating the kernel per model. It borrows one
-//!   [`ProbePanel`] per probe set: the caller packs the probes once and
-//!   every `CrossGram` over them — one per (training set, kernel) — reads
-//!   its rows against that same panel.
-//!
-//! Neither owns its rows: both compute rows on first access into a
-//! [`KernelRowArena`], the crate's one kernel-row cache. `compute`/`new`
-//! give a matrix a private, unbounded arena (every row is computed at most
-//! once for the matrix's lifetime); `in_arena` shares a byte-budgeted arena
+//! The matrix does not own its rows: it computes them on first access into
+//! a [`KernelRowArena`], the crate's one kernel-row cache. `compute` gives
+//! a matrix a private, unbounded arena (every row is computed at most once
+//! for the matrix's lifetime); `in_arena` shares a byte-budgeted arena
 //! across sweeps and users, evicting least-recently-used rows and
-//! recomputing them transparently. Both views are `Send + Sync`, so a
-//! whole sweep can share one instance across threads.
+//! recomputing them transparently. The matrix is `Send + Sync`, so a whole
+//! sweep can share one instance across threads.
 
-use crate::arena::{KernelRowArena, RowKey, RowSpace};
+use crate::arena::{KernelRowArena, RowKey};
 use crate::error::TrainError;
 use crate::kernel::{Kernel, KernelKind};
-use crate::panel::{self, ProbePanel};
 use crate::sparse::SparseVector;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// The arena slot of one matrix: every row of the matrix lives in `arena`
-/// under `(owner, kernel, space, row, tag)`.
+/// under `(owner, kernel, row, tag)`.
 #[derive(Debug)]
 struct RowSlot {
     arena: Arc<KernelRowArena>,
     owner: u64,
     kernel: u8,
-    space: RowSpace,
     tag: u64,
 }
 
 impl RowSlot {
-    fn new(
-        arena: &Arc<KernelRowArena>,
-        owner: u64,
-        kernel: Kernel,
-        space: RowSpace,
-        tag: u64,
-    ) -> Self {
-        Self { arena: Arc::clone(arena), owner, kernel: kind_slot(kernel.kind()), space, tag }
+    fn new(arena: &Arc<KernelRowArena>, owner: u64, kernel: Kernel, tag: u64) -> Self {
+        Self { arena: Arc::clone(arena), owner, kernel: kind_slot(kernel.kind()), tag }
     }
 
     /// A slot in a fresh arena of its own; no other matrix shares the
     /// arena, so the key needs no content fingerprint.
-    fn private(budget: usize, kernel: Kernel, space: RowSpace) -> Self {
-        Self::new(&KernelRowArena::with_budget(budget), 0, kernel, space, 0)
+    fn private(budget: usize, kernel: Kernel) -> Self {
+        Self::new(&KernelRowArena::with_budget(budget), 0, kernel, 0)
     }
 
     fn get(&self, i: usize, compute: impl FnOnce() -> Vec<f64>) -> Arc<[f64]> {
-        let key = RowKey {
-            owner: self.owner,
-            kernel: self.kernel,
-            space: self.space,
-            row: i as u32,
-            tag: self.tag,
-        };
+        let key = RowKey { owner: self.owner, kernel: self.kernel, row: i as u32, tag: self.tag };
         self.arena.get_or_compute(key, compute)
     }
 }
@@ -152,8 +132,8 @@ impl<'a> GramMatrix<'a> {
         arena: &Arc<KernelRowArena>,
         owner: u64,
     ) -> Self {
-        let tag = content_fingerprint(kernel, points, None);
-        Self::with_rows(kernel, points, RowSlot::new(arena, owner, kernel, RowSpace::Gram, tag))
+        let tag = content_fingerprint(kernel, points);
+        Self::with_rows(kernel, points, RowSlot::new(arena, owner, kernel, tag))
     }
 
     /// The matrix a plain `train` call solves over: a private arena of
@@ -169,7 +149,7 @@ impl<'a> GramMatrix<'a> {
 
     /// The matrix over a private arena retaining at most `budget` bytes.
     pub(crate) fn private(kernel: Kernel, points: &'a [SparseVector], budget: usize) -> Self {
-        Self::with_rows(kernel, points, RowSlot::private(budget, kernel, RowSpace::Gram))
+        Self::with_rows(kernel, points, RowSlot::private(budget, kernel))
     }
 
     fn with_rows(kernel: Kernel, points: &'a [SparseVector], rows: RowSlot) -> Self {
@@ -223,114 +203,6 @@ impl<'a> GramMatrix<'a> {
     }
 }
 
-/// A rectangular kernel matrix `k(xᵢ, pⱼ)` between a training set and a
-/// fixed probe set, with rows computed on first access into a
-/// [`KernelRowArena`].
-///
-/// One `CrossGram` per (training set, kernel, probe set) lets every model of
-/// a regularization sweep score the same probes while each support vector's
-/// kernel row against the probes is evaluated once — across *all* models
-/// of the sweep (their support vectors heavily overlap). The probes come
-/// as a borrowed [`ProbePanel`]: packed once per probe set by the caller
-/// and shared by every `CrossGram` over it.
-///
-/// # Examples
-///
-/// ```
-/// use ocsvm::{CrossGram, GramMatrix, Kernel, NuOcSvm, ProbePanel, SparseVector};
-///
-/// let data: Vec<SparseVector> =
-///     (0..40).map(|i| SparseVector::from_dense(&[1.0, 0.02 * (i % 5) as f64])).collect();
-/// let probes: Vec<SparseVector> =
-///     (0..10).map(|i| SparseVector::from_dense(&[0.9, 0.03 * i as f64])).collect();
-/// let refs: Vec<&SparseVector> = probes.iter().collect();
-/// let panel = ProbePanel::pack(&refs);
-/// let kernel = Kernel::Rbf { gamma: 1.0 };
-/// let gram = GramMatrix::compute(kernel, &data);
-/// let cross = CrossGram::new(kernel, &data, &panel);
-/// for nu in [0.1, 0.5] {
-///     let model = NuOcSvm::new(nu, kernel).train_with_gram(&data, &gram)?;
-///     let values = model.cross_decision_values(&cross).expect("compatible");
-///     assert_eq!(values.len(), probes.len());
-/// }
-/// # Ok::<(), ocsvm::TrainError>(())
-/// ```
-#[derive(Debug)]
-pub struct CrossGram<'a> {
-    kernel: Kernel,
-    train: &'a [SparseVector],
-    panel: &'a ProbePanel<'a>,
-    probe_diag: Vec<f64>,
-    rows: RowSlot,
-}
-
-impl<'a> CrossGram<'a> {
-    /// Prepares the cross matrix between `train` and the probes of `panel`
-    /// in a private, unbounded arena. Rows (one per training point) are
-    /// computed on first access; the probe diagonal `k(pⱼ, pⱼ)` (needed by
-    /// SVDD decisions) is computed eagerly.
-    pub fn new(kernel: Kernel, train: &'a [SparseVector], panel: &'a ProbePanel<'a>) -> Self {
-        Self::with_rows(kernel, train, panel, RowSlot::private(usize::MAX, kernel, RowSpace::Cross))
-    }
-
-    /// Prepares the cross matrix with its rows cached in the shared `arena`
-    /// under the `owner` namespace; the key fingerprints the kernel, the
-    /// training set and the probes (see [`GramMatrix::in_arena`]).
-    pub fn in_arena(
-        kernel: Kernel,
-        train: &'a [SparseVector],
-        panel: &'a ProbePanel<'a>,
-        arena: &Arc<KernelRowArena>,
-        owner: u64,
-    ) -> Self {
-        let tag = content_fingerprint(kernel, train, Some(panel.probes()));
-        let rows = RowSlot::new(arena, owner, kernel, RowSpace::Cross, tag);
-        Self::with_rows(kernel, train, panel, rows)
-    }
-
-    fn with_rows(
-        kernel: Kernel,
-        train: &'a [SparseVector],
-        panel: &'a ProbePanel<'a>,
-        rows: RowSlot,
-    ) -> Self {
-        let probe_diag = panel.probes().iter().map(|p| kernel.compute_self(p)).collect();
-        Self { kernel, train, panel, probe_diag, rows }
-    }
-
-    /// Number of probe points (= row width).
-    pub fn probe_count(&self) -> usize {
-        self.panel.probe_count()
-    }
-
-    /// Number of training points (= rows).
-    pub fn train_len(&self) -> usize {
-        self.train.len()
-    }
-
-    /// The kernel the matrix is computed with.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// Row `k(xᵢ, p·)`, served from the arena or computed into it through
-    /// the unit-stride panel kernels — bit-identical to evaluating
-    /// `kernel.compute(xᵢ, pⱼ)` per probe (see [`crate::panel`]).
-    pub fn row(&self, i: usize) -> Arc<[f64]> {
-        self.rows.get(i, || panel::kernel_cross_row(self.kernel, &self.train[i], self.panel))
-    }
-
-    /// Probe diagonal entry `k(pⱼ, pⱼ)` (via `Kernel::compute_self`).
-    pub fn probe_diag(&self, j: usize) -> f64 {
-        self.probe_diag[j]
-    }
-
-    /// The arena holding the rows.
-    pub fn arena(&self) -> &Arc<KernelRowArena> {
-        &self.rows.arena
-    }
-}
-
 /// Stable in-process slot for a kernel family, used in [`RowKey::kernel`].
 fn kind_slot(kind: KernelKind) -> u8 {
     match kind {
@@ -370,27 +242,17 @@ fn hash_vector<H: Hasher>(vector: &SparseVector, state: &mut H) {
     u64::MAX.hash(state); // vector separator
 }
 
-/// Content fingerprint of (kernel parameters, training set, probe set) —
-/// the [`RowKey::tag`] of matrices in a shared arena. Any change to a
-/// kernel parameter, a vector's coordinates, the point order or the probe
-/// set changes the tag, so arena entries can never be served for the wrong
-/// inputs even when two sweeps reuse the same `owner`.
-pub fn content_fingerprint(
-    kernel: Kernel,
-    train: &[SparseVector],
-    probes: Option<&[&SparseVector]>,
-) -> u64 {
+/// Content fingerprint of (kernel parameters, training set) — the
+/// [`RowKey::tag`] of matrices in a shared arena. Any change to a kernel
+/// parameter, a vector's coordinates or the point order changes the tag,
+/// so arena entries can never be served for the wrong inputs even when two
+/// sweeps reuse the same `owner`.
+pub fn content_fingerprint(kernel: Kernel, train: &[SparseVector]) -> u64 {
     let mut state = std::collections::hash_map::DefaultHasher::new();
     hash_kernel(kernel, &mut state);
     train.len().hash(&mut state);
     for x in train {
         hash_vector(x, &mut state);
-    }
-    if let Some(probes) = probes {
-        probes.len().hash(&mut state);
-        for p in probes {
-            hash_vector(p, &mut state);
-        }
     }
     state.finish()
 }
@@ -415,26 +277,6 @@ mod tests {
                     assert_eq!(gram.row(i)[j], kernel.compute(&pts[i], &pts[j]));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn cross_matches_direct_kernel_evaluation() {
-        let pts = points();
-        let (train, probes) = pts.split_at(4);
-        let refs: Vec<&SparseVector> = probes.iter().collect();
-        let panel = ProbePanel::pack(&refs);
-        let kernel = Kernel::Rbf { gamma: 0.7 };
-        let cross = CrossGram::new(kernel, train, &panel);
-        assert_eq!(cross.train_len(), 4);
-        assert_eq!(cross.probe_count(), 2);
-        for (i, x) in train.iter().enumerate() {
-            for (j, p) in probes.iter().enumerate() {
-                assert_eq!(cross.row(i)[j], kernel.compute(x, p));
-            }
-        }
-        for (j, p) in probes.iter().enumerate() {
-            assert_eq!(cross.probe_diag(j), kernel.compute_self(p));
         }
     }
 
@@ -473,7 +315,6 @@ mod tests {
     fn gram_matrix_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<GramMatrix<'static>>();
-        assert_send_sync::<CrossGram<'static>>();
     }
 
     #[test]
@@ -505,37 +346,19 @@ mod tests {
     }
 
     #[test]
-    fn shared_arena_cross_rows_match_private_rows_bitwise() {
-        let pts = points();
-        let (train, probe_pts) = pts.split_at(4);
-        let probes: Vec<&SparseVector> = probe_pts.iter().collect();
-        let panel = ProbePanel::pack(&probes);
-        let arena = KernelRowArena::with_budget(1 << 20);
-        let kernel = Kernel::Polynomial { gamma: 0.4, coef0: 1.0, degree: 2 };
-        let private = CrossGram::new(kernel, train, &panel);
-        let shared = CrossGram::in_arena(kernel, train, &panel, &arena, 5);
-        assert_eq!(shared.probe_count(), private.probe_count());
-        for i in 0..train.len() {
-            assert_eq!(shared.row(i)[..], private.row(i)[..], "row {i}");
-        }
-        for j in 0..private.probe_count() {
-            assert_eq!(shared.probe_diag(j), private.probe_diag(j));
-        }
-    }
-
-    #[test]
     fn fingerprint_separates_inputs() {
         let pts = points();
-        let base = content_fingerprint(Kernel::Rbf { gamma: 1.0 }, &pts, None);
-        assert_eq!(content_fingerprint(Kernel::Rbf { gamma: 1.0 }, &pts, None), base);
-        assert_ne!(content_fingerprint(Kernel::Rbf { gamma: 2.0 }, &pts, None), base);
-        assert_ne!(content_fingerprint(Kernel::Linear, &pts, None), base);
-        assert_ne!(content_fingerprint(Kernel::Rbf { gamma: 1.0 }, &pts[..5], None), base);
-        let probe = &pts[0];
+        let base = content_fingerprint(Kernel::Rbf { gamma: 1.0 }, &pts);
+        assert_eq!(content_fingerprint(Kernel::Rbf { gamma: 1.0 }, &pts), base);
+        assert_ne!(content_fingerprint(Kernel::Rbf { gamma: 2.0 }, &pts), base);
+        assert_ne!(content_fingerprint(Kernel::Linear, &pts), base);
+        assert_ne!(content_fingerprint(Kernel::Rbf { gamma: 1.0 }, &pts[..5]), base);
+        let mut reordered = pts.clone();
+        reordered.swap(0, 1);
         assert_ne!(
-            content_fingerprint(Kernel::Rbf { gamma: 1.0 }, &pts, Some(&[probe])),
+            content_fingerprint(Kernel::Rbf { gamma: 1.0 }, &reordered),
             base,
-            "probe set participates in the fingerprint"
+            "point order participates in the fingerprint"
         );
     }
 }

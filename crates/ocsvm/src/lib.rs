@@ -27,12 +27,12 @@
 //! paper's per-user grid search), a [`GramMatrix`] computes each kernel
 //! row once into its arena and shares it — thread-safely — across every
 //! solver run of the sweep via [`NuOcSvm::train_with_gram`] and
-//! [`Svdd::train_with_gram`]; a [`CrossGram`] does the same for scoring
-//! all of the sweep's models against a fixed probe set, reading its rows
-//! against the one [`ProbePanel`] packed for that set. Either view takes
-//! a private arena of its own or one arena shared across users and
-//! sweeps. Scoring fresh probes (`batch_decision_values`) caches no rows:
-//! a new probe batch never reuses one.
+//! [`Svdd::train_with_gram`]. The matrix takes a private arena of its own
+//! or one arena shared across users and sweeps. Scoring caches no rows:
+//! a sweep scores its fixed probe set, packed once into a [`ProbePanel`],
+//! through [`OneClassModel::panel_acceptance`], which scores exactly only
+//! the probes the model's [`DecisionBound`] cannot rule out, and a fresh
+//! probe batch (`batch_decision_values`) never reuses a row.
 //!
 //! # Quick start
 //!
@@ -69,9 +69,9 @@ mod smo;
 mod sparse;
 mod svdd;
 
-pub use arena::{ArenaStats, KernelRowArena, RowKey, RowSpace, DEFAULT_SWEEP_BUDGET};
+pub use arena::{ArenaStats, KernelRowArena, RowKey, DEFAULT_SWEEP_BUDGET};
 pub use error::TrainError;
-pub use gram::{content_fingerprint, CrossGram, GramMatrix};
+pub use gram::{content_fingerprint, GramMatrix};
 pub use kernel::{Kernel, KernelKind};
 pub use model::{
     Boundary, DecisionBound, LinearBatchScorer, LinearDecisionTerms, OneClassModel,
@@ -93,7 +93,6 @@ mod trait_tests {
         assert_send_sync::<SparseVector>();
         assert_send_sync::<Kernel>();
         assert_send_sync::<GramMatrix<'static>>();
-        assert_send_sync::<CrossGram<'static>>();
         assert_send_sync::<OneClassModel>();
         assert_send_sync::<TrainError>();
     }

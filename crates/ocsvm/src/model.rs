@@ -5,12 +5,12 @@
 //! sum `s = Σᵢ αᵢ·k(svᵢ, x)`. They differ only in the [`Boundary`] that
 //! turns `s` into a decision value: the ν-OC-SVM hyperplane (Eq. 6) or the
 //! SVDD sphere (Eq. 12). [`OneClassModel`] builds the sums once per scoring
-//! path — per point, per probe batch or panel, and over shared Gram or
-//! cross-Gram rows — and hands every sum to that one boundary.
+//! path — per point, per probe batch or panel, and over shared Gram rows —
+//! and hands every sum to that one boundary.
 
-use crate::gram::{CrossGram, GramMatrix};
+use crate::gram::GramMatrix;
 use crate::kernel::Kernel;
-use crate::panel::ProbePanel;
+use crate::panel::{kernel_cross_row_into, ProbePanel};
 use crate::smo::Solution;
 use crate::sparse::SparseVector;
 
@@ -226,8 +226,9 @@ impl OneClassModel {
     ///
     /// Every value is bit-identical to
     /// [`decision_value`](Self::decision_value) on the same probe. Unlike
-    /// [`cross_decision_values`](Self::cross_decision_values) this needs no
-    /// training-set indices, so it also works for deserialized models.
+    /// [`training_decision_values`](Self::training_decision_values) this
+    /// needs no training-set indices, so it also works for deserialized
+    /// models.
     pub fn batch_decision_values(&self, probes: &[&SparseVector]) -> Vec<f64> {
         self.decide_all(probes, self.support.batch_weighted_kernel_sums(probes))
     }
@@ -251,6 +252,63 @@ impl OneClassModel {
             .collect()
     }
 
+    /// Whether the model accepts each probe of `panel`, in packing order:
+    /// exactly `decision_value(p) >= 0.0` per probe (see
+    /// [`panel_acceptance_counted`](Self::panel_acceptance_counted)).
+    pub fn panel_acceptance(&self, panel: &ProbePanel) -> Vec<bool> {
+        self.panel_acceptance_counted(panel).0
+    }
+
+    /// [`panel_acceptance`](Self::panel_acceptance), with the number of
+    /// probes the [`DecisionBound`] left to exact scoring — `None` for a
+    /// linear model, which scores every probe through one GEMV of its
+    /// collapsed weight vector and has no use for the bound.
+    ///
+    /// A non-linear model reads its bound's `⟨x, weights⟩` and
+    /// `⟨x, extent⟩` for every probe from two [`ProbePanel::dot_into`]
+    /// passes. A probe the bound rejects is certainly rejected; one it
+    /// admits — or one with a negative or NaN entry, where the bound is
+    /// not proven — is scored against the model's support vectors, packed
+    /// into one panel: [`kernel_cross_row_into`] yields `k(x, svᵢ)`, bit
+    /// for bit `k(svᵢ, x)` (the sparse dot and squared distance are
+    /// symmetric), summed in support-vector order like
+    /// [`decision_value`](Self::decision_value).
+    pub fn panel_acceptance_counted(&self, panel: &ProbePanel) -> (Vec<bool>, Option<usize>) {
+        if self.support.collapsed.is_some() {
+            let values = self.panel_decision_values(panel);
+            return (values.iter().map(|&v| v >= 0.0).collect(), None);
+        }
+        let bound = self.decision_bound();
+        let mut dots = vec![0.0; panel.probe_count()];
+        let mut extent_dots = vec![0.0; panel.probe_count()];
+        panel.dot_into(&bound.weights, &mut dots);
+        panel.dot_into(&bound.extent, &mut extent_dots);
+
+        let kernel = self.support.kernel;
+        let support: Vec<&SparseVector> = self.support.vectors.iter().collect();
+        let support = ProbePanel::pack(&support);
+        let mut row = vec![0.0; support.probe_count()];
+        let mut scored = 0;
+        let accepted = panel
+            .probes()
+            .iter()
+            .zip(panel.squared_norms())
+            .zip(dots.iter().zip(&extent_dots))
+            .map(|((&x, &squared_norm), (&dot, &extent_dot))| {
+                // Non-negative weights: the bound's magnitude is its dot.
+                let proven = x.iter().all(|(_, v)| v >= 0.0);
+                if proven && !bound.admits(dot, dot, extent_dot, squared_norm) {
+                    return false;
+                }
+                scored += 1;
+                kernel_cross_row_into(kernel, x, &support, &mut row);
+                let s = row.iter().zip(&self.support.alpha).map(|(&k, &a)| a * k).sum();
+                self.boundary.decide(s, || kernel.compute_self(x)) >= 0.0
+            })
+            .collect();
+        (accepted, Some(scored))
+    }
+
     /// Decision values over the *training set*, read from the shared
     /// [`GramMatrix`] the model was (or could have been) trained with —
     /// no kernel evaluations are performed beyond the matrix's lazily
@@ -266,69 +324,18 @@ impl OneClassModel {
     /// indices or `gram` does not match the model's kernel and
     /// training-set size.
     pub fn training_decision_values(&self, gram: &GramMatrix) -> Option<Vec<f64>> {
-        self.row_decision_values(
-            gram.kernel(),
-            gram.len(),
-            gram.len(),
-            |i| gram.row(i),
-            |j| gram.diag_value(j),
-        )
-    }
-
-    /// Decision values over a fixed probe set, read from a shared
-    /// [`CrossGram`] between the model's training set and the probes.
-    ///
-    /// Same exactness and availability rules as
-    /// [`training_decision_values`](Self::training_decision_values).
-    pub fn cross_decision_values(&self, cross: &CrossGram) -> Option<Vec<f64>> {
-        self.row_decision_values(
-            cross.kernel(),
-            cross.train_len(),
-            cross.probe_count(),
-            |i| cross.row(i),
-            |j| cross.probe_diag(j),
-        )
-    }
-
-    /// Scores `width` probes from precomputed kernel rows over the
-    /// training set (`row(i)` for training point `i`, `k_self(j)` for
-    /// probe `j`); `None` unless the rows were computed with the model's
-    /// kernel over a training set of its size.
-    fn row_decision_values<R: AsRef<[f64]>>(
-        &self,
-        kernel: Kernel,
-        train_len: usize,
-        width: usize,
-        row: impl Fn(usize) -> R,
-        k_self: impl Fn(usize) -> f64,
-    ) -> Option<Vec<f64>> {
         let indices = self.support.indices()?;
-        if kernel != self.support.kernel || train_len != self.diagnostics.train_size {
+        if gram.kernel() != self.support.kernel || gram.len() != self.diagnostics.train_size {
             return None;
         }
-        let rows: Vec<R> = indices.iter().map(|&i| row(i)).collect();
-        let sums = self.support.weighted_row_sums(&rows, width);
+        let rows: Vec<_> = indices.iter().map(|&i| gram.row(i)).collect();
+        let sums = self.support.weighted_row_sums(&rows, gram.len());
         Some(
             sums.into_iter()
                 .enumerate()
-                .map(|(j, s)| self.boundary.decide(s, || k_self(j)))
+                .map(|(j, s)| self.boundary.decide(s, || gram.diag_value(j)))
                 .collect(),
         )
-    }
-
-    /// The full training multiplier vector `α` (zeros for non-support
-    /// points), reconstructed from the support vectors' training indices —
-    /// the warm-start seed for an adjacent regularization value.
-    ///
-    /// `None` for deserialized models trained by a pre-v2 binary (their
-    /// training indices are unknown).
-    pub fn training_alpha(&self) -> Option<Vec<f64>> {
-        let indices = self.support.indices()?;
-        let mut alpha = vec![0.0; self.diagnostics.train_size];
-        for (&i, &a) in indices.iter().zip(&self.support.alpha) {
-            alpha[i] = a;
-        }
-        Some(alpha)
     }
 }
 
@@ -978,6 +985,25 @@ mod tests {
             // On the boundary at `far`, which scores far above `probe`.
             let model = on_boundary(&vectors, &[1.0], kernel, false, &far);
             assert!(!admits(&model, &probe), "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn panel_acceptance_scores_only_what_the_bound_admits() {
+        let vectors = vec![SparseVector::from_pairs(vec![(0, 1.0), (1, 1.0)]).unwrap()];
+        let far = SparseVector::from_pairs(vec![(0, 1.0), (1, 1.0)]).unwrap();
+        let pruned = SparseVector::from_pairs(vec![(5, 1.0)]).unwrap();
+        let signed = SparseVector::from_pairs(vec![(5, -1.0)]).unwrap();
+        let probes = [&far, &pruned, &signed];
+        let panel = ProbePanel::pack(&probes);
+        for kernel in BOUNDED_KERNELS {
+            let model = on_boundary(&vectors, &[1.0], kernel, false, &far);
+            let (accepted, scored) = model.panel_acceptance_counted(&panel);
+            let expected: Vec<bool> = probes.iter().map(|p| model.accepts(p)).collect();
+            assert_eq!(accepted, expected, "{kernel:?}");
+            // `far` is admitted, `pruned` rejected by a margin and `signed`
+            // outside the proven domain; linear models score by GEMV.
+            assert_eq!(scored, (kernel != Kernel::Linear).then_some(2), "{kernel:?}");
         }
     }
 

@@ -13,9 +13,10 @@
 //!
 //! A panel borrows the probe slice it was packed from, so one panel per
 //! probe set serves every row against it: a regularization sweep packs
-//! its `ACCother` probes once and every [`CrossGram`](crate::CrossGram)
-//! over them borrows that panel, while batch scoring packs each fresh
-//! batch once for all of a model's support vectors.
+//! its `ACCother` probes once and every model of the sweep scores them
+//! through [`OneClassModel::panel_acceptance`](crate::OneClassModel::panel_acceptance),
+//! while batch scoring packs each fresh batch once for all of a model's
+//! support vectors.
 //!
 //! # Compact blocks
 //!
@@ -55,6 +56,7 @@
 
 use crate::kernel::Kernel;
 use crate::sparse::SparseVector;
+use std::sync::OnceLock;
 
 /// Probes per panel block: the per-block accumulator (`PANEL_BLOCK`
 /// scalars) must stay resident in registers/L1 across a row fill.
@@ -124,6 +126,9 @@ impl Block {
 pub struct ProbePanel<'a> {
     probes: &'a [&'a SparseVector],
     blocks: Vec<Block>,
+    /// `‖pⱼ‖²` per probe, computed on the first
+    /// [`squared_norms`](Self::squared_norms) call.
+    squared_norms: OnceLock<Vec<f64>>,
 }
 
 impl<'a> ProbePanel<'a> {
@@ -139,7 +144,7 @@ impl<'a> ProbePanel<'a> {
             .chunks(PANEL_BLOCK)
             .map(|chunk| Block::pack(chunk, &mut occupied, &mut ranks))
             .collect();
-        Self { probes, blocks }
+        Self { probes, blocks, squared_norms: OnceLock::new() }
     }
 
     /// The probes the panel was packed from, in packing order.
@@ -150,6 +155,12 @@ impl<'a> ProbePanel<'a> {
     /// Number of packed probes (= output length of every kernel).
     pub fn probe_count(&self) -> usize {
         self.probes.len()
+    }
+
+    /// `‖pⱼ‖²` for every probe, in packing order: computed once per panel,
+    /// on the first call, and shared by every later one.
+    pub fn squared_norms(&self) -> &[f64] {
+        self.squared_norms.get_or_init(|| self.probes.iter().map(|p| p.squared_norm()).collect())
     }
 
     /// Each block with its slice of `out`, zeroed.
@@ -272,16 +283,6 @@ fn add_square(acc: &mut [f64], v: f64) {
     }
 }
 
-/// One kernel row `k(x, pⱼ)` for every packed probe, **bit-identical** to
-/// `kernel.compute(x, pⱼ)` per probe.
-///
-/// Allocating wrapper around [`kernel_cross_row_into`].
-pub fn kernel_cross_row(kernel: Kernel, x: &SparseVector, panel: &ProbePanel) -> Vec<f64> {
-    let mut out = vec![0.0f64; panel.probe_count()];
-    kernel_cross_row_into(kernel, x, panel, &mut out);
-    out
-}
-
 /// Writes one kernel row `k(x, pⱼ)` for every packed probe into `out`,
 /// **bit-identical** to `kernel.compute(x, pⱼ)` per probe.
 ///
@@ -395,10 +396,11 @@ mod tests {
             assert_eq!(out[j].to_bits(), scalar.to_bits(), "gemv bits diverge at probe {j}");
         }
         for kernel in KERNELS {
-            let row = kernel_cross_row(kernel, x, panel);
+            out.fill(f64::NAN);
+            kernel_cross_row_into(kernel, x, panel, &mut out);
             for (j, p) in refs.iter().enumerate() {
                 assert_eq!(
-                    row[j].to_bits(),
+                    out[j].to_bits(),
                     kernel.compute(x, p).to_bits(),
                     "{kernel:?} row bits diverge at probe {j}"
                 );
@@ -516,9 +518,10 @@ mod tests {
             let probes = random_batch(&mut rng, 70, width, nnz);
             let refs: Vec<&SparseVector> = probes.iter().collect();
             let panel = ProbePanel::pack(&refs);
+            let mut row = vec![f64::NAN; refs.len()];
             for kernel in KERNELS {
                 let x = random_vector(&mut rng, width, nnz + 2);
-                let row = kernel_cross_row(kernel, &x, &panel);
+                kernel_cross_row_into(kernel, &x, &panel, &mut row);
                 for (j, p) in refs.iter().enumerate() {
                     assert!(
                         row[j].to_bits() == kernel.compute(&x, p).to_bits(),
@@ -543,6 +546,8 @@ mod tests {
         }
         assert!(refs.iter().any(|p| p.is_empty()));
         assert!(refs.iter().any(|p| p.iter().any(|(_, v)| v == 0.0)));
+        let norms: Vec<u64> = refs.iter().map(|p| p.squared_norm().to_bits()).collect();
+        assert_eq!(panel.squared_norms().iter().map(|n| n.to_bits()).collect::<Vec<_>>(), norms);
 
         let mut xs = production_batch(&mut rng, 40);
         // Columns absent from every block, and beyond every probe's width.

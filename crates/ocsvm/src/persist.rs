@@ -19,9 +19,8 @@
 //!
 //! Version 2 appends the support vectors' training-set indices to the
 //! support block (when the model knows them), so a deserialized model
-//! keeps the shared-row scoring paths (`training_decision_values` /
-//! `cross_decision_values`) instead of falling back to per-point kernel
-//! evaluation. Version 3 appends one trailing byte naming the training
+//! keeps the shared-Gram-row scoring path (`training_decision_values`)
+//! instead of falling back to per-point kernel evaluation. Version 3 appends one trailing byte naming the training
 //! backend. Models are trained only by exact SMO, so the writer always
 //! writes tag 0. The reader also accepts tag 2 (the removed sampled
 //! Frank–Wolfe backend): the bytes before the tag fully define the
@@ -378,9 +377,10 @@ mod tests {
     #[test]
     fn round_trip_keeps_shared_row_scoring() {
         // The v2 index block must let a restored model use the precomputed
-        // Gram paths (no per-point fallback): both shared-row entry points
-        // return Some and agree bitwise with the in-process model.
-        use crate::gram::{CrossGram, GramMatrix};
+        // Gram path (no per-point fallback): it returns Some and agrees
+        // bitwise with the in-process model, and so does the restored
+        // model's probe-panel acceptance.
+        use crate::gram::GramMatrix;
         let data = training_data();
         let probes: Vec<&SparseVector> = data.iter().take(7).collect();
         let panel = crate::panel::ProbePanel::pack(&probes);
@@ -394,11 +394,7 @@ mod tests {
                 .training_decision_values(&gram)
                 .expect("restored model keeps shared-row scoring");
             assert_eq!(restored, model.training_decision_values(&gram).unwrap(), "{kernel:?}");
-            let cross = CrossGram::new(kernel, &data, &panel);
-            let restored = loaded
-                .cross_decision_values(&cross)
-                .expect("restored model keeps shared-row scoring");
-            assert_eq!(restored, model.cross_decision_values(&cross).unwrap(), "{kernel:?}");
+            assert_eq!(loaded.panel_acceptance(&panel), model.panel_acceptance(&panel));
 
             let svdd = Svdd::new(0.4, kernel).train(&data).unwrap();
             let mut bytes = Vec::new();
@@ -408,10 +404,7 @@ mod tests {
                 .training_decision_values(&gram)
                 .expect("restored model keeps shared-row scoring");
             assert_eq!(restored, svdd.training_decision_values(&gram).unwrap(), "{kernel:?}");
-            let restored = loaded
-                .cross_decision_values(&cross)
-                .expect("restored model keeps shared-row scoring");
-            assert_eq!(restored, svdd.cross_decision_values(&cross).unwrap(), "{kernel:?}");
+            assert_eq!(loaded.panel_acceptance(&panel), svdd.panel_acceptance(&panel));
         }
     }
 

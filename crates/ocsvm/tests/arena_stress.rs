@@ -13,7 +13,7 @@
 //! * `bytes <= budget` after every eviction pass (sampled concurrently),
 //! * monotone counters never decrease.
 
-use ocsvm::{KernelRowArena, RowKey, RowSpace};
+use ocsvm::{KernelRowArena, RowKey};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ fn expected_row(owner: u64, row: u32) -> Vec<f64> {
 }
 
 fn key(owner: u64, row: u32) -> RowKey {
-    RowKey { owner, kernel: (owner % 4) as u8, space: RowSpace::Gram, row, tag: 0xfeed }
+    RowKey { owner, kernel: (owner % 4) as u8, row, tag: 0xfeed }
 }
 
 #[test]

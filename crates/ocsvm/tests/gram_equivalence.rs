@@ -9,8 +9,8 @@
 //! raise.
 
 use ocsvm::{
-    CrossGram, GramMatrix, Kernel, KernelRowArena, NuOcSvm, OneClassModel, ProbePanel,
-    SolverOptions, SparseVector, Svdd, TrainError,
+    GramMatrix, Kernel, KernelRowArena, NuOcSvm, OneClassModel, ProbePanel, SolverOptions,
+    SparseVector, Svdd, TrainError,
 };
 
 /// Two mildly overlapping clusters plus a few stragglers — enough structure
@@ -182,17 +182,17 @@ fn one_gram_matrix_serves_a_whole_regularization_sweep() {
 
 #[test]
 fn shared_row_scoring_matches_per_point_decisions() {
-    // `training_decision_values` / `cross_decision_values` read shared
-    // kernel rows instead of re-evaluating k(sv, x) per model; for
-    // non-linear kernels the values must be bit-identical, and the linear
-    // kernel's collapsed fast path must agree to float-association slack.
+    // `training_decision_values` reads shared Gram rows instead of
+    // re-evaluating k(sv, x) per model; for non-linear kernels the values
+    // must be bit-identical, and the linear kernel's collapsed fast path
+    // must agree to float-association slack. `panel_acceptance` decides
+    // every probe exactly as `decision_value(p) >= 0` does.
     let data = training_data();
     let probe_store = probes();
     let probe_refs: Vec<&SparseVector> = probe_store.iter().collect();
     let panel = ProbePanel::pack(&probe_refs);
     for kernel in kernels() {
         let gram = GramMatrix::compute(kernel, &data);
-        let cross = CrossGram::new(kernel, &data, &panel);
         let exact = kernel != Kernel::Linear;
         let check = |direct: f64, shared: f64, what: &str| {
             if exact {
@@ -203,23 +203,19 @@ fn shared_row_scoring_matches_per_point_decisions() {
         };
         let ocsvm = NuOcSvm::new(0.2, kernel).train_with_gram(&data, &gram).expect("trains");
         let on_train = ocsvm.training_decision_values(&gram).expect("compatible");
-        let on_probes = ocsvm.cross_decision_values(&cross).expect("compatible");
         for (x, &shared) in data.iter().zip(&on_train) {
             check(ocsvm.decision_value(x), shared, "OC-SVM training value");
         }
-        for (p, &shared) in probe_store.iter().zip(&on_probes) {
-            check(ocsvm.decision_value(p), shared, "OC-SVM probe value");
-        }
+        let accepted: Vec<bool> = probe_store.iter().map(|p| ocsvm.accepts(p)).collect();
+        assert_eq!(ocsvm.panel_acceptance(&panel), accepted, "OC-SVM probes, {kernel:?}");
 
         let svdd = Svdd::new(0.2, kernel).train_with_gram(&data, &gram).expect("trains");
         let on_train = svdd.training_decision_values(&gram).expect("compatible");
-        let on_probes = svdd.cross_decision_values(&cross).expect("compatible");
         for (x, &shared) in data.iter().zip(&on_train) {
             check(svdd.decision_value(x), shared, "SVDD training value");
         }
-        for (p, &shared) in probe_store.iter().zip(&on_probes) {
-            check(svdd.decision_value(p), shared, "SVDD probe value");
-        }
+        let accepted: Vec<bool> = probe_store.iter().map(|p| svdd.accepts(p)).collect();
+        assert_eq!(svdd.panel_acceptance(&panel), accepted, "SVDD probes, {kernel:?}");
     }
 }
 
@@ -234,11 +230,6 @@ fn shared_row_scoring_rejects_incompatible_matrices() {
     assert!(model.training_decision_values(&wrong_kernel).is_none());
     let wrong_size = GramMatrix::compute(kernel, &data[..10]);
     assert!(model.training_decision_values(&wrong_size).is_none());
-    let probe_store = probes();
-    let probe_refs: Vec<&SparseVector> = probe_store.iter().collect();
-    let panel = ProbePanel::pack(&probe_refs);
-    let wrong_cross = CrossGram::new(Kernel::Linear, &data, &panel);
-    assert!(model.cross_decision_values(&wrong_cross).is_none());
 
     // A deserialized model keeps its training indices (persist v2) — the
     // shared-row paths stay available and agree with the in-process model.

@@ -2,7 +2,9 @@
 //! kernel identities, and solver invariants (feasibility, ν-property,
 //! SVDD geometry) over randomized inputs.
 
-use ocsvm::{Boundary, Kernel, NuOcSvm, OneClassModel, SolverOptions, SparseVector, Svdd};
+use ocsvm::{
+    Boundary, Kernel, NuOcSvm, OneClassModel, ProbePanel, SolverOptions, SparseVector, Svdd,
+};
 use proptest::prelude::*;
 
 /// Dense vectors with small dimension and bounded values so kernel values
@@ -340,6 +342,11 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// The per-point acceptance `panel_acceptance` must reproduce.
+fn accepted(model: &OneClassModel, probes: &[&SparseVector]) -> Vec<bool> {
+    probes.iter().map(|p| model.decision_value(p) >= 0.0).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -347,7 +354,9 @@ proptest! {
     /// through one reused row buffer. Whatever batch a probe sits in — the whole batch, the
     /// empty batch, a one-probe batch — its batch and packed-panel values
     /// must equal the per-point decision value bit for bit, for both
-    /// families and all four kernels.
+    /// families and all four kernels, and its panel acceptance must be
+    /// exactly `decision_value >= 0`. Signed support vectors and probes
+    /// leave the decision bound unproven, so acceptance scores them all.
     #[test]
     fn batch_decision_values_match_per_point_bitwise_over_generated_inputs(
         kernel in every_kernel(),
@@ -391,6 +400,8 @@ proptest! {
             let packed = ocsvm::ProbePanel::pack(batch);
             prop_assert_eq!(bits(&ocsvm.panel_decision_values(&packed)), per_point(&ocsvm));
             prop_assert_eq!(bits(&svdd.panel_decision_values(&packed)), per_point(&svdd));
+            prop_assert_eq!(ocsvm.panel_acceptance(&packed), accepted(&ocsvm, batch));
+            prop_assert_eq!(svdd.panel_acceptance(&packed), accepted(&svdd, batch));
         }
     }
 }
@@ -442,7 +453,11 @@ proptest! {
     /// rejects, so the bound must admit every probe the model accepts —
     /// for both families, every kernel, and probes scored exactly on the
     /// training points. Models outside the proven domain (`coef0 < 0`,
-    /// a negative support-vector entry) must admit every probe.
+    /// a negative support-vector entry, an RBF exponent past 700) must
+    /// admit every probe. Panel acceptance, which scores exactly only the
+    /// probes the bound admits, must equal `decision_value >= 0` on every
+    /// probe of every model here, over the whole panel, an empty panel and
+    /// one-probe panels.
     #[test]
     fn decision_bounds_admit_every_accepted_probe(
         kernel in bound_kernel(),
@@ -452,11 +467,29 @@ proptest! {
         flip in 0usize..24,
     ) {
         probes.extend(data.iter().cloned());
+        // Far probes: γ‖x‖² and 2γ⟨x, m⟩ pass the RBF bound's exponent limit
+        // for the larger γ.
+        probes.extend(data.iter().take(2).map(|x| x.scaled(40.0)));
+        let refs: Vec<&SparseVector> = probes.iter().collect();
+        // Negated training points, outside the bound's proven domain: an
+        // even-degree polynomial accepts them while the chord, read at
+        // T = ⟨x, m⟩ < 0, would reject them. Only the panel sees them.
+        let signed: Vec<SparseVector> = data.iter().map(|x| x.scaled(-3.0)).collect();
+        let refs: Vec<&SparseVector> = refs.into_iter().chain(&signed).collect();
         let l = data.len() as f64;
         let models = [
             NuOcSvm::new(nu, kernel).train(&data).unwrap(),
             Svdd::new((1.0 / (nu * l)).min(1.0), kernel).train(&data).unwrap(),
         ];
+        let assert_panel_acceptance = |model: &OneClassModel| -> Result<(), TestCaseError> {
+            let panel = ProbePanel::pack(&refs);
+            prop_assert_eq!(model.panel_acceptance(&panel), accepted(model, &refs));
+            prop_assert!(model.panel_acceptance(&ProbePanel::pack(&[])).is_empty());
+            for one in refs.chunks(1) {
+                prop_assert_eq!(model.panel_acceptance(&ProbePanel::pack(one)), accepted(model, one));
+            }
+            Ok(())
+        };
         let unproven = match kernel {
             Kernel::Polynomial { coef0, .. } | Kernel::Sigmoid { coef0, .. } => coef0 < 0.0,
             _ => false,
@@ -466,6 +499,21 @@ proptest! {
                 let admitted = bound_admits(model, probe);
                 prop_assert!(admitted || model.decision_value(probe) < 0.0, "{:?}", probe);
                 prop_assert!(admitted || !unproven);
+            }
+            assert_panel_acceptance(model)?;
+        }
+
+        // An RBF γ with γ‖svᵢ‖² past 700 for the widest support vector: the
+        // bound cannot evaluate e^{−γ‖svᵢ‖²} and admits every probe.
+        let widest = data.iter().map(SparseVector::squared_norm).fold(0.0, f64::max);
+        if widest > 0.0 {
+            let kernel = Kernel::Rbf { gamma: 701.0 / widest };
+            for model in [
+                NuOcSvm::new(1.0, kernel).train(&data).unwrap(),
+                Svdd::new(1.0 / l, kernel).train(&data).unwrap(),
+            ] {
+                prop_assert!(probes.iter().all(|p| bound_admits(&model, p)));
+                assert_panel_acceptance(&model)?;
             }
         }
 
@@ -489,6 +537,7 @@ proptest! {
                 prop_assert!(admitted || model.decision_value(probe) < 0.0);
                 prop_assert!(admitted || kernel == Kernel::Linear);
             }
+            assert_panel_acceptance(model)?;
         }
     }
 }

@@ -169,8 +169,8 @@ fn streaming_matches_offline_identification_default_profiles() {
 
 #[test]
 fn streaming_matches_offline_identification_rbf_ocsvm() {
-    // The RBF ν-OC-SVM exercises the CrossGram batched path (the default
-    // profiles collapse to the linear GEMV path).
+    // The RBF ν-OC-SVM exercises the batched support-vector row path (the
+    // default profiles collapse to the linear GEMV path).
     let dataset = TraceGenerator::new(Scenario::quick_test()).generate();
     let vocab = Vocabulary::new(dataset.taxonomy().clone());
     let (profiles, _) = ProfileTrainer::new(&vocab)

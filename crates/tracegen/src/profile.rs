@@ -200,9 +200,9 @@ fn common_subtypes(taxonomy: &Taxonomy) -> Vec<SubtypeId> {
 }
 
 impl RoleTemplate {
-    /// Builds a role's candidate pools. Most of each pool (≈70 %) is drawn
-    /// from a taxonomy region *exclusive* to this role, the rest from the
-    /// whole taxonomy — so users of different roles overlap only lightly
+    /// Builds a role's candidate pools. Most of each pool (85 %, fewer when
+    /// the role's slice is narrower) is drawn from a taxonomy region
+    /// *exclusive* to this role, the rest from the whole taxonomy — so users of different roles overlap only lightly
     /// (the near-zero off-diagonal background of Tab. V) while role-mates
     /// share most of their candidate behavior (its confusion clusters).
     pub fn generate<R: Rng + ?Sized>(
@@ -225,8 +225,10 @@ impl RoleTemplate {
     }
 }
 
-/// Samples `count` distinct ids: ~70 % from the role's exclusive slice of
-/// the id space, ~30 % from anywhere.
+/// Samples `count` distinct ids: `count * 17 / 20` (85 %, rounded down)
+/// from the role's exclusive slice of the id space, or the whole slice when
+/// it is narrower, and the rest from the ids not yet picked anywhere in
+/// the space.
 fn sample_role_ids<R: Rng + ?Sized>(
     rng: &mut R,
     universe: usize,

@@ -20,8 +20,8 @@ use crate::trainer::{subsample_evenly, ProfileTrainer};
 use crate::vocab::Vocabulary;
 use crate::window::WindowConfig;
 use ocsvm::{
-    ArenaStats, CrossGram, GramMatrix, Kernel, KernelKind, KernelRowArena, ProbePanel,
-    SparseVector, DEFAULT_SWEEP_BUDGET,
+    ArenaStats, GramMatrix, Kernel, KernelKind, KernelRowArena, ProbePanel, SparseVector,
+    DEFAULT_SWEEP_BUDGET,
 };
 use parcore::parallel_map;
 use proxylog::{Dataset, UserId};
@@ -176,6 +176,13 @@ pub struct SweepStats {
     pub train_nanos: u64,
     /// Kernel-row arena activity during the sweep (delta, not lifetime).
     pub arena: ArenaStats,
+    /// `ACCother` (cell, probe) pairs a decision bound examined, per kernel
+    /// in [`KernelKind::ALL`] order. Linear cells score every probe through
+    /// one GEMV and examine none.
+    pub bound_pairs: [u64; KernelKind::ALL.len()],
+    /// Of [`bound_pairs`](Self::bound_pairs), the pairs the bound admitted
+    /// and the support vectors scored exactly, per kernel.
+    pub scored_pairs: [u64; KernelKind::ALL.len()],
 }
 
 impl SweepStats {
@@ -194,6 +201,19 @@ impl SweepStats {
         }
         self.cold_iterations as f64 / self.cold_cells as f64
     }
+
+    /// Share of the kernel's bound-examined `ACCother` pairs that the
+    /// bound pruned without exact scoring; `None` when it examined none.
+    pub fn pruned_share(&self, kind: KernelKind) -> Option<f64> {
+        let k = kind_index(kind);
+        let examined = self.bound_pairs[k];
+        (examined > 0).then(|| 1.0 - self.scored_pairs[k] as f64 / examined as f64)
+    }
+}
+
+/// Position of `kind` in [`KernelKind::ALL`].
+fn kind_index(kind: KernelKind) -> usize {
+    KernelKind::ALL.iter().position(|&k| k == kind).expect("every kind is in ALL")
 }
 
 /// Stage 2: per-user kernel and `ν`/`C` sweep (Tab. III).
@@ -201,9 +221,9 @@ impl SweepStats {
 /// The sweep is executed by a work-stealing scheduler over *chains*: one
 /// chain per (user, kernel), walking the regularization ladder so each
 /// cell's `α` solution can warm-start the next (opt in with
-/// [`warm_start`](Self::warm_start)). Kernel rows are cached in one
-/// memory-budgeted [`KernelRowArena`] shared by training and scoring: the
-/// one handed to [`arena`](Self::arena), or else one of
+/// [`warm_start`](Self::warm_start)). Gram rows are cached in one
+/// memory-budgeted [`KernelRowArena`] shared by training and `ACCself`
+/// scoring: the one handed to [`arena`](Self::arena), or else one of
 /// [`DEFAULT_SWEEP_BUDGET`] bytes that each sweep creates and drops when it
 /// returns.
 #[derive(Debug, Clone)]
@@ -343,34 +363,6 @@ impl<'a> ModelGridSearch<'a> {
         self.sweep_all(windows).0
     }
 
-    /// Trains the final per-user profiles at each user's swept-optimal
-    /// parameters — the population whose decision weights feed candidate
-    /// prefiltering: pass the result straight to
-    /// [`CandidateIndex::build`](crate::CandidateIndex::build), which
-    /// indexes every winner's [`UserProfile::decision_bound`].
-    ///
-    /// Users whose sweep produced no trainable cell are omitted, like
-    /// [`optimize_all`](Self::optimize_all) omits them.
-    pub fn optimized_profiles(&self, windows: &WindowSets) -> BTreeMap<UserId, UserProfile> {
-        let best = self.optimize_all(windows);
-        let entries: Vec<(&UserId, &ProfileParams)> = best.iter().collect();
-        let trained = parallel_map(&entries, |(&user, params)| {
-            let own = windows.get(&user)?;
-            ProfileTrainer::new(self.vocab)
-                .window(self.window)
-                .kind(params.kind)
-                .kernel(params.kernel)
-                .regularization(params.regularization)
-                .train_from_vectors(user, own)
-                .ok()
-        });
-        entries
-            .into_iter()
-            .zip(trained)
-            .filter_map(|((&user, _), profile)| profile.map(|p| (user, p)))
-            .collect()
-    }
-
     /// Optimizes every user and reports sweep statistics: best parameters
     /// per user (maximal `ACC`, ties broken exactly as
     /// [`best_for_user`](Self::best_for_user)) plus scheduler / warm-start /
@@ -394,9 +386,10 @@ impl<'a> ModelGridSearch<'a> {
     /// [`warm_start`](Self::warm_start) is on; a failed cell passes the
     /// last good seed along). Chains are independent and scheduled across
     /// workers with work stealing, so one expensive user cannot serialize
-    /// the sweep. All kernel rows — training and probe scoring — are cached
-    /// in the shared memory-budgeted arena keyed by user, kernel and a
-    /// content fingerprint.
+    /// the sweep. Training's Gram rows are cached in the shared
+    /// memory-budgeted arena keyed by user, kernel and a content
+    /// fingerprint; `ACCother` probes are scored through the models'
+    /// decision bounds and cache no rows.
     pub fn sweep_cells(
         &self,
         windows: &WindowSets,
@@ -420,8 +413,8 @@ impl<'a> ModelGridSearch<'a> {
 
         // The sweep's one `ACCother` probe set: every user's sample,
         // flattened in ascending user order and packed into one panel that
-        // every chain's cross rows read. A user's `ACCother` averages over
-        // every range but its own (its own columns are computed and unused).
+        // every cell scores. A user's `ACCother` averages over every range
+        // but its own (its own probes are scored and unused).
         let mut probes: Vec<&SparseVector> = Vec::new();
         let mut ranges: Vec<(UserId, Range<usize>)> = Vec::with_capacity(samples.len());
         for (&user, sample) in &samples {
@@ -451,27 +444,16 @@ impl<'a> ModelGridSearch<'a> {
             kind: KernelKind,
             kernel: Kernel,
             gram: GramMatrix<'w>,
-            cross: Option<CrossGram<'w>>,
         }
         let chains: Vec<Chain<'_>> = contexts
             .iter()
             .enumerate()
             .flat_map(|(ctx_idx, ctx)| {
-                let (arena, panel) = (&arena, &panel);
+                let arena = &arena;
                 KernelKind::ALL.iter().map(move |&kind| {
                     let kernel = Kernel::default_for(kind, n_features);
-                    let owner = u64::from(ctx.user.0);
-                    // Linear models need no cross rows: their collapsed
-                    // weight vector scores each batch as one dense GEMV.
-                    let cross = (kernel != Kernel::Linear)
-                        .then(|| CrossGram::in_arena(kernel, ctx.own, panel, arena, owner));
-                    Chain {
-                        ctx: ctx_idx,
-                        kind,
-                        kernel,
-                        gram: GramMatrix::in_arena(kernel, ctx.own, arena, owner),
-                        cross,
-                    }
+                    let gram = GramMatrix::in_arena(kernel, ctx.own, arena, u64::from(ctx.user.0));
+                    Chain { ctx: ctx_idx, kind, kernel, gram }
                 })
             })
             .collect();
@@ -499,6 +481,8 @@ impl<'a> ModelGridSearch<'a> {
         let warm_iterations = AtomicU64::new(0);
         let cold_iterations = AtomicU64::new(0);
         let train_nanos = AtomicU64::new(0);
+        let bound_pairs: [AtomicU64; KernelKind::ALL.len()] = Default::default();
+        let scored_pairs: [AtomicU64; KernelKind::ALL.len()] = Default::default();
 
         let steal_stats = run_chains(
             seeds,
@@ -523,12 +507,17 @@ impl<'a> ModelGridSearch<'a> {
                     let inputs = CellInputs {
                         user: ctx.user,
                         gram: &chain.gram,
-                        cross: chain.cross.as_ref(),
                         own_refs: &ctx.own_refs,
                         panel: &panel,
                         ranges: &ranges,
                     };
-                    let cell = self.evaluate_cell(&profile, chain.kind, regularization, inputs);
+                    let (cell, scored) =
+                        self.evaluate_cell(&profile, chain.kind, regularization, inputs);
+                    if let Some(scored) = scored {
+                        let k = kind_index(chain.kind);
+                        bound_pairs[k].fetch_add(panel.probe_count() as u64, Ordering::Relaxed);
+                        scored_pairs[k].fetch_add(scored as u64, Ordering::Relaxed);
+                    }
                     if seed.is_some() {
                         warm_cells.fetch_add(1, Ordering::Relaxed);
                         warm_iterations.fetch_add(iterations, Ordering::Relaxed);
@@ -578,45 +567,44 @@ impl<'a> ModelGridSearch<'a> {
             cold_iterations: cold_iterations.into_inner(),
             train_nanos: train_nanos.into_inner(),
             arena: arena.stats().since(&arena_before),
+            bound_pairs: bound_pairs.map(AtomicU64::into_inner),
+            scored_pairs: scored_pairs.map(AtomicU64::into_inner),
         };
         (by_user, stats)
     }
 
-    /// Scores one trained cell: decision values over the user's own windows
-    /// and over the sweep's probe set, reduced to `ACCself`/`ACCother`.
-    /// Non-linear kernels read shared (arena-cached) rows; linear models
-    /// score through their collapsed weight vector — over the sweep's one
-    /// probe panel for `ACCother` — bit-identical to per-point decisions.
+    /// Scores one trained cell: acceptance over the user's own windows and
+    /// over the sweep's probe set, reduced to `ACCself`/`ACCother`, with the
+    /// probes the decision bound left to exact scoring (`None` for linear
+    /// models). `ACCself` reads the user's shared Gram rows (non-linear
+    /// kernels) or the collapsed weight vector (linear); `ACCother` goes
+    /// through [`OneClassModel::panel_acceptance_counted`]. Every decision
+    /// equals the per-point one.
+    ///
+    /// [`OneClassModel::panel_acceptance_counted`]: ocsvm::OneClassModel::panel_acceptance_counted
     fn evaluate_cell(
         &self,
         profile: &UserProfile,
         kind: KernelKind,
         regularization: f64,
         inputs: CellInputs<'_, '_>,
-    ) -> ModelGridCell {
-        let shared = inputs.cross.and_then(|cross| {
-            Some((
-                profile.training_decision_values(inputs.gram)?,
-                profile.cross_decision_values(cross)?,
-            ))
-        });
-        let (self_values, probe_values) = match shared {
-            Some(values) => values,
-            None => (
-                profile.batch_decision_values(inputs.own_refs),
-                profile.panel_decision_values(inputs.panel),
-            ),
-        };
-        ModelGridCell {
+    ) -> (ModelGridCell, Option<usize>) {
+        let self_values = match kind {
+            KernelKind::Linear => None,
+            _ => profile.training_decision_values(inputs.gram),
+        }
+        .unwrap_or_else(|| profile.batch_decision_values(inputs.own_refs));
+        let (probe_accepted, scored) = profile.panel_acceptance_counted(inputs.panel);
+        let cell = ModelGridCell {
             kernel: kind,
             regularization,
             summary: acceptance_summary(
-                inputs.own_refs.len(),
                 inputs.ranges.iter().filter(|(user, _)| *user != inputs.user),
                 &self_values,
-                &probe_values,
+                &probe_accepted,
             ),
-        }
+        };
+        (cell, scored)
     }
 }
 
@@ -624,7 +612,6 @@ impl<'a> ModelGridSearch<'a> {
 struct CellInputs<'c, 'w> {
     user: UserId,
     gram: &'c GramMatrix<'w>,
-    cross: Option<&'c CrossGram<'w>>,
     own_refs: &'c [&'w SparseVector],
     /// The sweep's `ACCother` probes (every user's sample), packed once.
     panel: &'c ProbePanel<'c>,
@@ -632,23 +619,22 @@ struct CellInputs<'c, 'w> {
     ranges: &'c [(UserId, Range<usize>)],
 }
 
-/// `ACCself`/`ACCother` from decision values: acceptance over the user's
-/// own windows, and the mean of the per-user acceptance over each other
-/// user's probe range.
+/// `ACCself`/`ACCother`: acceptance over the user's own windows (from
+/// their decision values), and the mean of the per-user acceptance over
+/// each other user's probe range.
 fn acceptance_summary<'r>(
-    own_len: usize,
     other_ranges: impl Iterator<Item = &'r (UserId, Range<usize>)>,
     self_values: &[f64],
-    probe_values: &[f64],
+    probe_accepted: &[bool],
 ) -> AcceptanceSummary {
     let accepted = self_values.iter().filter(|&&v| v >= 0.0).count();
-    let acc_self = accepted as f64 / own_len as f64;
+    let acc_self = accepted as f64 / self_values.len() as f64;
     let others: Vec<f64> = other_ranges
         .map(|(_, range)| {
             if range.is_empty() {
                 return 0.0;
             }
-            let accepted = probe_values[range.clone()].iter().filter(|&&v| v >= 0.0).count();
+            let accepted = probe_accepted[range.clone()].iter().filter(|&&a| a).count();
             accepted as f64 / range.len() as f64
         })
         .collect();

@@ -8,7 +8,6 @@
 //! shared device over 100 minutes, and suggests voting over consecutive
 //! windows to disambiguate multi-accepted windows.
 
-use crate::metrics::AcceptanceSummary;
 use crate::profile::UserProfile;
 use crate::vocab::Vocabulary;
 use crate::window::{WindowAggregator, WindowConfig};
@@ -102,11 +101,6 @@ impl IdentificationQuality {
         let precision =
             if accepted_pairs == 0 { 0.0 } else { correct_pairs as f64 / accepted_pairs as f64 };
         Self { recall, precision, exact, windows: windows.len() }
-    }
-
-    /// Collapses to the acceptance-style summary used elsewhere.
-    pub fn as_summary(&self) -> AcceptanceSummary {
-        AcceptanceSummary { acc_self: self.recall, acc_other: 1.0 - self.precision }
     }
 }
 

@@ -100,11 +100,6 @@ impl MarkovProfile {
         self.user
     }
 
-    /// Number of Markov states (category vocabulary size).
-    pub fn state_count(&self) -> usize {
-        self.n_states
-    }
-
     /// Training windows used.
     pub fn training_windows(&self) -> usize {
         self.training_windows

@@ -146,10 +146,14 @@ impl UserProfile {
         self.model.training_decision_values(gram)
     }
 
-    /// Decision values over a fixed probe set via a shared
-    /// [`ocsvm::CrossGram`] (see [`OneClassModel::cross_decision_values`]).
-    pub(crate) fn cross_decision_values(&self, cross: &ocsvm::CrossGram) -> Option<Vec<f64>> {
-        self.model.cross_decision_values(cross)
+    /// Acceptance of every window of the panel, with the windows the
+    /// decision bound left to exact scoring (see
+    /// [`OneClassModel::panel_acceptance_counted`]).
+    pub(crate) fn panel_acceptance_counted(
+        &self,
+        panel: &ProbePanel,
+    ) -> (Vec<bool>, Option<usize>) {
+        self.model.panel_acceptance_counted(panel)
     }
 
     /// Forwards to [`batch_decision_values`](Self::batch_decision_values)

@@ -138,11 +138,6 @@ impl<'a> ProfileTrainer<'a> {
         self.window
     }
 
-    /// The hyper-parameters this trainer trains with.
-    pub fn profile_params(&self) -> ProfileParams {
-        self.params
-    }
-
     /// Computes the user-specific training windows this trainer would use
     /// (after subsampling), exposing the intermediate result so grid
     /// searches can reuse it across parameter combinations.

@@ -4,9 +4,10 @@
 //!
 //! Builds are counted on the sweep's own arena: every row of one matrix
 //! carries the same content fingerprint (`RowKey::tag`), so the distinct
-//! tags per `(owner, kernel, space)` are the matrices the sweep built.
+//! tags per `(owner, kernel)` are the matrices the sweep built. The arena
+//! holds Gram rows only: `ACCother` probes are scored without cached rows.
 
-use ocsvm::{Kernel, KernelKind, KernelRowArena, RowSpace};
+use ocsvm::{Kernel, KernelKind, KernelRowArena};
 use std::collections::{BTreeMap, BTreeSet};
 use tracegen::{Scenario, TraceGenerator};
 use webprofiler::{
@@ -26,11 +27,11 @@ fn busiest(sets: &WindowSets) -> proxylog::UserId {
     *sets.iter().max_by_key(|&(_, w)| w.len()).map(|(u, _)| u).unwrap()
 }
 
-/// Distinct matrices built into `arena`, per `(owner, kernel slot, space)`.
-fn builds(arena: &KernelRowArena) -> BTreeMap<(u64, u8, RowSpace), BTreeSet<u64>> {
+/// Distinct matrices built into `arena`, per `(owner, kernel slot)`.
+fn builds(arena: &KernelRowArena) -> BTreeMap<(u64, u8), BTreeSet<u64>> {
     let mut builds: BTreeMap<_, BTreeSet<u64>> = BTreeMap::new();
     for key in arena.keys() {
-        builds.entry((key.owner, key.kernel, key.space)).or_default().insert(key.tag);
+        builds.entry((key.owner, key.kernel)).or_default().insert(key.tag);
     }
     builds
 }
@@ -49,22 +50,18 @@ fn run_user_builds_one_gram_matrix_per_kernel() {
     assert!(!cells.is_empty());
 
     let builds = builds(&arena);
-    let gram_builds: Vec<usize> = builds
-        .iter()
-        .filter(|((_, _, space), _)| *space == RowSpace::Gram)
-        .map(|(_, tags)| tags.len())
-        .collect();
+    let gram_builds: Vec<usize> = builds.values().map(BTreeSet::len).collect();
     assert_eq!(
         gram_builds,
         vec![1; KernelKind::ALL.len()],
         "run_user must build one Gram matrix per kernel"
     );
-    assert!(builds.keys().all(|&(owner, _, _)| owner == u64::from(user.0)), "only the user's rows");
+    assert!(builds.keys().all(|&(owner, _)| owner == u64::from(user.0)), "only the user's rows");
     let stats = arena.stats();
     assert_eq!(stats.evictions, 0, "budget is ample for the quick-test corpus");
     assert_eq!(stats.fills as usize, arena.len(), "every fill is a distinct row");
     let own = sets[&user].len() as u64;
-    let distinct_rows = own * (KernelKind::ALL.len() + KernelKind::ALL.len() - 1) as u64;
+    let distinct_rows = own * KernelKind::ALL.len() as u64;
     assert!(stats.fills <= distinct_rows, "{} > {distinct_rows}", stats.fills);
     assert!(stats.hits > stats.fills, "the ladder must reuse rows: {stats:?}");
 }
@@ -83,18 +80,14 @@ fn sweep_all_builds_one_gram_matrix_per_user_and_kernel() {
         .arena(arena.clone());
     let (best, stats) = search.sweep_all(&sets);
 
-    for ((owner, kernel, space), tags) in builds(&arena) {
-        assert_eq!(tags.len(), 1, "user {owner} kernel {kernel} {space:?}: {} builds", tags.len());
+    for ((owner, kernel), tags) in builds(&arena) {
+        assert_eq!(tags.len(), 1, "user {owner} kernel {kernel}: {} builds", tags.len());
     }
     let trained_users = sets.values().filter(|w| !w.is_empty()).count();
-    let gram_matrices = builds(&arena).keys().filter(|k| k.2 == RowSpace::Gram).count();
-    assert!(gram_matrices <= trained_users * KernelKind::ALL.len());
+    assert!(builds(&arena).len() <= trained_users * KernelKind::ALL.len());
     // Distinct rows: per user, one Gram row per window for each of the 4
-    // kernels, plus one cross row per window for the 3 non-linear kernels.
-    let distinct_rows: u64 = sets
-        .values()
-        .map(|w| (w.len() * (KernelKind::ALL.len() + KernelKind::ALL.len() - 1)) as u64)
-        .sum();
+    // kernels.
+    let distinct_rows: u64 = sets.values().map(|w| (w.len() * KernelKind::ALL.len()) as u64).sum();
     assert!(
         stats.arena.fills <= distinct_rows,
         "each distinct row fills at most once: {} > {distinct_rows}",
