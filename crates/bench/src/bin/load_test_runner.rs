@@ -18,7 +18,7 @@
 //! `--smoke` shrinks the corpus for CI (two tiny tenants, sub-minute).
 //! `--target 0` (the default) drives unpaced, measuring capacity; the
 //! achieved rate lands in `tx_per_sec`. `--json PATH` writes the headline
-//! metrics for `validate_slo`.
+//! metrics that `perf_gate` compares against the committed baseline.
 
 use bench::ExperimentConfig;
 use identd::proto::DecisionRecord;

@@ -1,6 +1,7 @@
 //! CI perf gate: compares a benchmark's `BENCH_*.json` against the
-//! committed baseline and fails (exit 1) when a watched higher-is-better
-//! metric drops by more than the tolerance.
+//! committed baseline and fails (exit 1) when a watched metric regresses
+//! by more than the tolerance: a higher-is-better metric drops, or a
+//! lower-is-better one grows.
 //!
 //! ```text
 //! cargo run -p bench --bin perf_gate -- \
@@ -10,12 +11,15 @@
 //! ```
 //!
 //! Only the metrics named by `--metrics` (comma-separated,
-//! higher-is-better) and `--metrics-lower` (comma-separated,
-//! lower-is-better: latencies and ns-per-op costs, compared like
-//! `validate_slo`) gate the build; everything else in the files is
-//! informational. At least one of the two must be given. The default
-//! tolerance allows a 25 % regression before failing, absorbing runner
-//! noise while still catching real slowdowns.
+//! higher-is-better: pass iff `current >= baseline × (1 − tolerance)`) and
+//! `--metrics-lower` (comma-separated, lower-is-better: latencies and
+//! ns-per-op costs, pass iff `current <= baseline × (1 + tolerance)`) gate
+//! the build; everything else in the files is informational. At least one
+//! of the two must be given. A metric that needs its own tolerance gets
+//! its own invocation (identd's SLO gate runs one for `tx_per_sec` and one
+//! for `latency_p99_ms`). The default tolerance allows a 25 % regression
+//! before failing, absorbing runner noise while still catching real
+//! slowdowns.
 
 use bench::{gate, json, ExperimentConfig};
 

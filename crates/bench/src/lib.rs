@@ -291,9 +291,8 @@ pub mod gate {
 
     /// Checks each watched **lower**-is-better metric (latencies,
     /// ns-per-op costs): pass iff `current <= baseline * (1 + tolerance)`
-    /// plus an epsilon absorbing float formatting, mirroring the SLO
-    /// comparator in `validate_slo`. Errors if a watched metric is
-    /// missing from either side.
+    /// plus an epsilon absorbing float formatting. Errors if a watched
+    /// metric is missing from either side.
     pub fn check_lower(
         baseline: &[(String, f64)],
         current: &[(String, f64)],

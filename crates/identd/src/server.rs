@@ -413,7 +413,9 @@ fn tenant_stats_json(stats: &TenantStats) -> Json {
         ("late_dropped".into(), Json::Num(stats.late_dropped as f64)),
         ("batches".into(), Json::Num(stats.batches as f64)),
         ("scoring_secs".into(), Json::Num(stats.scoring_secs)),
-        ("prefilter_windows".into(), Json::Num(stats.prefilter_windows as f64)),
+        // Kept for wire compatibility: every window scored is shortlisted
+        // first, so the same count as `windows_scored`.
+        ("prefilter_windows".into(), Json::Num(stats.windows_scored as f64)),
         ("pending_windows".into(), Json::Num(stats.pending_windows as f64)),
         ("decisions_buffered".into(), Json::Num(stats.decisions_buffered as f64)),
         ("decisions_dropped".into(), Json::Num(stats.decisions_dropped as f64)),

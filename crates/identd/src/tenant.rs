@@ -19,7 +19,7 @@ use proxylog::{DeviceId, Taxonomy, Transaction};
 use std::collections::{BTreeSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock};
-use streamid::{EngineConfig, ModelStore, PrefilterConfig, Profiles, StreamEngine};
+use streamid::{EngineConfig, ModelStore, Profiles, StreamEngine};
 use webprofiler::Vocabulary;
 
 /// Per-tenant counter snapshot for the `stats` verb.
@@ -39,8 +39,6 @@ pub struct TenantStats {
     pub batches: u64,
     /// Seconds spent scoring.
     pub scoring_secs: f64,
-    /// Windows decided through the candidate prefilter.
-    pub prefilter_windows: u64,
     /// Closed windows awaiting a scoring batch.
     pub pending_windows: usize,
     /// Decisions waiting for a `decide` poll.
@@ -121,8 +119,7 @@ impl Tenant {
         decision_cap: usize,
     ) -> Self {
         let loaded = profiles.len();
-        let engine = StreamEngine::new(profiles, paper_vocab(), engine_config)
-            .with_prefilter(PrefilterConfig::default());
+        let engine = StreamEngine::new(profiles, paper_vocab(), engine_config);
         let state = TenantState {
             engine,
             buffered: VecDeque::new(),
@@ -191,7 +188,6 @@ impl Tenant {
                 late_dropped: stats.late_dropped,
                 batches: stats.batches,
                 scoring_secs: stats.scoring.as_secs_f64(),
-                prefilter_windows: stats.prefilter_windows,
                 pending_windows: state.engine.pending_windows(),
                 decisions_buffered: state.buffered.len(),
                 decisions_dropped: state.decisions_dropped,

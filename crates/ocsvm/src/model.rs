@@ -13,6 +13,7 @@ use crate::kernel::Kernel;
 use crate::panel::{kernel_cross_row_into, ProbePanel};
 use crate::smo::Solution;
 use crate::sparse::SparseVector;
+use std::ops::Range;
 
 /// How a trained model turns its kernel sum `s = Σᵢ αᵢ·k(svᵢ, x)` into a
 /// decision value (`>= 0` accepts).
@@ -256,13 +257,15 @@ impl OneClassModel {
     /// exactly `decision_value(p) >= 0.0` per probe (see
     /// [`panel_acceptance_counted`](Self::panel_acceptance_counted)).
     pub fn panel_acceptance(&self, panel: &ProbePanel) -> Vec<bool> {
-        self.panel_acceptance_counted(panel).0
+        self.panel_acceptance_counted(panel, 0..0).0
     }
 
-    /// [`panel_acceptance`](Self::panel_acceptance), with the number of
-    /// probes the [`DecisionBound`] left to exact scoring — `None` for a
-    /// linear model, which scores every probe through one GEMV of its
-    /// collapsed weight vector and has no use for the bound.
+    /// [`panel_acceptance`](Self::panel_acceptance) for every probe outside
+    /// the packing-order range `skip`, with the number of those probes the
+    /// [`DecisionBound`] left to exact scoring — `None` for a linear model,
+    /// which scores every probe through one GEMV of its collapsed weight
+    /// vector and has no use for the bound. Probes in `skip` are neither
+    /// bound-checked nor scored, and read `false`.
     ///
     /// A non-linear model reads its bound's `⟨x, weights⟩` and
     /// `⟨x, extent⟩` for every probe from two [`ProbePanel::dot_into`]
@@ -273,10 +276,16 @@ impl OneClassModel {
     /// for bit `k(svᵢ, x)` (the sparse dot and squared distance are
     /// symmetric), summed in support-vector order like
     /// [`decision_value`](Self::decision_value).
-    pub fn panel_acceptance_counted(&self, panel: &ProbePanel) -> (Vec<bool>, Option<usize>) {
+    pub fn panel_acceptance_counted(
+        &self,
+        panel: &ProbePanel,
+        skip: Range<usize>,
+    ) -> (Vec<bool>, Option<usize>) {
         if self.support.collapsed.is_some() {
             let values = self.panel_decision_values(panel);
-            return (values.iter().map(|&v| v >= 0.0).collect(), None);
+            let accepted =
+                values.iter().enumerate().map(|(j, &v)| !skip.contains(&j) && v >= 0.0).collect();
+            return (accepted, None);
         }
         let bound = self.decision_bound();
         let mut dots = vec![0.0; panel.probe_count()];
@@ -294,7 +303,11 @@ impl OneClassModel {
             .iter()
             .zip(panel.squared_norms())
             .zip(dots.iter().zip(&extent_dots))
-            .map(|((&x, &squared_norm), (&dot, &extent_dot))| {
+            .enumerate()
+            .map(|(j, ((&x, &squared_norm), (&dot, &extent_dot)))| {
+                if skip.contains(&j) {
+                    return false;
+                }
                 // Non-negative weights: the bound's magnitude is its dot.
                 let proven = x.iter().all(|(_, v)| v >= 0.0);
                 if proven && !bound.admits(dot, dot, extent_dot, squared_norm) {
@@ -998,12 +1011,17 @@ mod tests {
         let panel = ProbePanel::pack(&probes);
         for kernel in BOUNDED_KERNELS {
             let model = on_boundary(&vectors, &[1.0], kernel, false, &far);
-            let (accepted, scored) = model.panel_acceptance_counted(&panel);
+            let (accepted, scored) = model.panel_acceptance_counted(&panel, 0..0);
             let expected: Vec<bool> = probes.iter().map(|p| model.accepts(p)).collect();
             assert_eq!(accepted, expected, "{kernel:?}");
             // `far` is admitted, `pruned` rejected by a margin and `signed`
             // outside the proven domain; linear models score by GEMV.
             assert_eq!(scored, (kernel != Kernel::Linear).then_some(2), "{kernel:?}");
+            // A skipped probe is neither scored nor accepted; the others
+            // are decided as before.
+            let (accepted, scored) = model.panel_acceptance_counted(&panel, 0..1);
+            assert_eq!(accepted, [false, expected[1], expected[2]], "{kernel:?}");
+            assert_eq!(scored, (kernel != Kernel::Linear).then_some(1), "{kernel:?}");
         }
     }
 

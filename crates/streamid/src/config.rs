@@ -53,15 +53,12 @@ impl EngineConfig {
     }
 }
 
-/// Two-stage scoring of a [`StreamEngine`](crate::StreamEngine) (see
-/// [`StreamEngine::with_prefilter`](crate::StreamEngine::with_prefilter)).
+/// Argument of the [`StreamEngine::with_prefilter`](crate::StreamEngine::with_prefilter)
+/// shim, read by nothing.
 ///
-/// When enabled, each closed window is first run through the exact
-/// [`webprofiler::CandidateIndex`] shortlist — every profile whose
-/// decision bound admits the window — and only the shortlist is scored;
-/// everyone else provably rejects the window. Decisions are bit-identical
-/// to exhaustive scoring for every kernel. The default (no prefilter) is
-/// exhaustive scoring of every enrolled profile.
+/// Kept only so existing callers still build: every engine scores each
+/// closed window through the exact [`webprofiler::CandidateIndex`]
+/// shortlist, so there is nothing left to configure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefilterConfig {
     /// Compatibility shim, read by nothing: the shortlist used to keep the

@@ -1,7 +1,7 @@
 //! The streaming identification engine.
 
 use crate::config::{EngineConfig, PrefilterConfig};
-use ocsvm::{ProbePanel, SparseVector};
+use ocsvm::SparseVector;
 use proxylog::{DeviceId, Timestamp, Transaction, UserId};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
@@ -93,11 +93,9 @@ pub struct EngineStats {
     pub max_batch: usize,
     /// Total wall-clock time spent in batched scoring.
     pub scoring: Duration,
-    /// Windows decided through the candidate prefilter (zero without a
-    /// [`PrefilterConfig`]).
-    pub prefilter_windows: u64,
-    /// Exact profile scorings the prefilter allowed (Σ shortlist sizes);
-    /// exhaustive scoring would have cost `prefilter_windows × profiles`.
+    /// Candidates scored: exact profile scorings the shortlist left
+    /// (Σ shortlist sizes). Scoring every profile would cost
+    /// `windows_scored × profiles`.
     pub prefilter_candidates: u64,
 }
 
@@ -106,7 +104,7 @@ impl fmt::Display for EngineStats {
         write!(
             f,
             "{} devices, {} windows scored in {} batches (max {}), \
-             {} shed, {} late-dropped, {:.3}s scoring",
+             {} shed, {} late-dropped, {:.3}s scoring, {} candidates scored",
             self.devices,
             self.windows_scored,
             self.batches,
@@ -114,15 +112,8 @@ impl fmt::Display for EngineStats {
             self.windows_shed,
             self.late_dropped,
             self.scoring.as_secs_f64(),
-        )?;
-        if self.prefilter_windows > 0 {
-            write!(
-                f,
-                ", prefilter: {} candidates over {} windows",
-                self.prefilter_candidates, self.prefilter_windows,
-            )?;
-        }
-        Ok(())
+            self.prefilter_candidates,
+        )
     }
 }
 
@@ -161,28 +152,30 @@ pub struct StreamEngine<'a, P = &'a Profiles> {
     batches: u64,
     max_batch: usize,
     scoring: Duration,
-    prefilter: Option<PrefilterState>,
-    prefilter_windows: u64,
-    prefilter_candidates: u64,
-}
-
-/// Two-stage scoring state: the candidate index over the enrolled
-/// population plus per-batch scratch.
-#[derive(Debug)]
-struct PrefilterState {
+    /// Exact shortlist over the enrolled population, built once.
     index: CandidateIndex,
     /// Dense per-user scratch reused across windows.
     scratch: ShortlistScratch,
+    prefilter_candidates: u64,
 }
 
 impl<'a, P: Borrow<Profiles>> StreamEngine<'a, P> {
     /// Creates an engine scoring against `profiles` (borrowed or owned).
+    ///
+    /// Builds a [`CandidateIndex`] over the profiles once. Each closed
+    /// window is scored exactly only by the users on its shortlist, the
+    /// users whose decision bound admits it; everyone else provably
+    /// rejects it. The shortlist never prunes a user whose exact decision
+    /// is `>= 0` (see the `webprofiler::prefilter` module docs), so every
+    /// window is decided bit-identically to scoring every profile, for
+    /// every kernel and both model families.
     ///
     /// # Panics
     ///
     /// Panics if any [`EngineConfig`] knob that must be positive is zero.
     pub fn new(profiles: P, vocab: &'a Vocabulary, config: EngineConfig) -> Self {
         config.validate();
+        let index = CandidateIndex::build(profiles.borrow(), vocab);
         Self {
             profiles,
             vocab,
@@ -197,27 +190,18 @@ impl<'a, P: Borrow<Profiles>> StreamEngine<'a, P> {
             batches: 0,
             max_batch: 0,
             scoring: Duration::ZERO,
-            prefilter: None,
-            prefilter_windows: 0,
+            index,
+            scratch: ShortlistScratch::default(),
             prefilter_candidates: 0,
         }
     }
 
-    /// Enables two-stage scoring: a [`webprofiler::CandidateIndex`] built
-    /// once over the enrolled profiles shortlists, per closed window, every
-    /// user whose decision bound admits it, and exact scoring runs only on
-    /// the shortlist (users outside it provably reject). Without this call
-    /// every window is scored against every profile.
+    /// Returns the engine unchanged; `config` is dropped unused.
     ///
-    /// Every window is decided bit-identically to the exhaustive path, for
-    /// every kernel and both model families: the shortlist never prunes a
-    /// user whose exact decision is `>= 0` (see the `webprofiler::prefilter`
-    /// module docs). `_config` is a compatibility shim; nothing reads it.
-    pub fn with_prefilter(mut self, _config: PrefilterConfig) -> Self {
-        self.prefilter = Some(PrefilterState {
-            index: CandidateIndex::build(self.profiles.borrow(), self.vocab),
-            scratch: ShortlistScratch::default(),
-        });
+    /// Kept only so existing callers still build: this call used to switch
+    /// scoring from every profile to the candidate shortlist, which every
+    /// engine now always uses (see [`new`](Self::new)).
+    pub fn with_prefilter(self, _config: PrefilterConfig) -> Self {
         self
     }
 
@@ -307,7 +291,7 @@ impl<'a, P: Borrow<Profiles>> StreamEngine<'a, P> {
 
     /// Lifetime counters (live devices, streams opened, windows
     /// closed/scored/shed, late drops, batch sizes, scoring time,
-    /// prefilter usage). All counters except `devices` are cumulative over
+    /// candidates scored). All counters except `devices` are cumulative over
     /// the engine's lifetime: evicting a device does not erase what it
     /// already contributed.
     pub fn stats(&self) -> EngineStats {
@@ -321,7 +305,6 @@ impl<'a, P: Borrow<Profiles>> StreamEngine<'a, P> {
             batches: self.batches,
             max_batch: self.max_batch,
             scoring: self.scoring,
-            prefilter_windows: self.prefilter_windows,
             prefilter_candidates: self.prefilter_candidates,
         }
     }
@@ -373,12 +356,10 @@ impl<'a, P: Borrow<Profiles>> StreamEngine<'a, P> {
         }
     }
 
-    /// Scores every pending window in one micro-batch — exhaustively
-    /// (the batch packed once, one
-    /// [`panel_decision_values`](UserProfile::panel_decision_values) call
-    /// per profile, profiles fanned out across cores) or through the
-    /// candidate prefilter when one is configured — then per-window
-    /// acceptance sets and trailing votes in arrival order.
+    /// Scores every pending window in one micro-batch — each window's
+    /// candidate shortlist first, then one exact batched scoring call per
+    /// shortlisted profile — then per-window acceptance sets and trailing
+    /// votes in arrival order.
     fn score_pending(&mut self) -> Vec<WindowDecision> {
         if self.pending.is_empty() {
             return Vec::new();
@@ -386,26 +367,12 @@ impl<'a, P: Borrow<Profiles>> StreamEngine<'a, P> {
         let batch: Vec<PendingWindow> = std::mem::take(&mut self.pending);
         let started = Instant::now();
         let probes: Vec<&SparseVector> = batch.iter().map(|p| &p.window.features).collect();
-        // Stage one, when configured: per-window candidate shortlists.
-        let shortlists: Option<Vec<Vec<u32>>> = self.prefilter.as_mut().map(|state| {
-            let mut scratch = std::mem::take(&mut state.scratch);
-            let lists: Vec<Vec<u32>> = probes
-                .iter()
-                .map(|features| state.index.shortlist(features, 0, &mut scratch))
-                .collect();
-            state.scratch = scratch;
-            lists
-        });
-        let accepted = match &shortlists {
-            Some(lists) => {
-                let accepted = self.score_shortlisted(&probes, lists);
-                let candidates: u64 = lists.iter().map(|l| l.len() as u64).sum();
-                self.prefilter_windows += probes.len() as u64;
-                self.prefilter_candidates += candidates;
-                accepted
-            }
-            None => self.score_exhaustive(&probes),
-        };
+        let shortlists: Vec<Vec<u32>> = probes
+            .iter()
+            .map(|features| self.index.shortlist(features, 0, &mut self.scratch))
+            .collect();
+        let accepted = self.score_shortlisted(&probes, &shortlists);
+        self.prefilter_candidates += shortlists.iter().map(|l| l.len() as u64).sum::<u64>();
         self.scoring += started.elapsed();
         self.batches += 1;
         self.max_batch = self.max_batch.max(batch.len());
@@ -432,52 +399,15 @@ impl<'a, P: Borrow<Profiles>> StreamEngine<'a, P> {
         decisions
     }
 
-    /// Exhaustive stage: every profile scores every probe; returns each
-    /// probe's accepted users, ascending. The batch is packed into one
-    /// [`ProbePanel`] that every profile scores.
-    fn score_exhaustive(&self, probes: &[&SparseVector]) -> Vec<Vec<UserId>> {
-        let entries: Vec<(&UserId, &UserProfile)> = self.profiles.borrow().iter().collect();
-        let panel = ProbePanel::pack(probes);
-        // Fan profiles out across cores only when the kernel work dwarfs
-        // the cost of spawning the scoped threads; small batches (linear
-        // models especially, whose batched path is one GEMV) are faster
-        // scored inline.
-        let work: usize = entries
-            .iter()
-            .map(|(_, profile)| match profile.params().kernel {
-                ocsvm::Kernel::Linear => probes.len(),
-                _ => probes.len() * profile.support_vector_count(),
-            })
-            .sum();
-        let values: Vec<Vec<f64>> = if work >= PARALLEL_WORK_THRESHOLD {
-            parallel_map(&entries, |(_, profile)| profile.panel_decision_values(&panel))
-        } else {
-            entries.iter().map(|(_, profile)| profile.panel_decision_values(&panel)).collect()
-        };
-        (0..probes.len())
-            .map(|j| {
-                // BTreeMap iteration keeps the accepted set ascending,
-                // exactly like the offline identifier's profile scan.
-                entries
-                    .iter()
-                    .zip(&values)
-                    .filter(|(_, vals)| vals[j] >= 0.0)
-                    .map(|((&user, _), _)| user)
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Exact rerank stage: each shortlisted (user, windows) group runs one
+    /// Exact stage: each shortlisted (user, windows) group runs one
     /// batched exact scoring call over just that user's shortlisted
-    /// windows; users outside a window's shortlist reject it. Returns each
-    /// probe's accepted users, ascending.
+    /// windows; users outside a window's shortlist provably reject it.
+    /// Returns each probe's accepted users, ascending.
     fn score_shortlisted(
         &self,
         probes: &[&SparseVector],
         shortlists: &[Vec<u32>],
     ) -> Vec<Vec<UserId>> {
-        let index = &self.prefilter.as_ref().expect("shortlists imply a prefilter").index;
         // Regroup window-major shortlists into user-major window lists so
         // each profile keeps the batched-scoring amortization.
         let mut per_user: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
@@ -489,7 +419,7 @@ impl<'a, P: Borrow<Profiles>> StreamEngine<'a, P> {
         let items: Vec<(UserId, &UserProfile, Vec<usize>)> = per_user
             .into_iter()
             .map(|(slot, windows)| {
-                let user = index.user_at(slot);
+                let user = self.index.user_at(slot);
                 let profile = self.profiles.borrow().get(&user).expect("indexed unknown user");
                 (user, profile, windows)
             })
@@ -512,8 +442,8 @@ impl<'a, P: Borrow<Profiles>> StreamEngine<'a, P> {
         };
         let mut accepted: Vec<Vec<UserId>> = vec![Vec::new(); probes.len()];
         // Slots ascend through the BTreeMap, so each window's accepted
-        // set fills in ascending user order — identical to the exhaustive
-        // profile scan.
+        // set fills in ascending user order — identical to the offline
+        // identifier's profile scan.
         for ((user, _, windows), vals) in items.iter().zip(&values) {
             for (&j, &v) in windows.iter().zip(vals) {
                 if v >= 0.0 {
@@ -675,29 +605,37 @@ mod tests {
         let (profiles, _) =
             ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
         let config = EngineConfig { batch_windows: 16, ..EngineConfig::default() };
-        let mut exhaustive = StreamEngine::new(&profiles, &vocab, config);
-        let mut prefiltered =
-            StreamEngine::new(&profiles, &vocab, config).with_prefilter(PrefilterConfig::default());
-        let mut a = Vec::new();
-        let mut b = Vec::new();
+        let mut engine = StreamEngine::new(&profiles, &vocab, config);
+        let mut decisions = Vec::new();
         for tx in dataset.transactions() {
-            a.extend(exhaustive.observe(*tx));
-            b.extend(prefiltered.observe(*tx));
+            decisions.extend(engine.observe(*tx));
         }
-        a.extend(exhaustive.finish());
-        b.extend(prefiltered.finish());
-        assert!(!a.is_empty());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.device, y.device);
-            assert_eq!(x.start, y.start);
-            assert_eq!(x.accepted_by, y.accepted_by);
-            assert_eq!(x.vote, y.vote);
+        decisions.extend(engine.finish());
+        assert!(!decisions.is_empty());
+        // Exhaustive oracle: every profile decides every window, and the
+        // vote runs over the device's trailing oracle sets.
+        let mut history: BTreeMap<DeviceId, VecDeque<Vec<UserId>>> = BTreeMap::new();
+        for decision in &decisions {
+            let scan: Vec<UserId> = profiles
+                .iter()
+                .filter(|(_, profile)| profile.decision_value(&decision.features) >= 0.0)
+                .map(|(&user, _)| user)
+                .collect();
+            assert_eq!(decision.accepted_by, scan, "window at {}", decision.start);
+            let trailing = history.entry(decision.device).or_default();
+            trailing.push_back(scan);
+            if trailing.len() > config.vote_k {
+                trailing.pop_front();
+            }
+            let vote = majority_vote(trailing.iter().map(|set| set.as_slice()));
+            assert_eq!(decision.vote, vote, "vote at {}", decision.start);
         }
-        let stats = prefiltered.stats();
-        assert_eq!(stats.prefilter_windows, stats.windows_scored);
+        let stats = engine.stats();
         assert!(stats.prefilter_candidates > 0);
-        assert_eq!(exhaustive.stats().prefilter_windows, 0);
+        assert!(
+            stats.prefilter_candidates <= stats.windows_scored * profiles.len() as u64,
+            "the shortlist never exceeds the population"
+        );
     }
 
     #[test]
@@ -712,10 +650,8 @@ mod tests {
         let (profiles, _) =
             ProfileTrainer::new(&vocab).max_training_windows(150).train_all(&dataset);
         let config = EngineConfig { batch_windows: 16, ..EngineConfig::default() };
-        let mut borrowing =
-            StreamEngine::new(&profiles, &vocab, config).with_prefilter(PrefilterConfig::default());
-        let mut owning = StreamEngine::new(std::sync::Arc::new(profiles.clone()), &vocab, config)
-            .with_prefilter(PrefilterConfig::default());
+        let mut borrowing = StreamEngine::new(&profiles, &vocab, config);
+        let mut owning = StreamEngine::new(std::sync::Arc::new(profiles.clone()), &vocab, config);
         let mut a = Vec::new();
         let mut b = Vec::new();
         for tx in dataset.transactions() {

@@ -8,11 +8,10 @@
 //! time-ordered stream of [`proxylog::Transaction`]s (from a file tail via
 //! [`proxylog::LogTail`], an in-process channel, or a `tracegen` corpus
 //! replayed live), maintains incremental per-device window state, and
-//! scores *micro-batches* of closed windows against every candidate
-//! profile at once — one kernel row per support vector per batch, summed
-//! into the decision values through one reused row buffer (every window
-//! is a fresh probe, so no row is cached), and one dense weight-vector
-//! GEMV per batch for linear models — instead of one window at a time.
+//! scores *micro-batches* of closed windows against their candidate
+//! profiles at once — one exact batched scoring call per shortlisted
+//! profile over the windows that shortlist it (every window is a fresh
+//! probe, so no kernel row is cached) — instead of one window at a time.
 //!
 //! The pipeline per transaction:
 //!
@@ -24,10 +23,14 @@
 //! 2. **Batched scoring** — closed windows queue up; when
 //!    [`EngineConfig::batch_windows`] have accumulated (or on
 //!    [`StreamEngine::drain`]/[`StreamEngine::finish`]) the whole batch is
-//!    scored against all profiles in parallel, amortizing kernel work
-//!    across the batch. Decision values are bit-identical to per-window
-//!    scoring, so replaying a finished corpus reproduces
-//!    [`webprofiler::identify_on_device`] exactly.
+//!    scored in two stages. A [`webprofiler::CandidateIndex`], built once
+//!    over the enrolled profiles, shortlists per window every user whose
+//!    decision bound admits it; then each shortlisted profile scores its
+//!    windows in one batched call, profiles fanned out across cores when
+//!    the work is large. The bound never prunes an accepting user and the
+//!    batched decision values are bit-identical to per-window scoring, so
+//!    replaying a finished corpus reproduces
+//!    [`webprofiler::identify_on_device`] exactly, for every kernel.
 //! 3. **Voting** — each scored window folds into its device's trailing
 //!    [`webprofiler::majority_vote`] (the same rule as
 //!    [`webprofiler::consecutive_window_vote`]), emitting one
@@ -41,15 +44,8 @@
 //! closed window is counted once ([`EngineStats::windows_closed`]) and is
 //! then scored, shed or still pending; every window stream opened,
 //! including a device's reopen after [`StreamEngine::evict_device`], is
-//! counted in [`EngineStats::streams_opened`].
-//!
-//! At large populations exhaustive scoring is the bottleneck: every
-//! closed window visits every enrolled profile. [`StreamEngine::with_prefilter`]
-//! switches scoring to a two-stage path — a cheap
-//! [`webprofiler::CandidateIndex`] shortlist keeps, per window, every
-//! user whose decision bound admits it, and only the shortlist is scored
-//! exactly. The bound never prunes an accepting user, so every window is
-//! decided bit-identically to exhaustive scoring, for every kernel.
+//! counted in [`EngineStats::streams_opened`], and every exact profile
+//! scoring the shortlist leaves in [`EngineStats::prefilter_candidates`].
 //!
 //! Profiles come from wherever [`webprofiler::UserProfile`]s are trained —
 //! or from a [`ModelStore`] directory of persisted profiles. An engine

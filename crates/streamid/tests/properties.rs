@@ -5,8 +5,8 @@
 //! (linear, RBF, polynomial or sigmoid profiles), delivered out of order: every transaction is
 //! delayed by a random jitter of at most 0, 5, 30, 90 or 240 seconds,
 //! which also reshuffles how the devices interleave. The engine configuration
-//! (`lateness_secs`, `batch_windows`, `max_pending_per_device`, the
-//! prefilter) and the points where a device is evicted vary per case.
+//! (`lateness_secs`, `batch_windows`, `max_pending_per_device`) and the
+//! points where a device is evicted vary per case.
 //! After `finish()` every case checks:
 //!
 //! * (a) the counters reconcile: every closed window is scored or shed,
@@ -19,18 +19,22 @@
 //!   sorted by time.
 //!
 //! A second property generates mixed-kernel, mixed-family populations and
-//! checks that the exact candidate prefilter decides every window exactly
-//! as exhaustive scoring does.
+//! checks that the engine, which scores each window only against its exact
+//! candidate shortlist, decides every window exactly as a test-local
+//! exhaustive oracle does: every profile's `decision_value` on the window,
+//! then the majority vote over the device's trailing oracle sets.
 //!
 //! Inputs come from a seeded xorshift generator, so every run checks the
 //! same cases; a failure names its case seed.
 
 use ocsvm::{Kernel, SparseVector};
 use proxylog::{Dataset, DeviceId, Transaction, UserId};
-use std::collections::{BTreeMap, BTreeSet};
-use streamid::{EngineConfig, EngineStats, PrefilterConfig, StreamEngine, WindowDecision};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use streamid::{EngineConfig, EngineStats, StreamEngine, WindowDecision};
 use tracegen::{Scenario, TraceGenerator};
-use webprofiler::{ModelKind, ProfileTrainer, UserProfile, Vocabulary, WindowAggregator};
+use webprofiler::{
+    majority_vote, ModelKind, ProfileTrainer, UserProfile, Vocabulary, WindowAggregator,
+};
 
 /// Generated cases per run.
 const CASES: u64 = 64;
@@ -65,7 +69,6 @@ impl Xs {
 struct Case {
     feed: Vec<Transaction>,
     config: EngineConfig,
-    prefilter: bool,
     evictions: BTreeMap<usize, DeviceId>,
     /// Whether the lateness covers the feed's largest disorder.
     covered: bool,
@@ -134,7 +137,6 @@ fn generate(dataset: &Dataset, rng: &mut Xs) -> Case {
             max_pending_per_device,
             ..EngineConfig::default()
         },
-        prefilter: rng.chance(3),
         evictions,
         covered,
     }
@@ -151,9 +153,6 @@ fn run<'a>(
     evictions: &BTreeMap<usize, DeviceId>,
 ) -> (Vec<WindowDecision>, EngineStats, u64) {
     let mut engine = StreamEngine::new(profiles, vocab, case.config);
-    if case.prefilter {
-        engine = engine.with_prefilter(PrefilterConfig::default());
-    }
     let mut decisions = Vec::new();
     let mut live = BTreeSet::new();
     let mut opened = 0;
@@ -270,18 +269,14 @@ fn random_kernel(rng: &mut Xs) -> Kernel {
     }
 }
 
-/// Runs `feed` through a fresh engine, optionally prefiltered.
+/// Runs `feed` through a fresh engine.
 fn decide(
     profiles: &BTreeMap<UserId, UserProfile>,
     vocab: &Vocabulary,
     config: EngineConfig,
-    prefilter: Option<PrefilterConfig>,
     feed: &[Transaction],
 ) -> (Vec<WindowDecision>, EngineStats) {
     let mut engine = StreamEngine::new(profiles, vocab, config);
-    if let Some(prefilter) = prefilter {
-        engine = engine.with_prefilter(prefilter);
-    }
     let mut decisions: Vec<WindowDecision> =
         feed.iter().flat_map(|tx| engine.observe(*tx)).collect();
     decisions.extend(engine.finish());
@@ -325,22 +320,30 @@ fn prefiltered_decisions_equal_exhaustive_over_generated_mixed_populations() {
         let feed = &all[start..start + len];
         let config =
             EngineConfig { batch_windows: rng.pick(&[1usize, 5, 64]), ..EngineConfig::default() };
-        // The shim's value must not matter.
-        let prefilter = PrefilterConfig { top_k: rng.pick(&[0usize, 1, 16]) };
 
-        let (want, _) = decide(&profiles, &vocab, config, None, feed);
-        let (got, stats) = decide(&profiles, &vocab, config, Some(prefilter), feed);
-        assert_eq!(got.len(), want.len(), "case {seed}");
-        for (a, b) in got.iter().zip(&want) {
-            assert_eq!((a.device, a.start), (b.device, b.start), "case {seed}");
-            assert_eq!(a.features, b.features, "case {seed}");
-            assert_eq!(a.accepted_by, b.accepted_by, "case {seed}: window at {}", a.start);
-            assert_eq!(a.vote, b.vote, "case {seed}: vote at {}", a.start);
-            accepted_pairs += b.accepted_by.len();
+        let (got, stats) = decide(&profiles, &vocab, config, feed);
+        assert_eq!(got.len() as u64, stats.windows_scored, "case {seed}");
+        // Exhaustive oracle: every profile decides every window; each
+        // device votes over its trailing oracle sets.
+        let mut history: BTreeMap<DeviceId, VecDeque<Vec<UserId>>> = BTreeMap::new();
+        for a in &got {
+            let scan: Vec<UserId> = profiles
+                .iter()
+                .filter(|(_, profile)| profile.decision_value(&a.features) >= 0.0)
+                .map(|(&user, _)| user)
+                .collect();
+            assert_eq!(a.accepted_by, scan, "case {seed}: window at {}", a.start);
+            accepted_pairs += scan.len();
+            let trailing = history.entry(a.device).or_default();
+            trailing.push_back(scan);
+            if trailing.len() > config.vote_k {
+                trailing.pop_front();
+            }
+            let vote = majority_vote(trailing.iter().map(|set| set.as_slice()));
+            assert_eq!(a.vote, vote, "case {seed}: vote at {}", a.start);
         }
-        assert_eq!(stats.prefilter_windows, want.len() as u64, "case {seed}");
         candidates += stats.prefilter_candidates;
-        exhaustive_work += stats.prefilter_windows * profiles.len() as u64;
+        exhaustive_work += stats.windows_scored * profiles.len() as u64;
     }
     assert!(accepted_pairs > 0, "no window was accepted by anyone");
     assert!(candidates < exhaustive_work, "{candidates} of {exhaustive_work}: nothing pruned");

@@ -177,8 +177,9 @@ pub struct SweepStats {
     /// Kernel-row arena activity during the sweep (delta, not lifetime).
     pub arena: ArenaStats,
     /// `ACCother` (cell, probe) pairs a decision bound examined, per kernel
-    /// in [`KernelKind::ALL`] order. Linear cells score every probe through
-    /// one GEMV and examine none.
+    /// in [`KernelKind::ALL`] order: every other user's probe, never the
+    /// cell's own user's. Linear cells score every probe through one GEMV
+    /// and examine none.
     pub bound_pairs: [u64; KernelKind::ALL.len()],
     /// Of [`bound_pairs`](Self::bound_pairs), the pairs the bound admitted
     /// and the support vectors scored exactly, per kernel.
@@ -414,7 +415,7 @@ impl<'a> ModelGridSearch<'a> {
         // The sweep's one `ACCother` probe set: every user's sample,
         // flattened in ascending user order and packed into one panel that
         // every cell scores. A user's `ACCother` averages over every range
-        // but its own (its own probes are scored and unused).
+        // but its own, so its cells skip its own probes.
         let mut probes: Vec<&SparseVector> = Vec::new();
         let mut ranges: Vec<(UserId, Range<usize>)> = Vec::with_capacity(samples.len());
         for (&user, sample) in &samples {
@@ -429,11 +430,21 @@ impl<'a> ModelGridSearch<'a> {
             user: UserId,
             own: &'w [SparseVector],
             own_refs: Vec<&'w SparseVector>,
+            /// The user's own range of the panel's probes.
+            own_probes: Range<usize>,
         }
         let contexts: Vec<UserCtx<'_>> = windows
             .iter()
             .filter(|&(user, own)| swept(user) && !own.is_empty())
-            .map(|(&user, own)| UserCtx { user, own, own_refs: own.iter().collect() })
+            .map(|(&user, own)| UserCtx {
+                user,
+                own,
+                own_refs: own.iter().collect(),
+                own_probes: ranges
+                    .iter()
+                    .find(|(probe_user, _)| *probe_user == user)
+                    .map_or(0..0, |(_, range)| range.clone()),
+            })
             .collect();
 
         // One chain per (user, kernel), in user-major / `KernelKind::ALL`
@@ -510,12 +521,14 @@ impl<'a> ModelGridSearch<'a> {
                         own_refs: &ctx.own_refs,
                         panel: &panel,
                         ranges: &ranges,
+                        own_probes: ctx.own_probes.clone(),
                     };
                     let (cell, scored) =
                         self.evaluate_cell(&profile, chain.kind, regularization, inputs);
                     if let Some(scored) = scored {
                         let k = kind_index(chain.kind);
-                        bound_pairs[k].fetch_add(panel.probe_count() as u64, Ordering::Relaxed);
+                        let examined = panel.probe_count() - ctx.own_probes.len();
+                        bound_pairs[k].fetch_add(examined as u64, Ordering::Relaxed);
                         scored_pairs[k].fetch_add(scored as u64, Ordering::Relaxed);
                     }
                     if seed.is_some() {
@@ -574,9 +587,10 @@ impl<'a> ModelGridSearch<'a> {
     }
 
     /// Scores one trained cell: acceptance over the user's own windows and
-    /// over the sweep's probe set, reduced to `ACCself`/`ACCother`, with the
-    /// probes the decision bound left to exact scoring (`None` for linear
-    /// models). `ACCself` reads the user's shared Gram rows (non-linear
+    /// over the other users' probes of the sweep's panel, reduced to
+    /// `ACCself`/`ACCother`, with the probes the decision bound left to
+    /// exact scoring (`None` for linear models). The user's own probes are
+    /// skipped: `ACCother` never reads them. `ACCself` reads the user's shared Gram rows (non-linear
     /// kernels) or the collapsed weight vector (linear); `ACCother` goes
     /// through [`OneClassModel::panel_acceptance_counted`]. Every decision
     /// equals the per-point one.
@@ -594,7 +608,8 @@ impl<'a> ModelGridSearch<'a> {
             _ => profile.training_decision_values(inputs.gram),
         }
         .unwrap_or_else(|| profile.batch_decision_values(inputs.own_refs));
-        let (probe_accepted, scored) = profile.panel_acceptance_counted(inputs.panel);
+        let (probe_accepted, scored) =
+            profile.panel_acceptance_counted(inputs.panel, inputs.own_probes);
         let cell = ModelGridCell {
             kernel: kind,
             regularization,
@@ -617,6 +632,8 @@ struct CellInputs<'c, 'w> {
     panel: &'c ProbePanel<'c>,
     /// Each user's range of the panel's probes, in ascending user order.
     ranges: &'c [(UserId, Range<usize>)],
+    /// `user`'s own range, which the cell does not score.
+    own_probes: Range<usize>,
 }
 
 /// `ACCself`/`ACCother`: acceptance over the user's own windows (from

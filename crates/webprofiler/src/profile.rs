@@ -146,14 +146,15 @@ impl UserProfile {
         self.model.training_decision_values(gram)
     }
 
-    /// Acceptance of every window of the panel, with the windows the
-    /// decision bound left to exact scoring (see
+    /// Acceptance of every window of the panel outside `skip`, with the
+    /// windows the decision bound left to exact scoring (see
     /// [`OneClassModel::panel_acceptance_counted`]).
     pub(crate) fn panel_acceptance_counted(
         &self,
         panel: &ProbePanel,
+        skip: std::ops::Range<usize>,
     ) -> (Vec<bool>, Option<usize>) {
-        self.model.panel_acceptance_counted(panel)
+        self.model.panel_acceptance_counted(panel, skip)
     }
 
     /// Forwards to [`batch_decision_values`](Self::batch_decision_values)

@@ -1,5 +1,6 @@
 //! Training user profiles from datasets.
 
+use crate::gridsearch::compute_window_sets;
 use crate::profile::{ModelKind, ProfileParams, UserProfile};
 use crate::vocab::Vocabulary;
 use crate::window::{WindowAggregator, WindowConfig};
@@ -194,15 +195,17 @@ impl<'a> ProfileTrainer<'a> {
     }
 
     /// Trains a profile from precomputed window vectors and a precomputed
-    /// Gram matrix over exactly those vectors.
+    /// Gram matrix over exactly those vectors, optionally warm-starting the
+    /// solver from the `α` vector of an adjacent regularization's solution;
+    /// returns the profile and this solution's full `α`, so the caller can
+    /// seed the next value of its ladder.
     ///
-    /// Numerically identical to
-    /// [`train_from_vectors`](Self::train_from_vectors) but skips the
-    /// kernel-matrix computation, which dominates when the same vectors are
-    /// trained repeatedly with different regularizations — the
-    /// [`ModelGridSearch`](crate::ModelGridSearch) computes one `GramMatrix`
-    /// per (user, kernel) and shares it across the whole sweep. The
-    /// trainer's configured kernel must match `gram`'s.
+    /// Without a seed the profile is numerically identical to
+    /// [`train_from_vectors`](Self::train_from_vectors), but the kernel
+    /// matrix is not recomputed: the [`ModelGridSearch`](crate::ModelGridSearch)
+    /// shares one `GramMatrix` per (user, kernel) across its whole sweep.
+    /// Seeding changes the iteration count, not the optimum (the problem is
+    /// convex). The trainer's configured kernel must match `gram`'s.
     ///
     /// # Errors
     ///
@@ -210,24 +213,6 @@ impl<'a> ProfileTrainer<'a> {
     /// solver's Gram-compatibility errors
     /// ([`TrainError::GramSizeMismatch`], [`TrainError::GramKernelMismatch`])
     /// wrapped in [`ProfileError::Train`].
-    pub fn train_from_vectors_with_gram(
-        &self,
-        user: UserId,
-        vectors: &[SparseVector],
-        gram: &GramMatrix<'_>,
-    ) -> Result<UserProfile, ProfileError> {
-        Ok(self.train_from_vectors_seeded(user, vectors, gram, None)?.0)
-    }
-
-    /// Like [`train_from_vectors_with_gram`](Self::train_from_vectors_with_gram),
-    /// but optionally warm-starts the solver from the `α` vector of an
-    /// adjacent regularization's solution, and returns this solution's full
-    /// `α` so the caller can seed the next value of its ladder. Seeding
-    /// changes the iteration count, not the optimum (the problem is convex).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`train_from_vectors_with_gram`](Self::train_from_vectors_with_gram).
     pub fn train_from_vectors_seeded(
         &self,
         user: UserId,
@@ -254,36 +239,21 @@ impl<'a> ProfileTrainer<'a> {
         Ok((profile, alpha))
     }
 
-    /// Computes [`training_vectors`](Self::training_vectors) for many
-    /// users at once, fanning the window extraction and aggregation out
-    /// across the thread pool. Results are returned in `users` order and
-    /// are bit-identical to calling
-    /// [`training_vectors`](Self::training_vectors) serially per user
-    /// (each user's windows are extracted independently, so execution
-    /// order cannot leak into the features).
-    pub fn training_vectors_all(
-        &self,
-        dataset: &Dataset,
-        users: &[UserId],
-    ) -> Vec<Vec<SparseVector>> {
-        parallel_map(users, |&user| self.training_vectors(dataset, user))
-    }
-
     /// Trains profiles for every user in the dataset, in parallel.
     ///
-    /// Feature extraction fans out per user first (so the window
-    /// aggregation of heavy users overlaps), then the per-user solvers run
-    /// in parallel. Users whose training fails are reported in the error
+    /// Feature extraction fans out per user first, through
+    /// [`compute_window_sets`] (so the window aggregation of heavy users
+    /// overlaps), then the per-user solvers run in parallel. Users whose training fails are reported in the error
     /// map alongside the successful profiles, so one pathological user
     /// cannot sink a 25-user experiment.
     pub fn train_all(
         &self,
         dataset: &Dataset,
     ) -> (BTreeMap<UserId, UserProfile>, BTreeMap<UserId, ProfileError>) {
-        let users = dataset.users();
-        let vector_sets = self.training_vectors_all(dataset, &users);
         let jobs: Vec<(UserId, Vec<SparseVector>)> =
-            users.iter().copied().zip(vector_sets).collect();
+            compute_window_sets(self.vocab, dataset, self.window, self.max_training_windows)
+                .into_iter()
+                .collect();
         let results = parallel_map(&jobs, |(user, vectors)| {
             if vectors.is_empty() {
                 // `training_vectors` is empty only for users absent from the
@@ -296,7 +266,7 @@ impl<'a> ProfileTrainer<'a> {
         });
         let mut profiles = BTreeMap::new();
         let mut errors = BTreeMap::new();
-        for (user, result) in users.iter().zip(results) {
+        for ((user, _), result) in jobs.iter().zip(results) {
             match result {
                 Ok(profile) => {
                     profiles.insert(*user, profile);

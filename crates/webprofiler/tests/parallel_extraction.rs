@@ -1,16 +1,17 @@
 //! The parallel per-user feature-extraction fan-out is bit-identical to
 //! the serial order.
 //!
-//! `ProfileTrainer::training_vectors_all` routes `WindowAggregator`
-//! extraction and `aggregate_window` across users through the shared
-//! thread pool; nothing about scheduling may leak into the features. The
-//! regression here pins the parallel result against a plain serial loop
+//! `compute_window_sets` routes `WindowAggregator` extraction and
+//! `aggregate_window` across users through the shared thread pool;
+//! nothing about scheduling may leak into the features. The regression
+//! here pins the parallel result against a plain serial loop
 //! (`SparseVector` implements exact `PartialEq`, so this is a
-//! byte-for-byte comparison), and checks `train_all` still covers every
-//! user after being rerouted through the two-stage fan-out.
+//! byte-for-byte comparison), and checks that `train_all`, which extracts
+//! through the same fan-out, still covers every user.
 
+use std::collections::BTreeMap;
 use tracegen::{Scenario, TraceGenerator};
-use webprofiler::{ProfileTrainer, Vocabulary};
+use webprofiler::{compute_window_sets, ProfileTrainer, Vocabulary, WindowConfig};
 
 #[test]
 fn parallel_extraction_equals_serial_extraction() {
@@ -19,12 +20,16 @@ fn parallel_extraction_equals_serial_extraction() {
     let users = dataset.users();
     assert!(users.len() > 1, "need several users to exercise the fan-out");
 
-    for trainer in
-        [ProfileTrainer::new(&vocab), ProfileTrainer::new(&vocab).max_training_windows(37)]
-    {
-        let serial: Vec<_> =
-            users.iter().map(|&user| trainer.training_vectors(&dataset, user)).collect();
-        let parallel = trainer.training_vectors_all(&dataset, &users);
+    for cap in [None, Some(37)] {
+        let window = WindowConfig::PAPER_DEFAULT;
+        let trainer = ProfileTrainer::new(&vocab).window(window);
+        let trainer = match cap {
+            Some(max) => trainer.max_training_windows(max),
+            None => trainer,
+        };
+        let serial: BTreeMap<_, _> =
+            users.iter().map(|&user| (user, trainer.training_vectors(&dataset, user))).collect();
+        let parallel = compute_window_sets(&vocab, &dataset, window, cap);
         assert_eq!(serial, parallel, "parallel extraction diverged from serial order");
     }
 }
