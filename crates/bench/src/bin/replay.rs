@@ -174,9 +174,6 @@ fn main() {
         "engine must emit exactly the offline window count (shed {})",
         stats.windows_shed,
     );
-    if speedup < 2.0 {
-        eprintln!("WARNING: batched speedup below 2x ({speedup:.2}x)");
-    }
     if let Some(path) = ExperimentConfig::arg_value("--json") {
         let metrics = [
             ("tx_per_sec", replayed.len() as f64 / elapsed.as_secs_f64().max(1e-9)),

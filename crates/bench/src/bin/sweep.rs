@@ -1,24 +1,22 @@
-//! Grid-search sweep benchmark: drives the work-stealing scheduler and the
-//! sweep's byte-budgeted kernel-row arena over a generated corpus and reports cell
-//! throughput, steal counts, arena hit rate, warm-vs-cold SMO iteration
-//! counts, and the share of `ACCother` probes each kernel's decision bound
-//! pruned without exact scoring.
+//! Grid-search sweep benchmark: drives the work-stealing scheduler over a
+//! generated corpus and reports cell throughput, steal counts, the Gram
+//! rows the (user, kernel) chains filled into their own stores,
+//! warm-vs-cold SMO iteration counts, and the share of `ACCother` probes
+//! each kernel's decision bound pruned without exact scoring.
 //!
 //! ```text
 //! cargo run -p bench --bin sweep --release [--smoke] [--weeks N]
-//!     [--budget-kib N] [--workers N] [--model svdd|ocsvm] [--reps N]
-//!     [--json PATH]
+//!     [--workers N] [--model svdd|ocsvm] [--reps N] [--json PATH]
 //! ```
 //!
 //! `--smoke` sweeps the tiny `quick_test` corpus (seconds; used by CI).
-//! The arena budget defaults to half the bytes of the per-user Gram
-//! matrices the sweep would otherwise materialize, so the run demonstrates
-//! the memory-budgeted path rather than an effectively unbounded cache.
 //! `--json PATH` writes the headline metrics as a flat `BENCH_sweep.json`
-//! for the perf gate.
+//! for the perf gate. Its work counts — `gram_fills`, `bound_pairs` and
+//! `scored_pairs` — do not depend on the workers' interleaving, so they
+//! are gated exactly.
 
 use bench::{json, Experiment, ExperimentConfig};
-use ocsvm::{KernelKind, KernelRowArena};
+use ocsvm::KernelKind;
 use std::time::{Duration, Instant};
 use tracegen::{Scenario, TraceGenerator};
 use webprofiler::{
@@ -59,37 +57,21 @@ fn main() {
         (experiment.vocab, sets)
     };
 
-    // What the shared-Gram path would materialize: one n×n matrix per
-    // (user, kernel). The arena budget defaults to half of that, so the
-    // sweep runs strictly below the un-budgeted footprint.
-    let gram_bytes: usize = sets
-        .values()
-        .map(|w| w.len() * w.len() * std::mem::size_of::<f64>() * KernelKind::ALL.len())
-        .sum();
-    let budget = match ExperimentConfig::arg_value("--budget-kib") {
-        Some(kib) => kib.parse::<usize>().expect("--budget-kib takes an integer") << 10,
-        None => (gram_bytes / 2).max(64 << 10),
-    };
-    eprintln!(
-        "# {} users, {} windows; per-user grams {:.1} MiB, arena budget {:.1} MiB",
-        sets.len(),
-        sets.values().map(Vec::len).sum::<usize>(),
-        gram_bytes as f64 / (1 << 20) as f64,
-        budget as f64 / (1 << 20) as f64,
-    );
+    eprintln!("# {} users, {} windows", sets.len(), sets.values().map(Vec::len).sum::<usize>());
 
     let mut search = ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, kind);
     if workers > 0 {
         search = search.workers(workers);
     }
 
-    let (cold_time, cold) = timed_sweep(&search, &sets, budget, reps);
-    let (warm_time, warm) = timed_sweep(&search.clone().warm_start(true), &sets, budget, reps);
+    let (cold_time, cold) = timed_sweep(&search, &sets, reps);
+    let (warm_time, warm) = timed_sweep(&search.clone().warm_start(true), &sets, reps);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let cold_cps = cold.cells as f64 / cold_time.as_secs_f64().max(1e-9);
     let warm_cps = warm.cells as f64 / warm_time.as_secs_f64().max(1e-9);
     println!(
-        "GRID-SEARCH SWEEP ({} users, {} chains, {} cells, {} workers)",
+        "GRID-SEARCH SWEEP ({} users, {} chains, {} cells, {} workers, {cores} cores)",
         cold.users, cold.chains, cold.cells, cold.workers,
     );
     println!(
@@ -103,12 +85,10 @@ fn main() {
         warm.steals,
     );
     println!(
-        "  arena              {:>9.1} %  hit rate; {} fills, {} evictions, peak {:.1} MiB / budget {:.1} MiB",
-        100.0 * cold.arena.hit_rate(),
+        "  gram rows          {:>10} filled  ({:.1} % of lookups served; largest chain store {:.1} KiB)",
         cold.arena.fills,
-        cold.arena.evictions,
-        cold.arena.peak_bytes as f64 / (1 << 20) as f64,
-        cold.arena.budget as f64 / (1 << 20) as f64,
+        100.0 * cold.arena.hit_rate(),
+        cold.arena.peak_bytes as f64 / 1024.0,
     );
     println!(
         "  smo iterations     {:>10.1} /cell cold  vs  {:.1} /cell warm-started ({} warm cells)",
@@ -131,7 +111,6 @@ fn main() {
         pruned.join(", "),
     );
 
-    assert!(cold.arena.bytes <= cold.arena.budget, "arena over budget");
     assert_eq!(cold.cells, warm.cells, "warm start must not change the trained cell set");
 
     if let Some(path) = ExperimentConfig::arg_value("--json") {
@@ -143,11 +122,9 @@ fn main() {
             ("users", cold.users as f64),
             ("workers", cold.workers as f64),
             ("steals", cold.steals as f64),
-            ("arena_hit_rate", cold.arena.hit_rate()),
-            ("arena_fills", cold.arena.fills as f64),
-            ("arena_evictions", cold.arena.evictions as f64),
-            ("arena_budget_bytes", budget as f64),
-            ("gram_bytes", gram_bytes as f64),
+            ("gram_fills", cold.arena.fills as f64),
+            ("gram_hit_rate", cold.arena.hit_rate()),
+            ("gram_peak_bytes", cold.arena.peak_bytes as f64),
             ("cold_iterations_per_cell", cold.cold_iterations_per_cell()),
             ("warm_iterations_per_cell", warm.warm_iterations_per_cell()),
             ("bound_pairs", cold.bound_pairs.iter().sum::<u64>() as f64),
@@ -158,20 +135,17 @@ fn main() {
     }
 }
 
-/// Runs the sweep `reps` times, each against a fresh budgeted arena (so
-/// every repetition pays the cold fill), and returns the best wall clock
-/// with its stats.
+/// Runs the sweep `reps` times (each fills its chains' Gram rows afresh)
+/// and returns the best wall clock with its stats.
 fn timed_sweep(
     search: &ModelGridSearch<'_>,
     sets: &WindowSets,
-    budget: usize,
     reps: usize,
 ) -> (Duration, SweepStats) {
     let mut best: Option<(Duration, SweepStats)> = None;
     for _ in 0..reps.max(1) {
-        let run = search.clone().arena(KernelRowArena::with_budget(budget));
         let started = Instant::now();
-        let (_, stats) = run.sweep_cells(sets);
+        let (_, stats) = search.sweep_cells(sets);
         let elapsed = started.elapsed();
         if best.as_ref().is_none_or(|(t, _)| elapsed < *t) {
             best = Some((elapsed, stats));

@@ -20,19 +20,20 @@
 //! `Σᵢ αᵢ·k(svᵢ, x)` into a decision (the OC-SVM hyperplane or the SVDD
 //! sphere).
 //!
-//! Every kernel row the crate keeps for reuse lives in one row store, the
-//! byte-budgeted, least-recently-used [`KernelRowArena`]. A plain `train`
-//! call solves over a private arena of [`SolverOptions::cache_bytes`].
-//! When one training set is swept over many regularization values (the
-//! paper's per-user grid search), a [`GramMatrix`] computes each kernel
-//! row once into its arena and shares it — thread-safely — across every
-//! solver run of the sweep via [`NuOcSvm::train_with_gram`] and
-//! [`Svdd::train_with_gram`]. The matrix takes a private arena of its own
-//! or one arena shared across users and sweeps. Scoring caches no rows:
-//! a sweep scores its fixed probe set, packed once into a [`ProbePanel`],
-//! through [`OneClassModel::panel_acceptance`], which scores exactly only
-//! the probes the model's [`DecisionBound`] cannot rule out, and a fresh
-//! probe batch (`batch_decision_values`) never reuses a row.
+//! Every kernel row the crate keeps for reuse lives in the row store of
+//! the [`GramMatrix`] that computed it: filled on first access, never
+//! shared with another matrix, dropped with the matrix. A plain `train`
+//! call solves over a matrix capped at [`SolverOptions::cache_bytes`],
+//! which drops its least-recently-used row past the cap. When one training
+//! set is swept over many regularization values (the paper's per-user grid
+//! search), one uncapped [`GramMatrix`] computes each kernel row once and
+//! serves it to every solver run of the ladder via
+//! [`NuOcSvm::train_with_gram`] and [`Svdd::train_with_gram`]. Scoring
+//! caches no rows: a sweep scores its fixed probe set, packed once into a
+//! [`ProbePanel`], through [`OneClassModel::panel_acceptance`], which
+//! scores exactly only the probes the model's [`DecisionBound`] cannot
+//! rule out, and a fresh probe batch (`batch_decision_values`) never
+//! reuses a row.
 //!
 //! # Quick start
 //!
@@ -69,9 +70,9 @@ mod smo;
 mod sparse;
 mod svdd;
 
-pub use arena::{ArenaStats, KernelRowArena, RowKey, DEFAULT_SWEEP_BUDGET};
+pub use arena::KernelRowArena;
 pub use error::TrainError;
-pub use gram::{content_fingerprint, GramMatrix};
+pub use gram::{GramMatrix, GramStats};
 pub use kernel::{Kernel, KernelKind};
 pub use model::{
     Boundary, DecisionBound, LinearBatchScorer, LinearDecisionTerms, OneClassModel,
@@ -92,9 +93,11 @@ mod trait_tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SparseVector>();
         assert_send_sync::<Kernel>();
-        assert_send_sync::<GramMatrix<'static>>();
         assert_send_sync::<OneClassModel>();
         assert_send_sync::<TrainError>();
+        // One thread uses a Gram matrix at a time; it moves between them.
+        fn assert_send<T: Send>() {}
+        assert_send::<GramMatrix<'static>>();
     }
 
     #[test]

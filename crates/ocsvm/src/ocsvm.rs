@@ -79,7 +79,7 @@ impl NuOcSvm {
     pub fn train(&self, points: &[SparseVector]) -> Result<OneClassModel, TrainError> {
         self.validate(points)?;
         let gram = GramMatrix::for_solver(self.kernel, points, self.options.cache_bytes);
-        Ok(self.train_on(points, &mut PrecomputedQ::unpinned(&gram, 1.0), None).0)
+        Ok(self.train_on(points, &PrecomputedQ::new(&gram, 1.0), None).0)
     }
 
     /// Trains on `points` reusing a precomputed [`GramMatrix`] over exactly
@@ -88,8 +88,8 @@ impl NuOcSvm {
     /// Numerically identical to [`train`](Self::train) — the solver
     /// consumes the same `Q` entries — but skips the O(l²·d) kernel
     /// evaluations, which dominate when one training set is swept over many
-    /// `ν` values (per-user grid search). The Gram matrix is read-only and
-    /// `Sync`, so concurrent sweeps can share one instance.
+    /// `ν` values (per-user grid search). The matrix keeps every row it
+    /// computes for the next solve over it.
     ///
     /// # Errors
     ///
@@ -128,7 +128,7 @@ impl NuOcSvm {
     ) -> Result<(OneClassModel, Vec<f64>), TrainError> {
         self.validate(points)?;
         gram.check_compatible(points.len(), self.kernel)?;
-        Ok(self.train_on(points, &mut PrecomputedQ::pinned(gram, 1.0), seed))
+        Ok(self.train_on(points, &PrecomputedQ::new(gram, 1.0), seed))
     }
 
     fn validate(&self, points: &[SparseVector]) -> Result<(), TrainError> {
@@ -144,7 +144,7 @@ impl NuOcSvm {
     fn train_on(
         &self,
         points: &[SparseVector],
-        q: &mut PrecomputedQ,
+        q: &PrecomputedQ,
         seed: Option<&[f64]>,
     ) -> (OneClassModel, Vec<f64>) {
         let l = points.len();

@@ -16,45 +16,33 @@
 //! The solver is a faithful reimplementation of the LIBSVM strategy for the
 //! all-labels-positive case: second-order working-set selection (WSS 2 of
 //! Fan, Chen & Lin 2005), an incrementally maintained gradient, and kernel
-//! rows cached in a [`KernelRowArena`](crate::KernelRowArena).
+//! rows read from the row store of a [`GramMatrix`] on every access.
 
-use crate::gram::GramMatrix;
+use crate::gram::{GramMatrix, GramStats};
 use std::sync::Arc;
 
 /// Denominator floor for pairs whose quadratic coefficient is non-positive
 /// (possible with the sigmoid kernel, which is not PSD).
 const TAU: f64 = 1e-12;
 
-/// `Q = scale · K` served from the rows of a [`GramMatrix`].
+/// `Q = scale · K` read from the rows of a [`GramMatrix`].
 ///
-/// At `scale = 1` (OC-SVM) the matrix's rows are handed out zero-copy. At
-/// other scales (SVDD uses `Q = 2K`) row `i` is formed as `scale · Kᵢⱼ`
-/// from the cached kernel row, the same product for every source.
-///
-/// A *pinned* solve keeps every row it fetches for its own duration, so a
-/// shared arena is consulted (and locked) at most once per row per solve —
-/// the SMO inner loop never contends on it, and eviction between accesses
-/// cannot force a recompute mid-solve. The pin adds at most one training
-/// set's rows on top of the arena's budget. An *unpinned* solve (plain
-/// `train` over a private, byte-budgeted arena) goes to the arena on every
-/// access, so that budget alone bounds its memory.
+/// Every access goes to the matrix's store, so a capped store (plain
+/// `train`) bounds the solve's memory by its cap alone. The scale (SVDD
+/// uses `Q = 2K`) is applied where the solver reads an entry, as the
+/// product `scale · Kᵢⱼ` of the stored kernel entry: no scaled row is
+/// allocated, and every `Q` entry is the same product whichever store
+/// served the row.
 pub(crate) struct PrecomputedQ<'g, 'p> {
     gram: &'g GramMatrix<'p>,
     scale: f64,
-    pinned: Option<Vec<Option<Arc<[f64]>>>>,
-    hits: u64,
-    misses: u64,
+    /// The store's counters when the solve began.
+    start: GramStats,
 }
 
 impl<'g, 'p> PrecomputedQ<'g, 'p> {
-    /// A solve that pins the rows it fetches.
-    pub(crate) fn pinned(gram: &'g GramMatrix<'p>, scale: f64) -> Self {
-        Self { gram, scale, pinned: Some(vec![None; gram.len()]), hits: 0, misses: 0 }
-    }
-
-    /// A solve that pins nothing; `gram`'s arena must be private to it.
-    pub(crate) fn unpinned(gram: &'g GramMatrix<'p>, scale: f64) -> Self {
-        Self { gram, scale, pinned: None, hits: 0, misses: 0 }
+    pub(crate) fn new(gram: &'g GramMatrix<'p>, scale: f64) -> Self {
+        Self { gram, scale, start: gram.stats() }
     }
 
     /// Raw kernel diagonal `K(xᵢ, xᵢ)` (without the `Q` scale factor).
@@ -62,17 +50,11 @@ impl<'g, 'p> PrecomputedQ<'g, 'p> {
         self.gram.diag_value(i)
     }
 
-    /// (hits, misses) of the row store, for
-    /// [`TrainDiagnostics`](crate::TrainDiagnostics): the private arena's
-    /// own counters for an unpinned solve; for a pinned one, rows served
-    /// from the pin plus precomputed scale-1 rows count as hits and rows
-    /// scaled for this solve as misses.
+    /// (lookups served from the store, rows filled into it) since the solve
+    /// began, for [`TrainDiagnostics`](crate::TrainDiagnostics).
     pub(crate) fn cache_stats(&self) -> (u64, u64) {
-        if self.pinned.is_some() {
-            return (self.hits, self.misses);
-        }
-        let stats = self.gram.arena().stats();
-        (stats.hits, stats.misses)
+        let now = self.gram.stats();
+        (now.hits - self.start.hits, now.fills - self.start.fills)
     }
 
     /// Number of training points `l`.
@@ -85,25 +67,27 @@ impl<'g, 'p> PrecomputedQ<'g, 'p> {
         self.scale * self.gram.diag_value(i)
     }
 
-    /// Full row `Q[i][·]`, possibly served from cache.
-    fn row(&mut self, i: usize) -> Arc<[f64]> {
-        if let Some(row) = self.pinned.as_ref().and_then(|pinned| pinned[i].clone()) {
-            self.hits += 1;
-            return row;
-        }
-        let base = self.gram.row(i);
-        let row = if self.scale == 1.0 {
-            self.hits += 1;
-            base
-        } else {
-            self.misses += 1;
-            let scale = self.scale;
-            base.iter().map(|&v| scale * v).collect()
-        };
-        if let Some(pinned) = &mut self.pinned {
-            pinned[i] = Some(Arc::clone(&row));
-        }
-        row
+    /// Row `Q[i][·]`.
+    fn row(&self, i: usize) -> QRow {
+        QRow { kernel: self.gram.row(i), scale: self.scale }
+    }
+}
+
+/// Row `i` of `Q`: the stored kernel row, scaled as it is read.
+struct QRow {
+    kernel: Arc<[f64]>,
+    scale: f64,
+}
+
+impl QRow {
+    /// `Q[i][t] = scale · K[i][t]`.
+    fn at(&self, t: usize) -> f64 {
+        self.scale * self.kernel[t]
+    }
+
+    /// `Q[i][·]` in column order.
+    fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+        self.kernel.iter().map(|&k| self.scale * k)
     }
 }
 
@@ -116,10 +100,11 @@ pub struct SolverOptions {
     /// Hard cap on SMO iterations; `None` derives a cap from the problem
     /// size (`max(10_000_000, 100·l)`).
     pub max_iterations: Option<usize>,
-    /// Byte budget of the private kernel-row arena a plain `train` call
-    /// solves over (at least two rows are always kept, as SMO touches two
-    /// rows per iteration). Solves over a caller's [`GramMatrix`] use that
-    /// matrix's arena instead.
+    /// Byte cap of the kernel-row store a plain `train` call solves over
+    /// (at least two rows are always kept, as SMO touches two rows per
+    /// iteration); past it the least-recently-used row is dropped and
+    /// recomputed if read again. Solves over a caller's [`GramMatrix`] use
+    /// that matrix's uncapped store instead.
     pub cache_bytes: usize,
     /// Shrinking heuristic (LIBSVM's): periodically remove variables that
     /// are firmly stuck at a bound from the working set, reconstructing
@@ -154,7 +139,7 @@ pub(crate) struct Solution {
 /// `alpha0` must satisfy the constraints (`Σα = 1`, `0 ≤ αᵢ ≤ upper`); the
 /// callers in this crate construct it with [`initial_alpha`].
 pub(crate) fn solve(
-    q: &mut PrecomputedQ<'_, '_>,
+    q: &PrecomputedQ<'_, '_>,
     p: &[f64],
     upper: f64,
     alpha0: Vec<f64>,
@@ -209,7 +194,7 @@ pub(crate) fn solve(
                 iterations += 1;
                 let row_i = q.row(i);
                 let row_j = q.row(j);
-                let mut quad = q.diag(i) + q.diag(j) - 2.0 * row_i[j];
+                let mut quad = q.diag(i) + q.diag(j) - 2.0 * row_i.at(j);
                 if quad <= 0.0 {
                     quad = TAU;
                 }
@@ -247,7 +232,7 @@ pub(crate) fn solve(
                     alpha[j] = 0.0;
                 }
                 for &t_idx in &active {
-                    gradient[t_idx] += t * (row_i[t_idx] - row_j[t_idx]);
+                    gradient[t_idx] += t * (row_i.at(t_idx) - row_j.at(t_idx));
                 }
             }
         }
@@ -276,7 +261,7 @@ pub(crate) fn solve(
 /// Returns `None` when the maximal KKT violation within the active set is
 /// below `eps` (converged) or no feasible pair exists.
 fn select_working_set(
-    q: &mut PrecomputedQ<'_, '_>,
+    q: &PrecomputedQ<'_, '_>,
     alpha: &[f64],
     gradient: &[f64],
     upper: f64,
@@ -321,7 +306,7 @@ fn select_working_set(
         if b <= 0.0 {
             continue;
         }
-        let mut a = diag_i + q.diag(t) - 2.0 * row_i[t];
+        let mut a = diag_i + q.diag(t) - 2.0 * row_i.at(t);
         if a <= 0.0 {
             a = TAU;
         }
@@ -339,17 +324,12 @@ fn select_working_set(
 
 /// Recomputes `G = Qα + p` exactly, touching one kernel row per non-zero
 /// multiplier.
-fn reconstruct_gradient(
-    q: &mut PrecomputedQ<'_, '_>,
-    p: &[f64],
-    alpha: &[f64],
-    gradient: &mut [f64],
-) {
+fn reconstruct_gradient(q: &PrecomputedQ<'_, '_>, p: &[f64], alpha: &[f64], gradient: &mut [f64]) {
     gradient.copy_from_slice(p);
     for (j, &aj) in alpha.iter().enumerate() {
         if aj > 0.0 {
             let row = q.row(j);
-            for (g, &qjt) in gradient.iter_mut().zip(row.iter()) {
+            for (g, qjt) in gradient.iter_mut().zip(row.iter()) {
                 *g += aj * qjt;
             }
         }
@@ -367,7 +347,7 @@ fn shrink(
     gradient: &mut [f64],
     upper: f64,
     eps: f64,
-    q: &mut PrecomputedQ<'_, '_>,
+    q: &PrecomputedQ<'_, '_>,
     p: &[f64],
     l: usize,
 ) {
@@ -478,9 +458,9 @@ mod tests {
         upper: f64,
     ) -> Solution {
         let gram = GramMatrix::compute(kernel, pts);
-        let mut q = PrecomputedQ::pinned(&gram, scale);
+        let q = PrecomputedQ::new(&gram, scale);
         let alpha0 = initial_alpha(pts.len(), upper);
-        solve(&mut q, p, upper, alpha0, &SolverOptions::default())
+        solve(&q, p, upper, alpha0, &SolverOptions::default())
     }
 
     fn assert_feasible(alpha: &[f64], upper: f64) {
@@ -545,7 +525,7 @@ mod tests {
         let upper = 0.5;
         let p = vec![0.0; 4];
         let gram = GramMatrix::compute(Kernel::Rbf { gamma: 1.0 }, &pts);
-        let mut q = PrecomputedQ::pinned(&gram, 1.0);
+        let q = PrecomputedQ::new(&gram, 1.0);
         let alpha0 = initial_alpha(4, upper);
         // Start objective.
         let start: f64 = {
@@ -553,12 +533,12 @@ mod tests {
             for i in 0..4 {
                 let row = q.row(i);
                 for j in 0..4 {
-                    obj += 0.5 * alpha0[i] * alpha0[j] * row[j];
+                    obj += 0.5 * alpha0[i] * alpha0[j] * row.at(j);
                 }
             }
             obj
         };
-        let sol = solve(&mut q, &p, upper, alpha0, &SolverOptions::default());
+        let sol = solve(&q, &p, upper, alpha0, &SolverOptions::default());
         assert!(sol.converged);
         assert!(sol.objective <= start + 1e-12, "objective {} > start {start}", sol.objective);
     }
@@ -606,10 +586,10 @@ mod tests {
     fn iteration_cap_reports_non_convergence() {
         let pts = points(&[&[1.0, 0.0], &[0.0, 1.0], &[0.5, 0.5], &[0.2, 0.8]]);
         let gram = GramMatrix::compute(Kernel::Rbf { gamma: 2.0 }, &pts);
-        let mut q = PrecomputedQ::pinned(&gram, 1.0);
+        let q = PrecomputedQ::new(&gram, 1.0);
         let options = SolverOptions { max_iterations: Some(0), ..Default::default() };
         let alpha0 = initial_alpha(4, 0.3);
-        let sol = solve(&mut q, &[0.0; 4], 0.3, alpha0, &options);
+        let sol = solve(&q, &[0.0; 4], 0.3, alpha0, &options);
         assert!(!sol.converged);
         assert_eq!(sol.iterations, 0);
     }
@@ -629,10 +609,10 @@ mod tests {
         let p = vec![0.0; pts.len()];
         let solve_with = |shrinking: bool| {
             let gram = GramMatrix::compute(Kernel::Rbf { gamma: 1.5 }, &pts);
-            let mut q = PrecomputedQ::pinned(&gram, 1.0);
+            let q = PrecomputedQ::new(&gram, 1.0);
             let options = SolverOptions { eps: 1e-6, shrinking, ..Default::default() };
             let alpha0 = initial_alpha(pts.len(), upper);
-            solve(&mut q, &p, upper, alpha0, &options)
+            solve(&q, &p, upper, alpha0, &options)
         };
         let with = solve_with(true);
         let without = solve_with(false);
@@ -663,10 +643,10 @@ mod tests {
         let upper = 1.0 / (0.3 * pts.len() as f64);
         let p = vec![0.0; pts.len()];
         let gram = GramMatrix::compute(Kernel::Rbf { gamma: 0.7 }, &pts);
-        let mut q = PrecomputedQ::pinned(&gram, 1.0);
+        let q = PrecomputedQ::new(&gram, 1.0);
         let options = SolverOptions { eps: 1e-5, shrinking: true, ..Default::default() };
         let alpha0 = initial_alpha(pts.len(), upper);
-        let sol = solve(&mut q, &p, upper, alpha0, &options);
+        let sol = solve(&q, &p, upper, alpha0, &options);
         for t in 0..pts.len() {
             let expected: f64 = (0..pts.len())
                 .map(|j| sol.alpha[j] * Kernel::Rbf { gamma: 0.7 }.compute(&pts[j], &pts[t]))
@@ -677,84 +657,6 @@ mod tests {
                 sol.gradient[t]
             );
         }
-    }
-
-    #[test]
-    fn unpinned_budgeted_rows_match_pinned_rows_exactly() {
-        // Plain `train`'s unpinned, budget-evicting path must feed the
-        // solver the same Q entries as a pinned solve over a shared matrix,
-        // so the whole trajectory — α, gradient, objective, iteration
-        // count — is bit-identical.
-        let pts: Vec<SparseVector> = (0..40)
-            .map(|i| {
-                SparseVector::from_dense(&[
-                    ((i * 37) % 101) as f64 / 101.0,
-                    ((i * 53 + 17) % 101) as f64 / 101.0,
-                    (i % 5) as f64 * 0.2,
-                ])
-            })
-            .collect();
-        let kernels = [
-            Kernel::Linear,
-            Kernel::Rbf { gamma: 1.3 },
-            Kernel::Polynomial { gamma: 0.5, coef0: 1.0, degree: 3 },
-            Kernel::Sigmoid { gamma: 0.2, coef0: -0.5 },
-        ];
-        for kernel in kernels {
-            for scale in [1.0, 2.0] {
-                let l = pts.len();
-                let upper = 1.0 / (0.3 * l as f64);
-                // SVDD-style linear term for scale 2, zero otherwise.
-                let p: Vec<f64> = if scale == 2.0 {
-                    pts.iter().map(|x| -kernel.compute_self(x)).collect()
-                } else {
-                    vec![0.0; l]
-                };
-                let options = SolverOptions::default();
-                // A two-row private arena (plain `train`'s floor) evicts on
-                // nearly every access; a pinned solve never recomputes.
-                let private = GramMatrix::private(kernel, &pts, 2 * l * 8);
-                let mut unpinned = PrecomputedQ::unpinned(&private, scale);
-                let direct = solve(&mut unpinned, &p, upper, initial_alpha(l, upper), &options);
-                let stats = private.arena().stats();
-                assert!(stats.evictions > 0, "{kernel:?} scale {scale}");
-                assert!(stats.bytes <= stats.budget, "{kernel:?} scale {scale}");
-                let gram = GramMatrix::compute(kernel, &pts);
-                let mut pinned = PrecomputedQ::pinned(&gram, scale);
-                let shared = solve(&mut pinned, &p, upper, initial_alpha(l, upper), &options);
-                assert_eq!(direct.converged, shared.converged, "{kernel:?} scale {scale}");
-                assert_eq!(
-                    direct.iterations, shared.iterations,
-                    "{kernel:?} scale {scale}: trajectories diverged"
-                );
-                assert_eq!(direct.alpha, shared.alpha, "{kernel:?} scale {scale}");
-                assert_eq!(direct.gradient, shared.gradient, "{kernel:?} scale {scale}");
-                assert_eq!(direct.objective, shared.objective, "{kernel:?} scale {scale}");
-            }
-        }
-    }
-
-    #[test]
-    fn pinned_solve_counts_zero_copy_hits() {
-        let pts = points(&[&[1.0, 0.0], &[0.0, 1.0], &[0.5, 0.5], &[0.3, 0.7]]);
-        let gram = GramMatrix::compute(Kernel::Rbf { gamma: 1.0 }, &pts);
-        // Scale 1: every row access is a zero-copy hit.
-        let mut q1 = PrecomputedQ::pinned(&gram, 1.0);
-        let _ = solve(&mut q1, &[0.0; 4], 0.3, initial_alpha(4, 0.3), &SolverOptions::default());
-        let (hits, misses) = q1.cache_stats();
-        assert!(hits > 0);
-        assert_eq!(misses, 0, "scale-1 rows must be shared zero-copy");
-        // Scale 2: each scaled row is materialized at most once.
-        let mut q2 = PrecomputedQ::pinned(&gram, 2.0);
-        let p: Vec<f64> = (0..4).map(|i| -q2.kernel_diag(i)).collect();
-        let _ = solve(&mut q2, &p, 0.5, initial_alpha(4, 0.5), &SolverOptions::default());
-        let (_, misses2) = q2.cache_stats();
-        assert!(misses2 <= 4, "each scaled row materialized at most once, got {misses2}");
-        // A repeated request is served from the memoized scaled row.
-        let _ = q2.row(0);
-        let (hits_before, misses_before) = q2.cache_stats();
-        let _ = q2.row(0);
-        assert_eq!(q2.cache_stats(), (hits_before + 1, misses_before));
     }
 
     #[test]
@@ -788,8 +690,8 @@ mod tests {
                     let options =
                         SolverOptions { eps: 1e-5, shrinking: true, ..Default::default() };
                     let gram = GramMatrix::compute(kernel, pts);
-                    let mut q = PrecomputedQ::pinned(&gram, 1.0);
-                    let sol = solve(&mut q, &p, upper, initial_alpha(l, upper), &options);
+                    let q = PrecomputedQ::new(&gram, 1.0);
+                    let sol = solve(&q, &p, upper, initial_alpha(l, upper), &options);
                     if !sol.converged {
                         continue;
                     }
@@ -857,16 +759,16 @@ mod tests {
         for nu in [0.9, 0.7, 0.5, 0.3, 0.1] {
             let upper = 1.0 / (nu * l as f64);
             let gram_cold = GramMatrix::compute(kernel, &pts);
-            let mut q_cold = PrecomputedQ::pinned(&gram_cold, 1.0);
-            let cold = solve(&mut q_cold, &p, upper, initial_alpha(l, upper), &options);
+            let q_cold = PrecomputedQ::new(&gram_cold, 1.0);
+            let cold = solve(&q_cold, &p, upper, initial_alpha(l, upper), &options);
             let seed = match &previous {
                 Some(alpha) => seeded_alpha(alpha, upper),
                 None => initial_alpha(l, upper),
             };
             assert_feasible(&seed, upper);
             let gram_warm = GramMatrix::compute(kernel, &pts);
-            let mut q_warm = PrecomputedQ::pinned(&gram_warm, 1.0);
-            let warm = solve(&mut q_warm, &p, upper, seed, &options);
+            let q_warm = PrecomputedQ::new(&gram_warm, 1.0);
+            let warm = solve(&q_warm, &p, upper, seed, &options);
             assert!(cold.converged && warm.converged, "nu = {nu}");
             assert!(
                 (warm.objective - cold.objective).abs() < 1e-6,
@@ -879,14 +781,161 @@ mod tests {
     }
 
     #[test]
-    fn unpinned_solve_reports_its_private_arena() {
+    fn capped_store_solves_match_uncapped_solves_exactly() {
+        // Plain `train`'s capped store evicts and recomputes rows, but must
+        // feed the solver the same Q entries as an uncapped store, so the
+        // whole trajectory — α, gradient, objective, iteration count — and
+        // the number of row lookups are bit-identical at every cap.
+        let pts: Vec<SparseVector> = (0..40)
+            .map(|i| {
+                SparseVector::from_dense(&[
+                    ((i * 37) % 101) as f64 / 101.0,
+                    ((i * 53 + 17) % 101) as f64 / 101.0,
+                    (i % 5) as f64 * 0.2,
+                ])
+            })
+            .collect();
+        let kernels = [
+            Kernel::Linear,
+            Kernel::Rbf { gamma: 1.3 },
+            Kernel::Polynomial { gamma: 0.5, coef0: 1.0, degree: 3 },
+            Kernel::Sigmoid { gamma: 0.2, coef0: -0.5 },
+        ];
+        let l = pts.len();
+        let row_bytes = l * std::mem::size_of::<f64>();
+        let caps = [2 * row_bytes, 3 * row_bytes, l / 2 * row_bytes, usize::MAX];
+        for kernel in kernels {
+            for scale in [1.0, 2.0] {
+                let upper = 1.0 / (0.3 * l as f64);
+                // SVDD-style linear term for scale 2, zero otherwise.
+                let p: Vec<f64> = if scale == 2.0 {
+                    pts.iter().map(|x| -kernel.compute_self(x)).collect()
+                } else {
+                    vec![0.0; l]
+                };
+                let options = SolverOptions::default();
+                let solves: Vec<(Solution, u64, GramStats)> = caps
+                    .iter()
+                    .map(|&cap| {
+                        let gram = GramMatrix::for_solver(kernel, &pts, cap);
+                        let q = PrecomputedQ::new(&gram, scale);
+                        let sol = solve(&q, &p, upper, initial_alpha(l, upper), &options);
+                        let (hits, misses) = q.cache_stats();
+                        (sol, hits + misses, gram.stats())
+                    })
+                    .collect();
+                let (uncapped, lookups, _) = &solves[caps.len() - 1];
+                for ((sol, sol_lookups, stats), cap) in solves.iter().zip(caps) {
+                    let what = format!("{kernel:?} scale {scale} cap {cap}");
+                    if cap < l / 2 * row_bytes {
+                        assert!(stats.evictions > 0, "{what}");
+                    }
+                    assert!(stats.bytes <= cap && stats.peak_bytes <= cap, "{what}");
+                    assert_eq!(sol.converged, uncapped.converged, "{what}");
+                    assert_eq!(
+                        sol.iterations, uncapped.iterations,
+                        "{what}: trajectories diverged"
+                    );
+                    assert_eq!(sol.alpha, uncapped.alpha, "{what}");
+                    assert_eq!(sol.gradient, uncapped.gradient, "{what}");
+                    assert_eq!(sol.objective, uncapped.objective, "{what}");
+                    assert_eq!(sol_lookups, lookups, "{what}: row lookups");
+                }
+            }
+            // ρ and R², through the public trainers at each cap.
+            let models = |cap: usize| {
+                let options = SolverOptions { cache_bytes: cap, ..SolverOptions::default() };
+                let ocsvm = crate::NuOcSvm::new(0.3, kernel).with_options(options).train(&pts);
+                let svdd = crate::Svdd::new(0.2, kernel).with_options(options).train(&pts);
+                (ocsvm.expect("trains").boundary(), svdd.expect("trains").boundary())
+            };
+            for cap in caps {
+                assert_eq!(models(cap), models(usize::MAX), "{kernel:?} cap {cap}");
+            }
+        }
+    }
+
+    #[test]
+    fn solve_diagnostics_count_the_solves_own_lookups() {
         let pts = points(&[&[1.0, 0.0], &[0.0, 1.0], &[0.5, 0.5], &[0.3, 0.7], &[0.9, 0.1]]);
-        let gram = GramMatrix::private(Kernel::Rbf { gamma: 1.0 }, &pts, 1 << 20);
-        let mut q = PrecomputedQ::unpinned(&gram, 1.0);
+        let gram = GramMatrix::compute(Kernel::Rbf { gamma: 1.0 }, &pts);
+        for scale in [1.0, 2.0] {
+            let p: Vec<f64> = if scale == 2.0 {
+                (0..5).map(|i| -gram.diag_value(i)).collect()
+            } else {
+                vec![0.0; 5]
+            };
+            let run = || {
+                let q = PrecomputedQ::new(&gram, scale);
+                let _ = solve(&q, &p, 0.25, initial_alpha(5, 0.25), &SolverOptions::default());
+                q.cache_stats()
+            };
+            let before = gram.stats();
+            let (hits, misses) = run();
+            let after = gram.stats();
+            assert!(hits > 0, "scale {scale}: the solver revisits rows");
+            assert!(misses <= 5, "scale {scale}: each row filled at most once, got {misses}");
+            assert_eq!(
+                (hits, misses),
+                (after.hits - before.hits, after.fills - before.fills),
+                "scale {scale}: the solve's own share of the store's counters"
+            );
+            // The same solve again reads the same rows, all already stored.
+            assert_eq!(run(), (hits + misses, 0), "scale {scale}");
+        }
+        // Plain `train` reports its capped store's counters.
+        let model = crate::NuOcSvm::new(0.8, Kernel::Rbf { gamma: 1.0 }).train(&pts).unwrap();
+        let diagnostics = model.diagnostics();
+        assert!(diagnostics.cache_hits > 0);
+        assert!(diagnostics.cache_misses <= 5);
+    }
+
+    #[test]
+    fn pinned_solve_counts_zero_copy_hits() {
+        // A solve over a caller's matrix whose rows are already stored reads
+        // every row from the store: no fill at scale 1, and none at scale 2
+        // either, since the scale is applied as entries are read rather than
+        // by copying scaled rows.
+        let pts = points(&[&[1.0, 0.0], &[0.0, 1.0], &[0.5, 0.5], &[0.3, 0.7]]);
+        let gram = GramMatrix::compute(Kernel::Rbf { gamma: 1.0 }, &pts);
+        for i in 0..4 {
+            let _ = gram.row(i);
+        }
+        let q1 = PrecomputedQ::new(&gram, 1.0);
+        let _ = solve(&q1, &[0.0; 4], 0.3, initial_alpha(4, 0.3), &SolverOptions::default());
+        let (hits, misses) = q1.cache_stats();
+        assert!(hits > 0);
+        assert_eq!(misses, 0, "scale-1 rows must be served from the store");
+        let q2 = PrecomputedQ::new(&gram, 2.0);
+        let p: Vec<f64> = (0..4).map(|i| -q2.kernel_diag(i)).collect();
+        let _ = solve(&q2, &p, 0.5, initial_alpha(4, 0.5), &SolverOptions::default());
+        let (hits2, misses2) = q2.cache_stats();
+        assert!(hits2 > 0);
+        assert_eq!(misses2, 0, "scale-2 rows must not be materialized");
+        // A repeated request shares the stored allocation and counts a hit.
+        let (hits_before, misses_before) = q2.cache_stats();
+        let (a, b) = (q2.row(0), q2.row(0));
+        assert!(Arc::ptr_eq(&a.kernel, &b.kernel));
+        assert_eq!(
+            a.iter().collect::<Vec<_>>(),
+            gram.row(0).iter().map(|k| 2.0 * k).collect::<Vec<_>>()
+        );
+        assert_eq!(q2.cache_stats(), (hits_before + 3, misses_before));
+    }
+
+    #[test]
+    fn unpinned_solve_reports_its_private_arena() {
+        // The capped store plain `train` solves over is private to the solve;
+        // its counters are the solve's own.
+        let pts = points(&[&[1.0, 0.0], &[0.0, 1.0], &[0.5, 0.5], &[0.3, 0.7], &[0.9, 0.1]]);
+        let gram = GramMatrix::for_solver(Kernel::Rbf { gamma: 1.0 }, &pts, 1 << 20);
+        let q = PrecomputedQ::new(&gram, 1.0);
         let alpha0 = initial_alpha(5, 0.25);
-        let _ = solve(&mut q, &[0.0; 5], 0.25, alpha0, &SolverOptions::default());
+        let _ = solve(&q, &[0.0; 5], 0.25, alpha0, &SolverOptions::default());
         let (hits, misses) = q.cache_stats();
         assert!(misses <= 5, "each row computed at most once, misses = {misses}");
         assert!(hits > 0, "solver revisits rows");
+        let stats = gram.stats();
+        assert_eq!((hits, misses), (stats.hits, stats.fills));
     }
 }

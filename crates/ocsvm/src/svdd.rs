@@ -80,18 +80,18 @@ impl Svdd {
     pub fn train(&self, points: &[SparseVector]) -> Result<OneClassModel, TrainError> {
         self.validate(points)?;
         let gram = GramMatrix::for_solver(self.kernel, points, self.options.cache_bytes);
-        Ok(self.train_on(points, &mut PrecomputedQ::unpinned(&gram, 2.0), None).0)
+        Ok(self.train_on(points, &PrecomputedQ::new(&gram, 2.0), None).0)
     }
 
     /// Trains on `points` reusing a precomputed [`GramMatrix`] over exactly
     /// those points (same kernel, same order).
     ///
-    /// Numerically identical to [`train`](Self::train) — `Q = 2K` rows are
-    /// formed from the shared matrix's rows with the same products `train`
-    /// forms from its private ones — but skips the O(l²·d) kernel
+    /// Numerically identical to [`train`](Self::train) — every `Q = 2K`
+    /// entry is the same product `2·Kᵢⱼ` of the same kernel evaluation that
+    /// `train` reads from its own capped matrix — but skips the O(l²·d) kernel
     /// evaluations, which dominate when one training set is swept over many
-    /// `C` values (per-user grid search). The Gram matrix is read-only and
-    /// `Sync`, so concurrent sweeps can share one instance.
+    /// `C` values (per-user grid search). The matrix keeps every row it
+    /// computes for the next solve over it.
     ///
     /// # Errors
     ///
@@ -130,7 +130,7 @@ impl Svdd {
     ) -> Result<(OneClassModel, Vec<f64>), TrainError> {
         self.validate(points)?;
         gram.check_compatible(points.len(), self.kernel)?;
-        Ok(self.train_on(points, &mut PrecomputedQ::pinned(gram, 2.0), seed))
+        Ok(self.train_on(points, &PrecomputedQ::new(gram, 2.0), seed))
     }
 
     fn validate(&self, points: &[SparseVector]) -> Result<(), TrainError> {
@@ -150,7 +150,7 @@ impl Svdd {
     fn train_on(
         &self,
         points: &[SparseVector],
-        q: &mut PrecomputedQ,
+        q: &PrecomputedQ,
         seed: Option<&[f64]>,
     ) -> (OneClassModel, Vec<f64>) {
         let l = points.len();

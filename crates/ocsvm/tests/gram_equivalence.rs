@@ -2,15 +2,15 @@
 //!
 //! `train_with_gram` must produce *the same model* as `train` — both read
 //! rows built from exactly the same kernel evaluations, so the solver sees
-//! a bit-identical Q matrix and walks a bit-identical trajectory, whatever
-//! arena holds the rows and however small its budget. These tests pin that
+//! a bit-identical Q matrix and walks a bit-identical trajectory, however
+//! small the cap on `train`'s row store. These tests pin that
 //! contract through the public API for every kernel family and both
 //! classifiers, and cover the mismatch errors a stale Gram matrix must
 //! raise.
 
 use ocsvm::{
-    GramMatrix, Kernel, KernelRowArena, NuOcSvm, OneClassModel, ProbePanel, SolverOptions,
-    SparseVector, Svdd, TrainError,
+    GramMatrix, Kernel, NuOcSvm, OneClassModel, ProbePanel, SolverOptions, SparseVector, Svdd,
+    TrainError,
 };
 
 /// Two mildly overlapping clusters plus a few stragglers — enough structure
@@ -44,34 +44,25 @@ fn probes() -> Vec<SparseVector> {
     ]
 }
 
-/// Row-store budgets every path must be indifferent to: none at all, one
-/// byte short of a single row, and the solver's ample default.
+/// Row-store caps `train` must be indifferent to: none at all (the store
+/// keeps its two-row floor), one byte short of a single row, and the
+/// solver's ample default.
 fn budgets(points: usize) -> [usize; 3] {
     [0, points * std::mem::size_of::<f64>() - 1, SolverOptions::default().cache_bytes]
 }
 
-/// Models trained by plain `train` with `cache_bytes` set to each budget,
-/// and by `train_with_gram` over a shared arena of each budget, whose
-/// retained bytes must stay within it.
+/// Models trained by plain `train` with `cache_bytes` set to each cap.
 fn budgeted_models<M>(
     data: &[SparseVector],
-    kernel: Kernel,
     train: impl Fn(SolverOptions) -> M,
-    train_with_gram: impl Fn(&GramMatrix) -> M,
 ) -> Vec<(String, M)> {
-    let mut models = Vec::new();
-    for budget in budgets(data.len()) {
-        let options = SolverOptions { cache_bytes: budget, ..SolverOptions::default() };
-        models.push((format!("train, cache_bytes {budget}"), train(options)));
-        let arena = KernelRowArena::with_budget(budget);
-        models.push((
-            format!("shared arena of {budget} bytes"),
-            train_with_gram(&GramMatrix::in_arena(kernel, data, &arena, 1)),
-        ));
-        let stats = arena.stats();
-        assert!(stats.bytes <= stats.budget, "{kernel:?}: {stats:?}");
-    }
-    models
+    budgets(data.len())
+        .into_iter()
+        .map(|budget| {
+            let options = SolverOptions { cache_bytes: budget, ..SolverOptions::default() };
+            (format!("train, cache_bytes {budget}"), train(options))
+        })
+        .collect()
 }
 
 fn kernels() -> Vec<Kernel> {
@@ -92,12 +83,9 @@ fn ocsvm_gram_path_reproduces_train_at_every_budget() {
         for nu in [0.05, 0.2, 0.5] {
             let trainer = NuOcSvm::new(nu, kernel);
             let via_gram = trainer.train_with_gram(&data, &gram).expect("gram path trains");
-            let models = budgeted_models(
-                &data,
-                kernel,
-                |options| trainer.with_options(options).train(&data).expect("trains"),
-                |rows| trainer.train_with_gram(&data, rows).expect("trains"),
-            );
+            let models = budgeted_models(&data, |options| {
+                trainer.with_options(options).train(&data).expect("trains")
+            });
             for (path, direct) in models {
                 let nu = format!("{nu} ({path})");
                 assert_eq!(direct.boundary(), via_gram.boundary(), "ρ for {kernel:?} nu={nu}");
@@ -131,12 +119,9 @@ fn svdd_gram_path_reproduces_train_at_every_budget() {
         for c in [0.05, 0.2, 1.0] {
             let trainer = Svdd::new(c, kernel);
             let via_gram = trainer.train_with_gram(&data, &gram).expect("gram path trains");
-            let models = budgeted_models(
-                &data,
-                kernel,
-                |options| trainer.with_options(options).train(&data).expect("trains"),
-                |rows| trainer.train_with_gram(&data, rows).expect("trains"),
-            );
+            let models = budgeted_models(&data, |options| {
+                trainer.with_options(options).train(&data).expect("trains")
+            });
             for (path, direct) in models {
                 let c = format!("{c} ({path})");
                 assert_eq!(direct.boundary(), via_gram.boundary(), "R² for {kernel:?} C={c}");
@@ -172,9 +157,9 @@ fn one_gram_matrix_serves_a_whole_regularization_sweep() {
         let model = NuOcSvm::new(nu, kernel).train_with_gram(&data, &gram).expect("trains");
         assert!(model.support_vector_count() > 0, "nu={nu}");
     }
-    // Counted on the matrix's own arena: every row is computed at most
-    // once across the whole sweep and re-read from the arena after that.
-    let stats = gram.arena().stats();
+    // Counted on the matrix's own store: every row is computed at most
+    // once across the whole sweep and re-read from the store after that.
+    let stats = gram.stats();
     assert!(stats.fills <= data.len() as u64, "sweep must not recompute rows: {stats:?}");
     assert_eq!(stats.evictions, 0);
     assert!(stats.hits > 0, "later solves reuse the rows: {stats:?}");

@@ -209,8 +209,8 @@ impl<'a, P: Borrow<Profiles>> StreamEngine<'a, P> {
     ///
     /// Kept only so existing callers still build: scoring used to charge
     /// non-linear kernel rows to a shared [`ocsvm::KernelRowArena`], but
-    /// every closed window is a fresh probe, so no row was ever reused.
-    /// Scoring now goes straight through
+    /// every closed window is a fresh probe, so no row was ever reused; the
+    /// arena itself is now an inert placeholder. Scoring goes straight through
     /// [`UserProfile::batch_decision_values`], with or without this call.
     pub fn with_arena(self, _arena: std::sync::Arc<ocsvm::KernelRowArena>) -> Self {
         self
@@ -593,8 +593,6 @@ mod tests {
             assert_eq!(a.actual_users, b.actual_users);
             assert_eq!(a.vote, b.vote);
         }
-        assert_eq!(arena.stats().requests, 0, "scoring must not consult the arena");
-        assert!(arena.is_empty());
     }
 
     #[test]

@@ -19,15 +19,12 @@ use crate::schedule::{self, run_chains};
 use crate::trainer::{subsample_evenly, ProfileTrainer};
 use crate::vocab::Vocabulary;
 use crate::window::WindowConfig;
-use ocsvm::{
-    ArenaStats, GramMatrix, Kernel, KernelKind, KernelRowArena, ProbePanel, SparseVector,
-    DEFAULT_SWEEP_BUDGET,
-};
+use ocsvm::{GramMatrix, GramStats, Kernel, KernelKind, KernelRowArena, ProbePanel, SparseVector};
 use parcore::parallel_map;
 use proxylog::{Dataset, UserId};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Per-user window feature vectors, the shared input of both grid-search
@@ -174,8 +171,13 @@ pub struct SweepStats {
     /// Wall-clock nanoseconds spent inside the solver, summed over every
     /// cell solve of the sweep. Scoring and scheduling are excluded.
     pub train_nanos: u64,
-    /// Kernel-row arena activity during the sweep (delta, not lifetime).
-    pub arena: ArenaStats,
+    /// Gram-row store activity, summed over the chains' own stores:
+    /// lookups served (`hits`) and rows filled (`fills`). `peak_bytes` is
+    /// the most any one chain's store held; `evictions` and `bytes` are 0,
+    /// as chain stores are uncapped and dropped with their chain. Named
+    /// `arena` for the `perfbench` workspace, which reads it under that
+    /// name.
+    pub arena: GramStats,
     /// `ACCother` (cell, probe) pairs a decision bound examined, per kernel
     /// in [`KernelKind::ALL`] order: every other user's probe, never the
     /// cell's own user's. Linear cells score every probe through one GEMV
@@ -222,11 +224,9 @@ fn kind_index(kind: KernelKind) -> usize {
 /// The sweep is executed by a work-stealing scheduler over *chains*: one
 /// chain per (user, kernel), walking the regularization ladder so each
 /// cell's `α` solution can warm-start the next (opt in with
-/// [`warm_start`](Self::warm_start)). Gram rows are cached in one
-/// memory-budgeted [`KernelRowArena`] shared by training and `ACCself`
-/// scoring: the one handed to [`arena`](Self::arena), or else one of
-/// [`DEFAULT_SWEEP_BUDGET`] bytes that each sweep creates and drops when it
-/// returns.
+/// [`warm_start`](Self::warm_start)). Each chain owns the Gram matrix of
+/// its (user, kernel), read by the chain's training and `ACCself` scoring
+/// and dropped when the chain's last cell finishes.
 #[derive(Debug, Clone)]
 pub struct ModelGridSearch<'a> {
     vocab: &'a Vocabulary,
@@ -235,7 +235,6 @@ pub struct ModelGridSearch<'a> {
     max_other_windows: usize,
     regularizations: Vec<f64>,
     warm_start: bool,
-    arena: Option<Arc<KernelRowArena>>,
     workers: Option<usize>,
 }
 
@@ -258,7 +257,6 @@ impl<'a> ModelGridSearch<'a> {
             max_other_windows: 150,
             regularizations: Self::PAPER_REGULARIZATIONS.to_vec(),
             warm_start: false,
-            arena: None,
             workers: None,
         }
     }
@@ -276,12 +274,13 @@ impl<'a> ModelGridSearch<'a> {
         self
     }
 
-    /// Uses a specific kernel-row arena instead of a fresh
-    /// [`DEFAULT_SWEEP_BUDGET`]-byte arena per sweep, e.g. one with a
-    /// custom byte budget, or one shared by several sweeps so rows survive
-    /// from one to the next.
-    pub fn arena(mut self, arena: Arc<KernelRowArena>) -> Self {
-        self.arena = Some(arena);
+    /// Returns the search unchanged; `arena` is dropped unused.
+    ///
+    /// Kept only so existing callers still build: the sweep used to cache
+    /// every chain's Gram rows in one shared, byte-budgeted arena, but no
+    /// row is ever read by another chain, so each chain now owns its rows
+    /// and drops them when it finishes.
+    pub fn arena(self, _arena: Arc<KernelRowArena>) -> Self {
         self
     }
 
@@ -328,9 +327,9 @@ impl<'a> ModelGridSearch<'a> {
     /// the other users' (used for `ACCother`). Cells whose training fails
     /// (e.g. an infeasible `C` for the window count) are skipped.
     ///
-    /// A one-user [`sweep_cells`](Self::sweep_cells): the same chains, the
-    /// same kernel-row arena and the same cell order, so its cells equal
-    /// the user's cells of a full sweep.
+    /// A one-user [`sweep_cells`](Self::sweep_cells): the same chains and
+    /// the same cell order, so its cells equal the user's cells of a full
+    /// sweep.
     pub fn run_user(&self, windows: &WindowSets, user: UserId) -> Vec<ModelGridCell> {
         self.sweep(windows, Some(user)).0.remove(&user).unwrap_or_default()
     }
@@ -358,8 +357,9 @@ impl<'a> ModelGridSearch<'a> {
     ///
     /// The `ACCother` window samples are drawn once and packed into one
     /// probe panel that every user's chains read. Kernel rows live in the
-    /// sweep's [`KernelRowArena`], so cached rows are bounded by the arena
-    /// budget rather than the sum of per-user Gram matrices.
+    /// store of each chain's Gram matrix, dropped when the chain finishes,
+    /// so the rows held at once are those of the chains in flight, about
+    /// one per worker.
     pub fn optimize_all(&self, windows: &WindowSets) -> BTreeMap<UserId, ProfileParams> {
         self.sweep_all(windows).0
     }
@@ -367,7 +367,7 @@ impl<'a> ModelGridSearch<'a> {
     /// Optimizes every user and reports sweep statistics: best parameters
     /// per user (maximal `ACC`, ties broken exactly as
     /// [`best_for_user`](Self::best_for_user)) plus scheduler / warm-start /
-    /// arena counters.
+    /// Gram-row counters.
     pub fn sweep_all(&self, windows: &WindowSets) -> (BTreeMap<UserId, ProfileParams>, SweepStats) {
         let (cells, stats) = self.sweep_cells(windows);
         let best = cells
@@ -387,10 +387,10 @@ impl<'a> ModelGridSearch<'a> {
     /// [`warm_start`](Self::warm_start) is on; a failed cell passes the
     /// last good seed along). Chains are independent and scheduled across
     /// workers with work stealing, so one expensive user cannot serialize
-    /// the sweep. Training's Gram rows are cached in the shared
-    /// memory-budgeted arena keyed by user, kernel and a content
-    /// fingerprint; `ACCother` probes are scored through the models'
-    /// decision bounds and cache no rows.
+    /// the sweep. A chain's task carries the chain's Gram matrix, whose
+    /// rows its cells fill and reuse and which is dropped with the chain's
+    /// last cell; `ACCother` probes are scored through the models' decision
+    /// bounds and cache no rows.
     pub fn sweep_cells(
         &self,
         windows: &WindowSets,
@@ -407,9 +407,6 @@ impl<'a> ModelGridSearch<'a> {
     ) -> (BTreeMap<UserId, Vec<ModelGridCell>>, SweepStats) {
         let swept = |user: &UserId| only.is_none_or(|only| only == *user);
         let samples = self.other_window_samples(windows);
-        let arena =
-            self.arena.clone().unwrap_or_else(|| KernelRowArena::with_budget(DEFAULT_SWEEP_BUDGET));
-        let arena_before = arena.stats();
         let n_features = self.vocab.n_features();
 
         // The sweep's one `ACCother` probe set: every user's sample,
@@ -450,37 +447,40 @@ impl<'a> ModelGridSearch<'a> {
         // One chain per (user, kernel), in user-major / `KernelKind::ALL`
         // order, so reassembled cells come out kernel by kernel (and thus
         // `pick_best` breaks ties the same way at every entry point).
-        struct Chain<'w> {
+        struct Chain {
             ctx: usize,
             kind: KernelKind,
             kernel: Kernel,
-            gram: GramMatrix<'w>,
         }
-        let chains: Vec<Chain<'_>> = contexts
-            .iter()
-            .enumerate()
-            .flat_map(|(ctx_idx, ctx)| {
-                let arena = &arena;
-                KernelKind::ALL.iter().map(move |&kind| {
-                    let kernel = Kernel::default_for(kind, n_features);
-                    let gram = GramMatrix::in_arena(kernel, ctx.own, arena, u64::from(ctx.user.0));
-                    Chain { ctx: ctx_idx, kind, kernel, gram }
+        let chains: Vec<Chain> = (0..contexts.len())
+            .flat_map(|ctx| {
+                KernelKind::ALL.iter().map(move |&kind| Chain {
+                    ctx,
+                    kind,
+                    kernel: Kernel::default_for(kind, n_features),
                 })
             })
             .collect();
 
-        struct CellTask {
+        // A chain's next cell, carrying the chain's Gram matrix: its rows
+        // are filled by the chain's first cells, reused by the later ones
+        // and dropped with the task after the last.
+        struct CellTask<'w> {
             chain: usize,
             reg_idx: usize,
             seed: Option<Vec<f64>>,
             cells: Vec<ModelGridCell>,
+            gram: GramMatrix<'w>,
         }
-        let seeds: Vec<CellTask> = (0..chains.len())
-            .map(|chain| CellTask {
-                chain,
+        let seeds: Vec<CellTask<'_>> = chains
+            .iter()
+            .enumerate()
+            .map(|(idx, chain)| CellTask {
+                chain: idx,
                 reg_idx: 0,
                 seed: None,
                 cells: Vec::with_capacity(self.regularizations.len()),
+                gram: GramMatrix::compute(chain.kernel, contexts[chain.ctx].own),
             })
             .collect();
 
@@ -494,11 +494,14 @@ impl<'a> ModelGridSearch<'a> {
         let train_nanos = AtomicU64::new(0);
         let bound_pairs: [AtomicU64; KernelKind::ALL.len()] = Default::default();
         let scored_pairs: [AtomicU64; KernelKind::ALL.len()] = Default::default();
+        let gram_hits = AtomicU64::new(0);
+        let gram_fills = AtomicU64::new(0);
+        let gram_peak_bytes = AtomicUsize::new(0);
 
         let steal_stats = run_chains(
             seeds,
             self.workers.unwrap_or_else(schedule::default_workers),
-            |mut task: CellTask| {
+            |mut task: CellTask<'_>| {
                 let chain = &chains[task.chain];
                 let ctx = &contexts[chain.ctx];
                 let regularization = self.regularizations[task.reg_idx];
@@ -509,15 +512,14 @@ impl<'a> ModelGridSearch<'a> {
                     .regularization(regularization);
                 let seed = if self.warm_start { task.seed.as_deref() } else { None };
                 let solve_started = std::time::Instant::now();
-                let solved =
-                    trainer.train_from_vectors_seeded(ctx.user, ctx.own, &chain.gram, seed);
+                let solved = trainer.train_from_vectors_seeded(ctx.user, ctx.own, &task.gram, seed);
                 train_nanos.fetch_add(solve_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 // Infeasible parameters for the window count train nothing.
                 if let Ok((profile, alpha)) = solved {
                     let iterations = profile.diagnostics().iterations as u64;
                     let inputs = CellInputs {
                         user: ctx.user,
-                        gram: &chain.gram,
+                        gram: &task.gram,
                         own_refs: &ctx.own_refs,
                         panel: &panel,
                         ranges: &ranges,
@@ -547,8 +549,13 @@ impl<'a> ModelGridSearch<'a> {
                 if task.reg_idx < self.regularizations.len() {
                     Some(task)
                 } else {
+                    let store = task.gram.stats();
+                    gram_hits.fetch_add(store.hits, Ordering::Relaxed);
+                    gram_fills.fetch_add(store.fills, Ordering::Relaxed);
+                    gram_peak_bytes.fetch_max(store.peak_bytes, Ordering::Relaxed);
                     finished.lock().expect("sweep results lock")[task.chain] =
                         Some(std::mem::take(&mut task.cells));
+                    // The task, and with it the chain's Gram rows, drops here.
                     None
                 }
             },
@@ -579,7 +586,12 @@ impl<'a> ModelGridSearch<'a> {
             warm_iterations: warm_iterations.into_inner(),
             cold_iterations: cold_iterations.into_inner(),
             train_nanos: train_nanos.into_inner(),
-            arena: arena.stats().since(&arena_before),
+            arena: GramStats {
+                hits: gram_hits.into_inner(),
+                fills: gram_fills.into_inner(),
+                peak_bytes: gram_peak_bytes.into_inner(),
+                ..GramStats::default()
+            },
             bound_pairs: bound_pairs.map(AtomicU64::into_inner),
             scored_pairs: scored_pairs.map(AtomicU64::into_inner),
         };
@@ -736,7 +748,7 @@ mod tests {
             .arena(ocsvm::KernelRowArena::with_budget(64 << 20));
         let (warm_best, stats) = search.sweep_all(&sets);
         assert!(stats.warm_cells > 0, "ladder cells after the first should be seeded");
-        assert!(stats.arena.hits > 0, "regularization ladder must reuse arena rows");
+        assert!(stats.arena.hits > 0, "regularization ladder must reuse Gram rows");
         assert_eq!(warm_best.len(), sets.len());
         // Warm-started solves stop at a different point inside the solver's
         // KKT tolerance band, so the selected cell may differ from the cold
@@ -776,28 +788,24 @@ mod tests {
     }
 
     #[test]
-    fn sweep_respects_a_tiny_arena_budget() {
+    fn arena_shim_budget_changes_no_cell() {
+        // `arena(..)` is inert: whatever budget the placeholder names, every
+        // chain fills its own uncapped store and every cell is the same.
         let dataset = small_dataset();
         let vocab = Vocabulary::new(dataset.taxonomy().clone());
         let sets = compute_window_sets(&vocab, &dataset, WindowConfig::PAPER_DEFAULT, Some(30));
-        let search = |budget: usize| {
-            ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, ModelKind::Svdd)
-                .regularizations(vec![0.5, 0.1])
-                .warm_start(false)
-                .arena(ocsvm::KernelRowArena::with_budget(budget))
-        };
-        let (roomy_cells, _) = search(64 << 20).sweep_cells(&sets);
-        // Budgets far below the working set — down to none at all and to
-        // one row of the largest Gram matrix: rows evict constantly, yet
-        // results must match the unconstrained sweep exactly.
+        let search = ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, ModelKind::Svdd)
+            .regularizations(vec![0.5, 0.1]);
+        let (plain_cells, plain_stats) = search.sweep_cells(&sets);
         let one_gram_row = sets.values().map(Vec::len).max().unwrap() * std::mem::size_of::<f64>();
-        for budget in [16 << 10, 0, one_gram_row] {
-            let (tight_cells, tight_stats) = search(budget).sweep_cells(&sets);
-            assert!(tight_stats.arena.evictions > 0, "tiny budget {budget} must evict");
-            assert!(tight_stats.arena.bytes <= budget, "budget {budget} respected after the sweep");
-            assert_eq!(tight_cells.len(), roomy_cells.len());
-            for (user, cells) in &tight_cells {
-                let other = &roomy_cells[user];
+        for budget in [0, one_gram_row, 64 << 20] {
+            let shim = search.clone().arena(ocsvm::KernelRowArena::with_budget(budget));
+            let (cells, stats) = shim.sweep_cells(&sets);
+            assert_eq!(stats.arena, plain_stats.arena, "budget {budget}");
+            assert_eq!(stats.arena.evictions, 0, "budget {budget}");
+            assert_eq!(cells.len(), plain_cells.len());
+            for (user, cells) in &cells {
+                let other = &plain_cells[user];
                 assert_eq!(cells.len(), other.len());
                 for (a, b) in cells.iter().zip(other) {
                     assert_eq!(a.summary.acc_self, b.summary.acc_self);

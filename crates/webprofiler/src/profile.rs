@@ -162,7 +162,8 @@ impl UserProfile {
     ///
     /// Kept only so existing callers still build: scoring used to charge
     /// non-linear kernel rows to the arena, but a fresh probe batch never
-    /// reuses a row, so the cache only cost memory. Call
+    /// reuses a row, so the cache only cost memory; the arena itself is now
+    /// an inert placeholder ([`ocsvm::KernelRowArena`]). Call
     /// [`batch_decision_values`](Self::batch_decision_values) instead.
     pub fn batch_decision_values_in(
         &self,
@@ -358,8 +359,6 @@ mod tests {
             let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&shim), bits(&plain), "{kind}");
         }
-        assert_eq!(arena.stats().requests, 0, "the shim must not consult the arena");
-        assert!(arena.is_empty());
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Verifies the shared-Gram grid search end to end: each (user, kernel)
-//! kernel matrix is built once and shared by every regularization of the
-//! sweep, and sharing it changes no cell of the sweep.
+//! chain builds one kernel matrix, shared by every regularization of its
+//! ladder, and sharing it changes no cell of the sweep.
 //!
-//! Builds are counted on the sweep's own arena: every row of one matrix
-//! carries the same content fingerprint (`RowKey::tag`), so the distinct
-//! tags per `(owner, kernel)` are the matrices the sweep built. The arena
-//! holds Gram rows only: `ACCother` probes are scored without cached rows.
+//! Builds are counted through the sweep's statistics: every chain owns
+//! exactly one Gram matrix, so `SweepStats::chains` is the number of
+//! matrices built, and `SweepStats::arena` sums the rows the chains filled
+//! into their own stores. The stores hold Gram rows only: `ACCother` probes
+//! are scored without cached rows.
 
-use ocsvm::{Kernel, KernelKind, KernelRowArena};
-use std::collections::{BTreeMap, BTreeSet};
+use ocsvm::{Kernel, KernelKind};
 use tracegen::{Scenario, TraceGenerator};
 use webprofiler::{
     acceptance_ratio, compute_window_sets, ModelGridSearch, ModelKind, ProfileTrainer, Vocabulary,
@@ -27,64 +27,54 @@ fn busiest(sets: &WindowSets) -> proxylog::UserId {
     *sets.iter().max_by_key(|&(_, w)| w.len()).map(|(u, _)| u).unwrap()
 }
 
-/// Distinct matrices built into `arena`, per `(owner, kernel slot)`.
-fn builds(arena: &KernelRowArena) -> BTreeMap<(u64, u8), BTreeSet<u64>> {
-    let mut builds: BTreeMap<_, BTreeSet<u64>> = BTreeMap::new();
-    for key in arena.keys() {
-        builds.entry((key.owner, key.kernel)).or_default().insert(key.tag);
-    }
-    builds
-}
-
 /// (a) One user's sweep builds exactly one Gram matrix per kernel family,
 /// not one per (kernel, regularization) cell, and computes each of its rows
-/// at most once.
+/// at most once. `run_user` is a one-user `sweep_cells`; over window sets
+/// holding only that user the two are the same sweep, whose statistics
+/// count the matrices.
 #[test]
 fn run_user_builds_one_gram_matrix_per_kernel() {
     let (vocab, sets) = fixture();
     let user = busiest(&sets);
-    let arena = KernelRowArena::with_budget(256 << 20);
-    let search = ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, ModelKind::Svdd)
-        .arena(arena.clone());
-    let cells = search.run_user(&sets, user);
+    let single: WindowSets =
+        sets.iter().filter(|&(&u, _)| u == user).map(|(&u, w)| (u, w.clone())).collect();
+    let search = ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, ModelKind::Svdd);
+    let cells = search.run_user(&single, user);
     assert!(!cells.is_empty());
+    let (swept, stats) = search.sweep_cells(&single);
+    assert_eq!(swept[&user], cells, "run_user is the one-user sweep");
 
-    let builds = builds(&arena);
-    let gram_builds: Vec<usize> = builds.values().map(BTreeSet::len).collect();
     assert_eq!(
-        gram_builds,
-        vec![1; KernelKind::ALL.len()],
-        "run_user must build one Gram matrix per kernel"
+        (stats.users, stats.chains),
+        (1, KernelKind::ALL.len()),
+        "one Gram matrix per kernel"
     );
-    assert!(builds.keys().all(|&(owner, _)| owner == u64::from(user.0)), "only the user's rows");
-    let stats = arena.stats();
-    assert_eq!(stats.evictions, 0, "budget is ample for the quick-test corpus");
-    assert_eq!(stats.fills as usize, arena.len(), "every fill is a distinct row");
     let own = sets[&user].len() as u64;
     let distinct_rows = own * KernelKind::ALL.len() as u64;
-    assert!(stats.fills <= distinct_rows, "{} > {distinct_rows}", stats.fills);
-    assert!(stats.hits > stats.fills, "the ladder must reuse rows: {stats:?}");
+    assert!(stats.arena.fills <= distinct_rows, "{} > {distinct_rows}", stats.arena.fills);
+    assert_eq!(stats.arena.evictions, 0, "chain stores are uncapped");
+    assert!(stats.arena.hits > stats.arena.fills, "the ladder must reuse rows: {:?}", stats.arena);
 }
 
 /// (b) The all-users optimization builds one Gram matrix per (user,
-/// kernel) in the shared arena, fills every distinct (user, kernel, row) at
-/// most once, and serves the regularization ladder's repeated row reads
-/// from cache.
+/// kernel), fills every distinct (user, kernel, row) at most once, and
+/// serves the regularization ladder's repeated row reads from the chain's
+/// store.
 #[test]
 fn sweep_all_builds_one_gram_matrix_per_user_and_kernel() {
     let (vocab, sets) = fixture();
     let user = busiest(&sets);
-    let arena = KernelRowArena::with_budget(256 << 20);
     let search = ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, ModelKind::Svdd)
-        .max_other_windows(usize::MAX)
-        .arena(arena.clone());
+        .max_other_windows(usize::MAX);
     let (best, stats) = search.sweep_all(&sets);
 
-    for ((owner, kernel), tags) in builds(&arena) {
-        assert_eq!(tags.len(), 1, "user {owner} kernel {kernel}: {} builds", tags.len());
-    }
     let trained_users = sets.values().filter(|w| !w.is_empty()).count();
-    assert!(builds(&arena).len() <= trained_users * KernelKind::ALL.len());
+    assert_eq!(stats.users, trained_users);
+    assert_eq!(
+        stats.chains,
+        trained_users * KernelKind::ALL.len(),
+        "one matrix per (user, kernel)"
+    );
     // Distinct rows: per user, one Gram row per window for each of the 4
     // kernels.
     let distinct_rows: u64 = sets.values().map(|w| (w.len() * KernelKind::ALL.len()) as u64).sum();
@@ -93,16 +83,14 @@ fn sweep_all_builds_one_gram_matrix_per_user_and_kernel() {
         "each distinct row fills at most once: {} > {distinct_rows}",
         stats.arena.fills
     );
-    assert!(stats.arena.fills <= stats.arena.misses);
     assert!(
         stats.arena.hits > stats.arena.fills,
-        "the 15-value ladder must reuse cached rows (hits {}, fills {})",
+        "the 15-value ladder must reuse stored rows (hits {}, fills {})",
         stats.arena.hits,
         stats.arena.fills
     );
-    assert_eq!(stats.arena.evictions, 0, "budget is ample for the quick-test corpus");
+    assert_eq!(stats.arena.evictions, 0, "chain stores are uncapped");
     assert!(best.contains_key(&user), "most active user optimizes");
-    assert_eq!(stats.chains, trained_users * KernelKind::ALL.len());
 }
 
 /// (c) Cell parity with the per-cell training path: retrain every
@@ -115,8 +103,7 @@ fn run_user_cells_match_per_cell_training() {
     // usize::MAX disables ACCother subsampling so the replication below
     // scores exactly the same window sets.
     let search = ModelGridSearch::new(&vocab, WindowConfig::PAPER_DEFAULT, ModelKind::Svdd)
-        .max_other_windows(usize::MAX)
-        .arena(KernelRowArena::with_budget(256 << 20));
+        .max_other_windows(usize::MAX);
     let cells = search.run_user(&sets, user);
 
     let own = &sets[&user];
